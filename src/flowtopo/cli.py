@@ -117,13 +117,16 @@ def _parse_feature_csv(path: str):
         raise ValueError("feature CSV must start with a window_start column")
     names = tuple(header[1:])
     vectors = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        vectors.append(detector.FeatureVector(
-            window_start=float(parts[0]),
-            values=tuple(float(v) for v in parts[1:])))
+        try:
+            vectors.append(detector.FeatureVector(
+                window_start=float(parts[0]),
+                values=tuple(float(v) for v in parts[1:])))
+        except ValueError as exc:
+            raise ValueError(f"feature CSV line {lineno}: {exc}") from None
     return names, vectors
 
 

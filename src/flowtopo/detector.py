@@ -48,10 +48,23 @@ THRESHOLD_SLACK = 1.5
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Statistic vector of one time window; coordinate order is run-wide."""
+    """Statistic vector of one time window; coordinate order is run-wide.
+
+    Non-finite coordinates are rejected: one NaN would silently blind the
+    detector to every later window.
+    """
 
     window_start: float
     values: tuple[float, ...]
+
+    def __post_init__(self):
+        if not math.isfinite(self.window_start):
+            raise ValueError(f"window_start {self.window_start} is not finite")
+        for i, x in enumerate(self.values):
+            if not math.isfinite(x):
+                raise ValueError(
+                    f"coordinate {i} of the window at {self.window_start} is {x}, "
+                    "not finite")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,10 @@ def fmt(x: float) -> str:
 
 
 class FlowFormatError(ValueError):
-    """Malformed flow CSV input. Carries the 1-based line number and field name."""
+    """Malformed flow record or flow CSV input.
+
+    Carries the CSV field name and, for parsed input, the 1-based line number.
+    """
 
     def __init__(self, message: str, line_number: int | None = None,
                  field: str | None = None):
@@ -48,16 +51,18 @@ class FlowRecord:
     flags: str
 
     def __post_init__(self):
-        if self.e_time < self.s_time:
-            raise ValueError(f"e_time {self.e_time} precedes s_time {self.s_time}")
-        for name, port in (("s_port", self.s_port), ("d_port", self.d_port)):
+        for field, port in (("sPort", self.s_port), ("dPort", self.d_port)):
             if not 0 <= port <= 65535:
-                raise ValueError(f"{name} {port} out of range 0-65535")
-        for name, ip in (("s_ip", self.s_ip), ("d_ip", self.d_ip)):
+                raise FlowFormatError(f"{field} {port} out of range 0-65535", field=field)
+        for field, ip in (("sIP", self.s_ip), ("dIP", self.d_ip)):
             try:
                 ipaddress.IPv4Address(ip)
-            except ipaddress.AddressValueError as exc:
-                raise ValueError(f"{name} {ip!r} is not a dotted-quad IPv4 address") from exc
+            except ipaddress.AddressValueError:
+                raise FlowFormatError(f"{field} {ip!r} is not a dotted-quad IPv4 address",
+                                      field=field) from None
+        if self.e_time < self.s_time:
+            raise FlowFormatError(f"eTime {self.e_time} precedes sTime {self.s_time}",
+                                  field="eTime")
 
 
 @dataclass(frozen=True)
@@ -113,24 +118,11 @@ def _parse_line(line: str, lineno: int) -> FlowRecord:
             raise FlowFormatError(
                 f"line {lineno}: field {name} has unparseable value {raw!r}",
                 lineno, name) from None
-    for name in ("sPort", "dPort"):
-        if not 0 <= vals[name] <= 65535:
-            raise FlowFormatError(
-                f"line {lineno}: field {name} value {vals[name]} outside 0-65535",
-                lineno, name)
-    for name in ("sIP", "dIP"):
-        try:
-            ipaddress.IPv4Address(vals[name])
-        except ipaddress.AddressValueError:
-            raise FlowFormatError(
-                f"line {lineno}: field {name} value {vals[name]!r} is not IPv4",
-                lineno, name) from None
-    if vals["eTime"] < vals["sTime"]:
-        raise FlowFormatError(
-            f"line {lineno}: field eTime ({vals['eTime']}) precedes sTime",
-            lineno, "eTime")
-    return FlowRecord(vals["sTime"], vals["eTime"], vals["sIP"], vals["dIP"],
-                      vals["sPort"], vals["dPort"], vals["flags"])
+    try:
+        return FlowRecord(vals["sTime"], vals["eTime"], vals["sIP"], vals["dIP"],
+                          vals["sPort"], vals["dPort"], vals["flags"])
+    except FlowFormatError as exc:
+        raise FlowFormatError(f"line {lineno}: {exc}", lineno, exc.field) from None
 
 
 def parse_flows(lines: Iterable[str]) -> list[FlowRecord]:

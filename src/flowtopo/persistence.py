@@ -1,9 +1,14 @@
 """Persistent homology of point clouds and Wasserstein distances between diagrams.
 
 The Vietoris-Rips filtration connects points at distance <= eps and fills in
-cliques; the barcode comes from the standard GF(2) column reduction of the
-boundary matrix in filtration order.  Diagram distance is a minimal-cost
-matching (Hungarian assignment) with L-infinity ground metric and diagonal
+cliques; it is built one dimension at a time from boolean adjacency masks.
+The barcode pairs simplices as the GF(2) boundary-matrix reduction in
+filtration order would, but computes the pairs more cheaply: H0 by union-find
+with the elder rule, higher dimensions by reducing coboundaries (persistent
+cohomology, which yields the same pairs) with clearing (Bauer, "Ripser",
+JACT 2021; de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
+(co)homology", 2011).  Diagram distance is a minimal-cost matching
+(Hungarian assignment) with L-infinity ground metric and diagonal
 projections.
 """
 
@@ -11,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,7 +58,8 @@ def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
     Vertices are born at 0; an edge is born at its length (kept if <= max_eps);
     a higher simplex is born at the largest pairwise distance among its
     vertices.  Simplices up to dimension max_dim + 1 are generated so that
-    deaths in dimension max_dim are correct.
+    deaths in dimension max_dim are correct.  Non-finite coordinates are
+    rejected.
     """
     if max_eps <= 0:
         raise ValueError("max_eps must be > 0")
@@ -66,28 +73,39 @@ def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
     n = len(pts)
     if n == 0:
         raise ValueError("point cloud must be nonempty")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point {int(bad[0])} has a non-finite coordinate")
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
 
-    # neighbors with larger index, used to extend cliques without duplicates
-    upper: list[list[int]] = [
-        [j for j in range(i + 1, n) if dist[i, j] <= max_eps] for i in range(n)
-    ]
-    simplices: list[tuple[tuple[int, ...], float]] = [((i,), 0.0) for i in range(n)]
-    max_card = max_dim + 2
+    # upper[u, w]: the edge {u, w} is in the complex and u < w.  A simplex
+    # extends by each w above all its vertices that is adjacent to all of
+    # them; walking the rows of a lexicographically sorted layer keeps the
+    # next layer lexicographically sorted.
+    upper = np.triu(dist <= max_eps, k=1)
+    layer = np.arange(n)[:, None]
+    births = np.zeros(n)
+    layers, layer_births = [layer], [births]
+    for _ in range(max_dim + 1):
+        extends = upper[layer[:, 0]]
+        for col in layer.T[1:]:
+            extends &= upper[col]
+        rows, new = np.nonzero(extends)
+        if rows.size == 0:
+            break
+        births = np.maximum(births[rows], dist[layer[rows], new[:, None]].max(axis=1))
+        layer = np.column_stack((layer[rows], new))
+        layers.append(layer)
+        layer_births.append(births)
 
-    def expand(simplex: tuple[int, ...], birth: float, candidates: list[int]) -> None:
-        for idx, v in enumerate(candidates):
-            b = max(birth, max(dist[u, v] for u in simplex))
-            tau = simplex + (v,)
-            simplices.append((tau, b))
-            if len(tau) < max_card:
-                nxt = [w for w in candidates[idx + 1:] if dist[v, w] <= max_eps]
-                expand(tau, b, nxt)
-
-    for i in range(n):
-        expand((i,), 0.0, upper[i])
-    return Filtration.from_simplices(simplices)
+    # one stable sort by (birth, dim) keeps the lexicographic order of ties
+    all_births = np.concatenate(layer_births)
+    dims = np.repeat(np.arange(len(layers)), [len(lay) for lay in layers])
+    order = np.lexsort((dims, all_births))
+    verts = [tuple(v) for lay in layers for v in lay.tolist()]
+    return Filtration(tuple(zip([verts[i] for i in order.tolist()],
+                                all_births[order].tolist())))
 
 
 @dataclass(frozen=True)
@@ -127,58 +145,155 @@ class PersistenceDiagram:
 
 
 def barcode(filtration: Filtration) -> PersistenceDiagram:
-    """Persistence diagram via left-to-right boundary column reduction.
+    """Persistence diagram of any filtration whose simplices have all their faces.
 
-    Columns are bit-packed over row indices in filtration order; each column
-    is XOR-reduced against earlier columns sharing its lowest set row.  A
-    pairing (i, j) gives the bar [birth_i, birth_j) in dimension dim(i);
-    unpaired creators give [birth, inf).
+    Every face must be in the filtration and born no later than its
+    coface; otherwise ValueError.  H0 comes from union-find over the edges in
+    filtration order: an edge joining two components kills the younger one
+    (elder rule, later position dies).  Each dimension k >= 1 is reduced as
+    cohomology: the coboundary columns of the k-simplices, taken in reverse
+    filtration order, are reduced left to right with the earliest coface as
+    pivot, so a nonzero column pairs its k-simplex with that pivot.  The
+    k-simplices already paired one dimension down are skipped (clearing);
+    their columns would reduce to zero.  These pairs are exactly those of the
+    boundary-matrix reduction.  A pairing (i, j) gives the bar
+    [birth_i, birth_j) in dimension dim(i); unpaired simplices, including
+    those of the top dimension, give [birth, inf).
     """
     simps = filtration.simplices
-    index: dict[tuple[int, ...], int] = {}
-    for pos, (verts, birth) in enumerate(simps):
-        index[verts] = pos
+    total = len(simps)
+    if total == 0:
+        return PersistenceDiagram({})
+    verts_of, birth_of = zip(*simps)
+    births = np.array(birth_of, dtype=float)
+    sizes = np.fromiter(map(len, verts_of), dtype=np.int64, count=total)
+    flat = np.fromiter(chain.from_iterable(verts_of), dtype=np.int64,
+                       count=int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    by_dim = [np.flatnonzero(sizes == k + 1) for k in range(int(sizes.max()))]
 
-    columns: list[int] = []
-    for pos, (verts, birth) in enumerate(simps):
-        mask = 0
-        if len(verts) > 1:
-            for i in range(len(verts)):
-                face = verts[:i] + verts[i + 1:]
-                fpos = index.get(face)
-                if fpos is None:
-                    raise ValueError(f"filtration is missing face {face} of {verts}")
-                if simps[fpos][1] > birth:
-                    raise ValueError(
-                        f"face {face} born at {simps[fpos][1]} after coface "
-                        f"{verts} at {birth}")
-                mask |= 1 << fpos
-        columns.append(mask)
+    # a simplex's key is its tuple of vertex ranks read in base n_vertices,
+    # so keys sort like vertex tuples and a facet is found by binary search
+    labels = np.unique(flat[starts[by_dim[0]]])
+    known = np.isin(flat, labels)
+    if not known.all():
+        at = int(np.argmin(known))
+        verts = verts_of[np.searchsorted(starts, at, side="right") - 1]
+        raise ValueError(f"filtration is missing face {(int(flat[at]),)} of {verts}")
+    base = len(labels)
+    key_type = np.int64 if base ** len(by_dim) < 2 ** 63 else object
+    ranks = np.searchsorted(labels, flat).astype(key_type)
 
-    low_owner: dict[int, int] = {}
-    killed: set[int] = set()
+    # faces[k][i]: filtration positions of the facets of simplex by_dim[k][i]
+    faces: dict[int, np.ndarray] = {}
+    keys = ranks[starts[by_dim[0]]]
+    for k in range(1, len(by_dim)):
+        pos = by_dim[k]
+        rows = ranks[starts[pos][:, None] + np.arange(k + 1)]
+        # facet_keys[:, d] is the key of the facet without the d-th vertex
+        j = np.arange(k + 1, dtype=key_type)[:, None]
+        digit = np.where(j < j.T, k - 1 - j, k - j)
+        facet_keys = rows @ np.where(j == j.T, 0, base ** digit)
+        key_order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[key_order]
+        idx = np.minimum(np.searchsorted(sorted_keys, facet_keys), len(keys) - 1)
+        found = sorted_keys[idx] == facet_keys
+        if not found.all():
+            row, drop = np.argwhere(~found)[0]
+            coface = verts_of[pos[row]]
+            raise ValueError(f"filtration is missing face "
+                             f"{coface[:drop] + coface[drop + 1:]} of {coface}")
+        face_pos = by_dim[k - 1][key_order[idx]]
+        late = births[face_pos] > births[pos][:, None]
+        if late.any():
+            row, drop = np.argwhere(late)[0]
+            face, coface = face_pos[row, drop], pos[row]
+            raise ValueError(f"face {verts_of[face]} born at {birth_of[face]} after "
+                             f"coface {verts_of[coface]} at {birth_of[coface]}")
+        faces[k] = face_pos
+        keys = rows @ base ** (k - j[:, 0])
+
     bars: dict[int, list[tuple[float, float]]] = {}
-    for j, col in enumerate(columns):
-        while col:
-            low = col.bit_length() - 1
-            owner = low_owner.get(low)
-            if owner is None:
-                break
-            col ^= columns[owner]
-        columns[j] = col
-        if col:
-            low = col.bit_length() - 1
-            low_owner[low] = j
-            killed.add(low)
-            birth = simps[low][1]
-            death = simps[j][1]
-            if death > birth:
-                k = len(simps[low][0]) - 1
-                bars.setdefault(k, []).append((birth, death))
-    for pos, (verts, birth) in enumerate(simps):
-        if columns[pos] == 0 and pos not in killed:
-            k = len(verts) - 1
-            bars.setdefault(k, []).append((birth, math.inf))
+
+    def add_bar(k: int, birth_pos: int, death_pos: int | None) -> None:
+        birth = birth_of[birth_pos]
+        death = math.inf if death_pos is None else birth_of[death_pos]
+        if death > birth:
+            bars.setdefault(k, []).append((birth, death))
+
+    # H0: union-find with the elder rule
+    root = {v: v for v in by_dim[0].tolist()}
+    cleared: set[int] = set()
+    edges = zip(by_dim[1].tolist(), faces[1].tolist()) if len(by_dim) > 1 else ()
+    for edge, (a, b) in edges:
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            elder, younger = min(a, b), max(a, b)
+            root[younger] = elder
+            add_bar(0, younger, edge)
+            cleared.add(edge)
+    for v, r in root.items():
+        if r == v:
+            add_bar(0, v, None)
+
+    # dims >= 1 below the top: cohomology with clearing
+    for k in range(1, len(by_dim) - 1):
+        pos = by_dim[k]
+        # coface positions grouped by facet, ascending within each group
+        facets = faces[k + 1].ravel()
+        grouping = np.argsort(facets, kind="stable")
+        cofaces = np.repeat(by_dim[k + 1], k + 2)[grouping]
+        bounds = np.searchsorted(facets[grouping], pos)
+        ends = np.append(bounds[1:], len(cofaces))
+        firsts = cofaces[np.minimum(bounds, len(cofaces) - 1)]
+        # pivot -> its column: a bitmask over filtration positions once
+        # reduced, or the (lo, hi) slice of cofaces while still unreduced
+        owner: dict[int, int | tuple[int, int]] = {}
+
+        def column(lo: int, hi: int) -> int:
+            return sum(1 << c for c in cofaces[lo:hi].tolist())
+
+        def reduced(pivot: int) -> int:
+            col = owner[pivot]
+            if isinstance(col, tuple):
+                col = owner[pivot] = column(*col)
+            return col
+
+        next_cleared: set[int] = set()
+        for s, lo, hi, pivot in zip(reversed(pos.tolist()), reversed(bounds.tolist()),
+                                    reversed(ends.tolist()), reversed(firsts.tolist())):
+            if s in cleared:
+                continue
+            if lo == hi:
+                add_bar(k, s, None)
+                continue
+            if pivot not in owner:
+                owner[pivot] = (lo, hi)
+            else:
+                col = column(lo, hi)
+                while col:
+                    pivot = (col & -col).bit_length() - 1
+                    if pivot not in owner:
+                        break
+                    col ^= reduced(pivot)
+                if not col:
+                    add_bar(k, s, None)
+                    continue
+                owner[pivot] = col
+            add_bar(k, s, pivot)
+            next_cleared.add(pivot)
+        cleared = next_cleared
+
+    # the top dimension has no cofaces: what is left unpaired never dies
+    top = len(by_dim) - 1
+    if top > 0:
+        pos = by_dim[top]
+        essential = births[pos[~np.isin(pos, list(cleared))]].tolist()
+        if essential:
+            bars[top] = list(zip(essential, repeat(math.inf)))
     return PersistenceDiagram({k: tuple(sorted(v)) for k, v in sorted(bars.items())})
 
 

@@ -67,6 +67,21 @@ class TestPipeline:
         assert run(["detect", "--in", feats, "--out", r2, "--capacity", 8]) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_nan_in_baseline_row_rejected(self, tmp_path, small_flow_csv, capsys):
+        sessions = tmp_path / "s.csv"
+        feats = tmp_path / "f.csv"
+        run(["ingest", "--in", small_flow_csv, "--out", sessions])
+        run(["features", "--in", sessions, "--out", feats])
+        lines = feats.read_text().splitlines()
+        parts = lines[3].split(",")
+        parts[2] = "nan"
+        lines[3] = ",".join(parts)
+        feats.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.jsonl"
+        assert run(["detect", "--in", feats, "--out", out, "--capacity", 8]) == 1
+        assert "feature CSV line 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_topo_columns(self, tmp_path, small_flow_csv):
         sessions = tmp_path / "s.csv"
         topo = tmp_path / "t.csv"
@@ -95,6 +110,13 @@ class TestPh:
             "dim,birth,death\n"
             "0,0,1\n0,0,1\n0,0,1\n0,0,inf\n"
             "1,1,1.4142135623730951\n")
+
+    def test_non_finite_point_rejected(self, tmp_path, capsys):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("0,0\n1,nan\n1,1\n")
+        rc = run(["ph", "--in", cloud, "--out", tmp_path / "d.csv"])
+        assert rc == 1
+        assert "non-finite" in capsys.readouterr().err
 
     def test_non_numeric_line(self, tmp_path, capsys):
         cloud = tmp_path / "cloud.csv"

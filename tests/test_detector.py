@@ -63,6 +63,13 @@ class TestSummarize:
                              features=("mean_edge_size", "n_records"))
         assert v.values == (1.5, 3.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ValueError, match="coordinate 1"):
+            FeatureVector(window_start=0.0, values=(1.0, bad, 2.0))
+        with pytest.raises(ValueError, match="window_start"):
+            FeatureVector(window_start=bad, values=(1.0,))
+
     def test_unknown_feature(self):
         with pytest.raises(ValueError, match="unknown feature"):
             summarize_window(three_session_window(), features=("bogus",))

@@ -53,6 +53,15 @@ class TestParse:
         with pytest.raises(FlowFormatError):
             parse_flows(lines)
 
+    def test_record_errors_name_field(self):
+        with pytest.raises(FlowFormatError) as err:
+            FlowRecord(5.0, 2.0, "10.0.0.1", "10.0.0.2", 80, 80, "S")
+        assert (err.value.field, err.value.line_number) == ("eTime", None)
+        with pytest.raises(FlowFormatError) as err:
+            parse_flows([FLOW_HEADER, "1,2,10.0.0.1,10.0.0.2,80,80,S",
+                         "1,2,10.0.0.1,10.0.0.2,80,-1,S"])
+        assert (err.value.field, err.value.line_number) == ("dPort", 3)
+
     def test_round_trip(self):
         rng = random.Random(42)
         records = []

@@ -2,7 +2,10 @@ import math
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtopo.persistence import (
     DIAGRAM_HEADER,
@@ -34,6 +37,83 @@ def oracle_rips(points, max_eps, max_dim):
             if diam <= max_eps:
                 sims[sub] = diam
     return sims
+
+
+def reference_rips(points, max_eps, max_dim):
+    """Every clique of the eps-graph, births from the same distance expression."""
+    pts = np.asarray(points, dtype=float)
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    sims = []
+    for card in range(1, max_dim + 3):
+        for sub in combinations(range(len(pts)), card):
+            birth = max((dist[i, j] for i, j in combinations(sub, 2)), default=0.0)
+            if birth <= max_eps:
+                sims.append((sub, birth))
+    return Filtration.from_simplices(sims)
+
+
+def oracle_barcode(filtration):
+    """Left-to-right GF(2) reduction of the boundary matrix over int bitmasks.
+
+    Columns are bit-packed over row indices in filtration order; each column
+    is XOR-reduced against earlier columns sharing its lowest set row.  A
+    pairing (i, j) gives the bar [birth_i, birth_j) in dimension dim(i);
+    unpaired creators give [birth, inf).
+    """
+    simps = filtration.simplices
+    index = {verts: pos for pos, (verts, _) in enumerate(simps)}
+    columns = []
+    for verts, birth in simps:
+        mask = 0
+        if len(verts) > 1:
+            for i in range(len(verts)):
+                face = verts[:i] + verts[i + 1:]
+                fpos = index.get(face)
+                if fpos is None:
+                    raise ValueError(f"filtration is missing face {face} of {verts}")
+                if simps[fpos][1] > birth:
+                    raise ValueError(f"face {face} born after coface {verts}")
+                mask |= 1 << fpos
+        columns.append(mask)
+
+    low_owner = {}
+    killed = set()
+    bars = {}
+    for j, col in enumerate(columns):
+        while col:
+            owner = low_owner.get(col.bit_length() - 1)
+            if owner is None:
+                break
+            col ^= columns[owner]
+        columns[j] = col
+        if col:
+            low = col.bit_length() - 1
+            low_owner[low] = j
+            killed.add(low)
+            birth, death = simps[low][1], simps[j][1]
+            if death > birth:
+                bars.setdefault(len(simps[low][0]) - 1, []).append((birth, death))
+    for pos, (verts, birth) in enumerate(simps):
+        if columns[pos] == 0 and pos not in killed:
+            bars.setdefault(len(verts) - 1, []).append((birth, math.inf))
+    return PersistenceDiagram({k: tuple(sorted(v)) for k, v in sorted(bars.items())})
+
+
+def random_filtration(rng, n_max=8, card_max=4):
+    """Random simplicial complex with random monotone births.
+
+    Vertices are born at different times and births take few values, so
+    ties between simplices of every dimension are common.
+    """
+    labels = rng.sample(range(-5, 40), rng.randint(1, n_max))
+    births = {(v,): float(rng.randint(0, 3)) for v in labels}
+    for card in range(2, rng.randint(2, card_max) + 1):
+        for sub in combinations(sorted(labels), card):
+            facets = list(combinations(sub, card - 1))
+            if all(f in births for f in facets) and rng.random() < 0.6:
+                births[sub] = max(births[f] for f in facets) + rng.randint(0, 2)
+    return list(births.items())
 
 
 def random_cloud(rng, n_max=7, dim=2):
@@ -128,6 +208,21 @@ class TestVietorisRips:
                     assert not face or face in seen
                 seen.add(verts)
 
+    def test_equals_reference_filtration(self):
+        # same simplices, same birth floats, same (birth, dim, verts) order
+        rng = random.Random(15)
+        for _ in range(60):
+            pts = random_cloud(rng, n_max=9, dim=rng.choice([1, 2, 3]))
+            max_eps = rng.choice([0.5, 1.0, 2.0, 5.0])
+            max_dim = rng.choice([0, 1, 2])
+            assert (vietoris_rips(pts, max_eps, max_dim)
+                    == reference_rips(pts, max_eps, max_dim))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="point 1 has a non-finite"):
+            vietoris_rips([(0.0, 0.0), (bad, 1.0), (1.0, 1.0)], max_eps=2.0, max_dim=1)
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             vietoris_rips([], max_eps=1.0, max_dim=1)
@@ -212,6 +307,87 @@ class TestBarcode:
                     alive = sum(1 for b, death in d.in_dim(k)
                                 if b <= t < death)
                     assert alive == bt[k]
+
+
+class TestBarcodeOracle:
+    """barcode() must equal the boundary-matrix reduction exactly."""
+
+    def test_random_clouds(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            dim = rng.choice([1, 2, 3])
+            n = rng.randint(1, 11)
+            if rng.random() < 0.5:
+                # integer grid: many tied distances
+                pts = [tuple(float(rng.randint(0, 3)) for _ in range(dim))
+                       for _ in range(n)]
+            else:
+                pts = [tuple(rng.uniform(0, 3) for _ in range(dim)) for _ in range(n)]
+            if n > 2 and rng.random() < 0.3:
+                pts[-1] = pts[0]  # duplicate point
+            max_eps = rng.choice([0.5, 1.0, 1.5, 2.0, 10.0])
+            max_dim = rng.choice([0, 1, 2])
+            f = vietoris_rips(pts, max_eps, max_dim)
+            assert barcode(f) == oracle_barcode(f)
+
+    def test_several_components(self):
+        rng = random.Random(38)
+        for _ in range(20):
+            pts = [(rng.uniform(0, 1) + 10 * rng.randint(0, 2), rng.uniform(0, 1))
+                   for _ in range(12)]
+            f = vietoris_rips(pts, max_eps=1.2, max_dim=1)
+            d = barcode(f)
+            assert d == oracle_barcode(f)
+            assert d.infinite_count(0) >= 2
+
+    def test_hand_built_filtrations(self):
+        # late-born vertices, ties across dimensions, up to tetrahedra
+        rng = random.Random(39)
+        for _ in range(400):
+            f = Filtration.from_simplices(random_filtration(rng))
+            assert barcode(f) == oracle_barcode(f)
+
+    def test_broken_filtrations_rejected_alike(self):
+        rng = random.Random(40)
+        for _ in range(200):
+            pairs = random_filtration(rng)
+            i = rng.randrange(len(pairs))
+            if rng.random() < 0.5:
+                del pairs[i]
+            else:
+                pairs[i] = (pairs[i][0], pairs[i][1] + 5.0)
+            if not pairs:
+                continue
+            f = Filtration.from_simplices(pairs)
+            try:
+                want = oracle_barcode(f)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    barcode(f)
+            else:
+                assert barcode(f) == want
+
+    def test_wide_simplex(self):
+        # a 9-simplex beside 70 isolated vertices: keys overflow int64
+        pairs = [(sub, float(card + max(sub) // 3))
+                 for card in range(1, 11) for sub in combinations(range(10), card)]
+        pairs += [((v,), 0.5) for v in range(10, 80)]
+        f = Filtration.from_simplices(pairs)
+        assert barcode(f) == oracle_barcode(f)
+
+    def test_empty_filtration(self):
+        assert barcode(Filtration(())) == PersistenceDiagram({})
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    min_size=1, max_size=8).flatmap(
+                        lambda pts: st.tuples(st.just(pts), st.permutations(pts))),
+           st.sampled_from([1.0, 1.5, 2.5, 6.0]),
+           st.integers(0, 2))
+    def test_diagram_invariant_under_permutation(self, clouds, max_eps, max_dim):
+        pts, shuffled = clouds
+        d = barcode(vietoris_rips(pts, max_eps, max_dim))
+        assert d == barcode(vietoris_rips(shuffled, max_eps, max_dim))
 
 
 class TestDiagramOps:
