@@ -34,8 +34,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 200
     seed: int = 0
-    # None means per-layer Glorot scale sqrt(6 / (fan_in + fan_out))
-    init_scale: float | None = None
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -76,18 +74,19 @@ class Mlp:
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
     @classmethod
-    def random(cls, layer_sizes, seed: int = 0, init_scale: float | None = None,
+    def random(cls, layer_sizes, seed: int = 0,
                allow_wide_bottleneck: bool = False) -> "Mlp":
-        """Glorot-style uniform initialization, deterministic under seed."""
+        """Glorot uniform initialization, deterministic under seed.
+
+        Each layer draws from [-a, a] with a = sqrt(6 / (fan_in + fan_out)).
+        """
         sizes = tuple(int(s) for s in layer_sizes)
         if len(sizes) != 5:
             raise ValueError("layer_sizes must be [d, h, b, h, d]")
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
-            scale = init_scale
-            if scale is None:
-                scale = np.sqrt(6.0 / (fan_in + fan_out))
+            scale = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out))
         return cls(weights, biases, allow_wide_bottleneck=allow_wide_bottleneck)
@@ -104,23 +103,22 @@ class Mlp:
             acts.append(a)
         return pre, acts
 
-    def forward(self, x) -> np.ndarray:
-        """Reconstruction of a single input vector."""
+    def _activations(self, x) -> list[np.ndarray]:
+        """Per-layer activations of a single input vector, shape-checked."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.layer_sizes[0],):
             raise ValueError(
                 f"input has shape {x.shape}, expected ({self.layer_sizes[0]},)")
         _, acts = self._forward_batch(x[None, :])
-        return acts[-1][0]
+        return [a[0] for a in acts]
+
+    def forward(self, x) -> np.ndarray:
+        """Reconstruction of a single input vector."""
+        return self._activations(x)[-1]
 
     def encode(self, x) -> np.ndarray:
         """Bottleneck activation (the latent representation)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.layer_sizes[0],):
-            raise ValueError(
-                f"input has shape {x.shape}, expected ({self.layer_sizes[0]},)")
-        _, acts = self._forward_batch(x[None, :])
-        return acts[2][0]
+        return self._activations(x)[2]
 
     def reconstruction_error(self, x) -> float:
         """Mean squared error between x and its reconstruction."""
@@ -238,6 +236,6 @@ def detection_threshold(m: Mlp, normal_data) -> float:
 
 def train_autoencoder(data, layer_sizes, cfg: TrainConfig) -> tuple[Mlp, list[float]]:
     """Convenience: build a seeded network and train it on the data."""
-    m = Mlp.random(layer_sizes, seed=cfg.seed, init_scale=cfg.init_scale)
+    m = Mlp.random(layer_sizes, seed=cfg.seed)
     history = train(m, data, cfg)
     return m, history

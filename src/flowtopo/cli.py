@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import autoencoder, detector, flows, hypergraph, persistence, synth, topology
+from . import autoencoder, detector, flows, persistence, synth
 from .flows import fmt
 
 
@@ -77,11 +77,7 @@ def _cmd_topo(args) -> None:
             "max_ecp_in_degree", "max_ecp_out_degree", "rbs_beta0", "rbs_beta1")
     lines = [",".join(cols)]
     for w in windows:
-        h = hypergraph.build_hypergraph(w)
-        st = hypergraph.stats(h)
-        ecp = topology.build_ecp(h)
-        rbs = topology.order_complex(ecp, max_dim=2)
-        b0, b1 = topology.betti(rbs, 1) if rbs.count(0) else (0, 0)
+        st, ecp, (b0, b1) = detector._window_topology(w)
         lines.append(",".join([
             fmt(w.start), str(st.n_vertices), str(st.n_edges),
             str(st.max_vertex_degree), str(st.max_edge_size),

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import TimeWindow
-from .hypergraph import build_hypergraph, stats
+from .hypergraph import HypergraphStats, build_hypergraph, stats
 from .persistence import PersistenceDiagram, barcode, vietoris_rips, wasserstein
-from .topology import betti, build_ecp, order_complex
+from .topology import Ecp, betti, build_ecp, order_complex
 
 FEATURE_NAMES = (
     "n_records",
@@ -85,16 +85,19 @@ class AnomalyReport:
         })
 
 
-def window_statistics(w: TimeWindow) -> dict[str, float]:
-    """All supported per-window statistics, keyed by feature name."""
+def _window_topology(w: TimeWindow) -> tuple[HypergraphStats, Ecp, tuple[int, int]]:
+    """Hypergraph stats, containment order and order-complex (beta0, beta1)."""
     h = build_hypergraph(w)
     st = stats(h)
     ecp = build_ecp(h)
     rbs = order_complex(ecp, max_dim=2)
-    if rbs.count(0):
-        b0, b1 = betti(rbs, 1)
-    else:
-        b0, b1 = 0, 0
+    b0, b1 = betti(rbs, 1) if rbs.count(0) else (0, 0)
+    return st, ecp, (b0, b1)
+
+
+def window_statistics(w: TimeWindow) -> dict[str, float]:
+    """All supported per-window statistics, keyed by feature name."""
+    st, ecp, (b0, b1) = _window_topology(w)
     return {
         "n_records": float(len(w.sessions)),
         "n_unique_sIP": float(len({s.client_ip for s in w.sessions})),

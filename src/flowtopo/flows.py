@@ -8,6 +8,7 @@ are merged and the originating side is designated the client.
 
 from __future__ import annotations
 
+import heapq
 import ipaddress
 import math
 from dataclasses import dataclass
@@ -158,15 +159,6 @@ def serialize_flows(records: Iterable[FlowRecord]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _reverse_match(a: FlowRecord, b: FlowRecord) -> bool:
-    return (a.s_ip, a.s_port, a.d_ip, a.d_port) == (b.d_ip, b.d_port, b.s_ip, b.s_port)
-
-
-def _overlaps(a: FlowRecord, b: FlowRecord) -> bool:
-    # intervals [s, e] overlap if max(starts) <= min(ends)
-    return max(a.s_time, b.s_time) <= min(a.e_time, b.e_time)
-
-
 def _component_session(members: list[FlowRecord]) -> SessionRecord:
     t0 = min(r.s_time for r in members)
     earliest_sources = {(r.s_ip, r.s_port) for r in members if r.s_time == t0}
@@ -202,6 +194,17 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
     closed transitively, so a request, its response, and a retransmit all
     land in one session.  Unmatched records become singleton sessions.
     Never drops a record: constituent counts sum to the input length.
+
+    Records are sorted by start time and grouped by unordered endpoint pair,
+    so within a group an earlier record overlaps a later one exactly when it
+    has not ended before the later one starts.  Each group is swept in that
+    order with one min-heap of end times per direction: a record first pops
+    the opposite direction's entries that ended before it starts (they can
+    overlap no later record either), then joins every entry left, and is
+    pushed onto its own direction's heap.  A record whose two endpoints are
+    equal is its own mirror, so its opposite heap is its own.  The work
+    follows the number of overlapping mirrored pairs, not the square of the
+    group size.
     """
     recs = sorted(records, key=lambda r: (r.s_time, r.e_time, r.s_ip, r.d_ip,
                                           r.s_port, r.d_port, r.flags))
@@ -223,12 +226,18 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
     for i, r in enumerate(recs):
         key = tuple(sorted([(r.s_ip, r.s_port), (r.d_ip, r.d_port)]))
         groups.setdefault(key, []).append(i)
-    for idxs in groups.values():
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                i, j = idxs[a], idxs[b]
-                if _reverse_match(recs[i], recs[j]) and _overlaps(recs[i], recs[j]):
-                    union(i, j)
+    for (low, high), idxs in groups.items():
+        heaps = ([], [])  # (e_time, index) of records sent from low, from high
+        for j in idxs:
+            r = recs[j]
+            d = 0 if (r.s_ip, r.s_port) == low else 1
+            own = heaps[d]
+            opposite = own if low == high else heaps[1 - d]
+            while opposite and opposite[0][0] < r.s_time:
+                heapq.heappop(opposite)
+            for _, i in opposite:
+                union(i, j)
+            heapq.heappush(own, (r.e_time, j))
 
     components: dict[int, list[FlowRecord]] = {}
     for i in range(n):

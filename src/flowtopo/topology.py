@@ -1,7 +1,11 @@
 """Containment order of hyperedges and simplicial homology.
 
 The edge-containment partial order (ECP) puts an arc e -> f between hyperedges
-whose supports satisfy support(e) being a proper subset of support(f).  Its
+whose supports satisfy support(e) being a proper subset of support(f).  It is
+found as a set-containment self-join: edges are grouped by support, a vertex
+-> supports inverted index is built, and the candidate supersets of a support
+come only from the postings of its rarest vertex, so the cost follows the
+number of arcs rather than the square of the number of edges.  Its
 order complex (one k-simplex per chain of k+1 edges) is the restricted
 barycentric subdivision used as a topological window summary.  Betti numbers
 are computed over GF(2) by boundary-rank elimination; Hodge Laplacians use the
@@ -11,7 +15,7 @@ standard signed real boundary matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -57,13 +61,30 @@ class Ecp:
 
 
 def build_ecp(h: Hypergraph) -> Ecp:
-    """Containment arcs between all pairs of distinct hyperedges."""
-    labels = sorted(h.edges)
+    """Containment arcs e -> f with support(e) a proper subset of support(f).
+
+    Edge labels are grouped by support; equal supports are incomparable, so
+    each distinct support is tested once.  An inverted index maps every
+    vertex to the distinct supports holding it.  A proper superset of S must
+    hold every vertex of S, in particular the one with the fewest postings,
+    so only that vertex's postings are candidates; the proper supersets of S
+    among them give arcs, expanded to the cross product of the two label
+    lists.  A scan window whose thousands of ports share one support costs a
+    single probe instead of a quadratic sweep over ports.
+    """
+    labels_by_support: dict[frozenset[str], list[int]] = {}
+    for label, support in h.edges.items():
+        labels_by_support.setdefault(support, []).append(label)
+    postings: dict[str, list[frozenset[str]]] = {}
+    for support in labels_by_support:
+        for v in support:
+            postings.setdefault(v, []).append(support)
     arcs = set()
-    for e in labels:
-        for f in labels:
-            if e != f and h.edges[e] < h.edges[f]:
-                arcs.add((e, f))
+    for support, lower in labels_by_support.items():
+        rarest = min(support, key=lambda v: len(postings[v]))
+        for candidate in postings[rarest]:
+            if support < candidate:
+                arcs.update(product(lower, labels_by_support[candidate]))
     return Ecp(supports=dict(h.edges), arcs=frozenset(arcs))
 
 

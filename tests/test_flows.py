@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtopo.flows import (
     FLOW_HEADER,
     FlowFormatError,
     FlowRecord,
     SessionRecord,
+    _component_session,
     pair_bidirectional,
     parse_flows,
     parse_windowed_sessions,
@@ -75,6 +78,82 @@ class TestParse:
         text = serialize_flows(records)
         assert parse_flows(text.splitlines()) == records
         assert serialize_flows(parse_flows(text.splitlines())) == text
+
+
+def _reverse_match(a, b):
+    return (a.s_ip, a.s_port, a.d_ip, a.d_port) == (b.d_ip, b.d_port, b.s_ip, b.s_port)
+
+
+def _overlaps(a, b):
+    # intervals [s, e] overlap if max(starts) <= min(ends)
+    return max(a.s_time, b.s_time) <= min(a.e_time, b.e_time)
+
+
+def oracle_pair_bidirectional(records):
+    """Quadratic pairing: test every record pair inside an endpoint group."""
+    recs = sorted(records, key=lambda r: (r.s_time, r.e_time, r.s_ip, r.d_ip,
+                                          r.s_port, r.d_port, r.flags))
+    n = len(recs)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    groups = {}
+    for i, r in enumerate(recs):
+        key = tuple(sorted([(r.s_ip, r.s_port), (r.d_ip, r.d_port)]))
+        groups.setdefault(key, []).append(i)
+    for idxs in groups.values():
+        for a in range(len(idxs)):
+            for b in range(a + 1, len(idxs)):
+                i, j = idxs[a], idxs[b]
+                if _reverse_match(recs[i], recs[j]) and _overlaps(recs[i], recs[j]):
+                    union(i, j)
+
+    components = {}
+    for i in range(n):
+        components.setdefault(find(i), []).append(recs[i])
+    sessions = [_component_session(members) for members in components.values()]
+    sessions.sort(key=lambda s: (s.start, s.client_ip, s.server_ip,
+                                 s.client_port, s.server_port))
+    return sessions
+
+
+ENDPOINTS = [("10.0.0.1", 51515), ("10.0.0.2", 80), ("10.0.0.2", 51515),
+             ("10.0.0.3", 80)]
+
+
+def random_records(rng, n):
+    """Records over few endpoints and a coarse time grid, so equal starts,
+    touching intervals (e == s), zero-length records and self-mirrored
+    records (source equal to destination) are all common."""
+    recs = []
+    for _ in range(n):
+        src = rng.choice(ENDPOINTS)
+        dst = src if rng.random() < 0.15 else rng.choice(ENDPOINTS)
+        s = float(rng.randrange(20))
+        e = s + rng.choice([0.0, 0.0, 1.0, 2.0, 5.0])
+        recs.append(rec(s, e, src[0], dst[0], src[1], dst[1],
+                        rng.choice(["S", "PA"])))
+    return recs
+
+
+def chain_records(pairs, t0=0.0, timeout=10.0):
+    """One long connection cut into consecutive records in both directions."""
+    recs = []
+    for i in range(pairs):
+        s = t0 + i * timeout
+        recs.append(rec(s, s + timeout, "10.0.0.1", "10.0.0.2", 40000, 443, "PA"))
+        recs.append(rec(s + 0.05, s + timeout, "10.0.0.2", "10.0.0.1", 443, 40000, "PA"))
+    return recs
 
 
 class TestPairing:
@@ -177,6 +256,42 @@ class TestPairing:
         a = rec(100.0, 101.0, "10.0.0.1", "10.0.0.2", 51515, 80)
         b = rec(200.0, 201.0, "10.0.0.2", "10.0.0.1", 80, 51515)
         assert len(pair_bidirectional([a, b])) == 2
+
+    def test_equals_quadratic_oracle(self):
+        rng = random.Random(1234)
+        for _ in range(400):
+            recs = random_records(rng, rng.randint(0, 40))
+            assert pair_bidirectional(recs) == oracle_pair_bidirectional(recs)
+
+    def test_chains_equal_quadratic_oracle(self):
+        rng = random.Random(99)
+        recs = chain_records(200) + chain_records(50, t0=5000.0)
+        recs += random_records(rng, 100)
+        rng.shuffle(recs)
+        sessions = pair_bidirectional(recs)
+        assert sessions == oracle_pair_bidirectional(recs)
+        assert [s.constituent_count for s in sessions if s.client_port == 40000] \
+            == [400, 100]
+
+    def test_self_mirrored_records_pair_with_each_other(self):
+        a = rec(1.0, 3.0, "10.0.0.1", "10.0.0.1", 80, 80)
+        b = rec(2.0, 2.0, "10.0.0.1", "10.0.0.1", 80, 80)
+        c = rec(3.0, 4.0, "10.0.0.1", "10.0.0.1", 80, 80)
+        d = rec(4.5, 5.0, "10.0.0.1", "10.0.0.1", 80, 80)
+        sessions = pair_bidirectional([d, c, b, a])
+        assert [s.constituent_count for s in sessions] == [3, 1]
+        assert sessions == oracle_pair_bidirectional([a, b, c, d])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(ENDPOINTS), st.sampled_from(ENDPOINTS),
+                              st.integers(0, 10), st.integers(0, 3)),
+                    max_size=30))
+    def test_conserves_records_and_equals_oracle(self, rows):
+        recs = [rec(float(s), float(s + d), src[0], dst[0], src[1], dst[1])
+                for src, dst, s, d in rows]
+        sessions = pair_bidirectional(recs)
+        assert sum(x.constituent_count for x in sessions) == len(recs)
+        assert sessions == oracle_pair_bidirectional(recs)
 
 
 def sess(start, port=80, client="10.0.0.1", server="10.0.0.2"):

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtopo.hypergraph import Hypergraph
 from flowtopo.topology import (
@@ -33,6 +35,33 @@ def random_supports(rng, universe=4, n_edges=None):
     for p in ports:
         out[p] = frozenset(rng.sample(ips, rng.randint(1, universe)))
     return out
+
+
+def oracle_build_ecp(h):
+    """All-pairs containment arcs: every ordered pair of distinct edges."""
+    labels = sorted(h.edges)
+    arcs = set()
+    for e in labels:
+        for f in labels:
+            if e != f and h.edges[e] < h.edges[f]:
+                arcs.add((e, f))
+    return Ecp(supports=dict(h.edges), arcs=frozenset(arcs))
+
+
+def random_layered_supports(rng, universe=8):
+    """Supports drawn from a small pool, so duplicates, nested chains and
+    singletons all occur; one edge per label."""
+    ips = [f"10.0.0.{i}" for i in range(universe)]
+    pool = []
+    for _ in range(rng.randint(1, 5)):
+        # a nested chain: each support adds vertices to the previous one
+        order = rng.sample(ips, rng.randint(1, universe))
+        cuts = sorted(rng.sample(range(1, len(order) + 1),
+                                 rng.randint(1, len(order))))
+        pool.extend(frozenset(order[:c]) for c in cuts)
+    pool.extend(frozenset([v]) for v in rng.sample(ips, rng.randint(0, 3)))
+    ports = rng.sample(range(1, 65536), rng.randint(1, 40))
+    return {p: rng.choice(pool) for p in ports}
 
 
 def random_complex(rng, n_vertices=6):
@@ -152,6 +181,36 @@ class TestEcp:
             expect = {(e, f) for e in supports for f in supports
                       if e != f and supports[e] < supports[f]}
             assert set(ecp.arcs) == expect
+
+
+    def test_equals_all_pairs_oracle(self):
+        rng = random.Random(2024)
+        cases = [{}, {1: {"a"}}, {1: {"a"}, 2: {"a"}, 3: {"a", "b"}, 4: {"a", "b"}}]
+        cases += [random_layered_supports(rng) for _ in range(300)]
+        cases += [random_supports(rng, universe=6, n_edges=rng.randint(1, 30))
+                  for _ in range(100)]
+        for supports in cases:
+            h = hg(supports)
+            assert build_ecp(h) == oracle_build_ecp(h)
+
+    def test_scan_window_arcs(self):
+        # 4000 scanned ports with the scanner as their only vertex, under the
+        # four common ports the scanner also touched
+        supports = {p: {"10.9.9.9"} for p in range(1, 4001)}
+        for k, p in enumerate((8080, 8443, 9000, 9001)):
+            supports[p] = {"10.9.9.9"} | {f"10.0.0.{i}" for i in range(k + 1)}
+        ecp = build_ecp(hg(supports))
+        assert len(ecp.arcs) == 4000 * 4 + 6
+        assert ecp.max_in_degree() == 4003
+        assert ecp.out_degrees()[1] == 4
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.dictionaries(st.integers(0, 60),
+                           st.frozensets(st.sampled_from("abcdef"), min_size=1),
+                           max_size=25))
+    def test_equals_all_pairs_oracle_property(self, supports):
+        h = hg(supports)
+        assert build_ecp(h) == oracle_build_ecp(h)
 
 
 class TestHasse:
