@@ -34,7 +34,7 @@ def describe(records, label):
     h = build_hypergraph(w)
     ecp = build_ecp(h)
     rbs = order_complex(ecp, max_dim=2)
-    b = betti(rbs, 1) if rbs.count(0) else (0, 0)
+    b = betti(rbs, 1)
     print(f"{label}:")
     print(f"  edges={h.n_edges}  containment arcs={len(ecp.arcs)}  "
           f"hasse arcs={len(hasse(ecp).arcs)}")

@@ -31,10 +31,11 @@ def _load_config(args) -> dict:
 
 
 def _cmd_synth(args) -> None:
+    cfg = _load_config(args)
     profile = synth.TrafficProfile(
         n_clients=args.n_clients, n_servers=args.n_servers,
         mean_flows=args.mean_flows, duration=args.duration,
-        window_width=args.window_width or detector.DEFAULTS["window_width"],
+        window_width=cfg["window_width"],
         seed=args.seed if args.seed is not None else 7)
     records = synth.generate_normal(profile)
     for w_idx in args.scan_window or []:

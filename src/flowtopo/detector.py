@@ -90,9 +90,7 @@ def _window_topology(w: TimeWindow) -> tuple[HypergraphStats, Ecp, tuple[int, in
     h = build_hypergraph(w)
     st = stats(h)
     ecp = build_ecp(h)
-    rbs = order_complex(ecp, max_dim=2)
-    b0, b1 = betti(rbs, 1) if rbs.count(0) else (0, 0)
-    return st, ecp, (b0, b1)
+    return st, ecp, betti(order_complex(ecp, max_dim=2), 1)
 
 
 def window_statistics(w: TimeWindow) -> dict[str, float]:
@@ -100,8 +98,8 @@ def window_statistics(w: TimeWindow) -> dict[str, float]:
     st, ecp, (b0, b1) = _window_topology(w)
     return {
         "n_records": float(len(w.sessions)),
-        "n_unique_sIP": float(len({s.client_ip for s in w.sessions})),
-        "n_unique_dPort": float(len({s.server_port for s in w.sessions})),
+        "n_unique_sIP": float(st.n_vertices),
+        "n_unique_dPort": float(st.n_edges),
         "max_edge_size": float(st.max_edge_size),
         "mean_edge_size": float(st.mean_edge_size),
         "max_ecp_in_degree": float(ecp.max_in_degree()),

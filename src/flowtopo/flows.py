@@ -61,6 +61,9 @@ class FlowRecord:
             except ipaddress.AddressValueError:
                 raise FlowFormatError(f"{field} {ip!r} is not a dotted-quad IPv4 address",
                                       field=field) from None
+        for field, t in (("sTime", self.s_time), ("eTime", self.e_time)):
+            if not math.isfinite(t):
+                raise FlowFormatError(f"{field} {t} is not finite", field=field)
         if self.e_time < self.s_time:
             raise FlowFormatError(f"eTime {self.e_time} precedes sTime {self.s_time}",
                                   field="eTime")

@@ -5,17 +5,20 @@ whose supports satisfy support(e) being a proper subset of support(f).  It is
 found as a set-containment self-join: edges are grouped by support, a vertex
 -> supports inverted index is built, and the candidate supersets of a support
 come only from the postings of its rarest vertex, so the cost follows the
-number of arcs rather than the square of the number of edges.  Its
-order complex (one k-simplex per chain of k+1 edges) is the restricted
-barycentric subdivision used as a topological window summary.  Betti numbers
-are computed over GF(2) by boundary-rank elimination; Hodge Laplacians use the
-standard signed real boundary matrices.
+number of arcs rather than the square of the number of edges.  The arcs are
+every proper-containment pair, hence transitively closed, so the order complex
+(one k-simplex per chain of k+1 edges, the restricted barycentric subdivision
+used as a topological window summary) is built layer by layer, extending each
+chain by the nodes above its top.  Betti numbers are computed over GF(2) by
+boundary-rank elimination, reducing each boundary column as it is generated;
+Hodge Laplacians use the standard signed real boundary matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,10 +32,11 @@ class Ecp:
     """Strict containment order on hyperedges.
 
     ``supports`` maps each edge label to its vertex support; ``arcs`` holds
-    ordered pairs (e, f) with support(e) a proper subset of support(f).
-    Edges with identical supports are incomparable here (multiplicity is
-    reported by hypergraph stats instead), which keeps the relation a strict
-    partial order.
+    every ordered pair (e, f) with support(e) a proper subset of support(f),
+    so the relation is transitively closed.  ``order_complex`` relies on
+    that, and every caller passes ``build_ecp`` output.  Edges with identical
+    supports are incomparable here (multiplicity is reported by hypergraph
+    stats instead), which keeps the relation a strict partial order.
     """
 
     supports: dict[int, frozenset[str]]
@@ -89,7 +93,11 @@ def build_ecp(h: Hypergraph) -> Ecp:
 
 
 def hasse(ecp: Ecp) -> Ecp:
-    """Transitive reduction: drop every arc that a 2-step path already implies."""
+    """Transitive reduction: drop every arc that a 2-step path already implies.
+
+    The result is the cover relation, which is not transitively closed and so
+    is not an ``order_complex`` input.
+    """
     succ: dict[int, set[int]] = {n: set() for n in ecp.supports}
     for e, f in ecp.arcs:
         succ[e].add(f)
@@ -138,56 +146,37 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(v) for k, v in self.simplices.items())
 
-    def dump(self) -> str:
-        """One simplex per line, dimension-ascending then lexicographic."""
-        lines = []
-        for k in sorted(self.simplices):
-            for s in self.simplices[k]:
-                lines.append(" ".join(str(v) for v in s))
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 def order_complex(ecp: Ecp, max_dim: int | None = None) -> SimplicialComplex:
     """Order complex of the containment order (the restricted barycentric
     subdivision of the hypergraph).
 
-    Each chain e0 < e1 < ... < ek in the transitive closure of the arcs
-    becomes a k-simplex.  ``max_dim`` caps the simplex dimension; chains are
-    enumerated by extending at the maximum, so each chain appears once.
-    Vertex indices follow sorted edge-label order; the labels ride along.
+    Each chain e0 < e1 < ... < ek of the order becomes a k-simplex.  The arcs
+    must be transitively closed, as ``build_ecp`` returns them, so every chain
+    is a path along arcs: the k-chains are the (k-1)-chains extended by each
+    node above their top element, built one layer at a time.  ``max_dim`` caps
+    the simplex dimension.  Vertex indices follow sorted edge-label order; the
+    labels ride along.
     """
     nodes = ecp.nodes()
     index = {lab: i for i, lab in enumerate(nodes)}
-
-    # transitive closure successors, memoized over the DAG
-    direct: dict[int, set[int]] = {n: set() for n in nodes}
+    above: list[list[int]] = [[] for _ in nodes]
     for e, f in ecp.arcs:
-        direct[e].add(f)
-    reach: dict[int, set[int]] = {}
-
-    def successors(n: int) -> set[int]:
-        if n not in reach:
-            acc = set(direct[n])
-            for m in direct[n]:
-                acc |= successors(m)
-            reach[n] = acc
-        return reach[n]
-
-    max_len = None if max_dim is None else max_dim + 1
+        above[index[e]].append(index[f])
     by_dim: dict[int, list[tuple[int, ...]]] = {}
-    stack = [(lab,) for lab in nodes]
-    while stack:
-        chain = stack.pop()
-        k = len(chain) - 1
-        by_dim.setdefault(k, []).append(tuple(sorted(index[l] for l in chain)))
-        if max_len is None or len(chain) < max_len:
-            for nxt in successors(chain[-1]):
-                stack.append(chain + (nxt,))
-    return SimplicialComplex({k: tuple(sorted(v)) for k, v in sorted(by_dim.items())},
-                             labels=tuple(nodes))
+    layer = [(i,) for i in range(len(nodes))]
+    while layer:
+        k = len(by_dim)
+        by_dim[k] = layer
+        if max_dim is not None and k >= max_dim:
+            break
+        layer = [chain + (j,) for chain in layer for j in above[chain[-1]]]
+    simplices = {k: tuple(sorted(tuple(sorted(chain)) for chain in chains))
+                 for k, chains in by_dim.items()}
+    return SimplicialComplex(simplices, labels=tuple(nodes))
 
 
-def _gf2_rank(columns: list[int]) -> int:
+def _gf2_rank(columns: Iterable[int]) -> int:
     """Rank of a GF(2) matrix given as bit-packed column vectors."""
     pivots: dict[int, int] = {}
     rank = 0
@@ -203,17 +192,15 @@ def _gf2_rank(columns: list[int]) -> int:
     return rank
 
 
-def _boundary_columns(k_simplices, faces) -> list[int]:
-    """Bit-packed boundary columns: one per k-simplex, rows over (k-1)-faces."""
+def _boundary_columns(k_simplices, faces) -> Iterator[int]:
+    """Bit-packed boundary columns, rows over (k-1)-faces, yielded one per
+    k-simplex so that only the reduced pivots are ever held at once."""
     face_index = {f: i for i, f in enumerate(faces)}
-    cols = []
     for s in k_simplices:
         mask = 0
         for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            mask |= 1 << face_index[face]
-        cols.append(mask)
-    return cols
+            mask |= 1 << face_index[s[:i] + s[i + 1:]]
+        yield mask
 
 
 def betti(k_complex: SimplicialComplex, max_dim: int) -> BettiVector:
@@ -225,23 +212,13 @@ def betti(k_complex: SimplicialComplex, max_dim: int) -> BettiVector:
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    ranks: dict[int, int] = {}
-
-    def rank_of(k: int) -> int:
-        if k not in ranks:
-            sk = k_complex.simplices.get(k, ())
-            faces = k_complex.simplices.get(k - 1, ())
-            if k <= 0 or not sk or not faces:
-                ranks[k] = 0
-            else:
-                ranks[k] = _gf2_rank(_boundary_columns(sk, faces))
-        return ranks[k]
-
-    out = []
-    for k in range(max_dim + 1):
-        n_k = k_complex.count(k)
-        out.append(n_k - rank_of(k) - rank_of(k + 1))
-    return tuple(out)
+    ranks = [0]
+    for k in range(1, max_dim + 2):
+        sk = k_complex.simplices.get(k, ())
+        faces = k_complex.simplices.get(k - 1, ())
+        ranks.append(_gf2_rank(_boundary_columns(sk, faces)) if sk and faces else 0)
+    return tuple(k_complex.count(k) - ranks[k] - ranks[k + 1]
+                 for k in range(max_dim + 1))
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,19 @@ class TestConfigAndErrors:
         assert lines[0] == "window_start,n_records"
         assert len(lines) == 1 + 12  # 7200 / 600
 
+    def test_one_config_drives_synth_and_ingest(self, tmp_path):
+        cfgfile = tmp_path / "det.cfg"
+        cfgfile.write_text("window_width = 600.0\n")
+        flows_csv = tmp_path / "f.csv"
+        sessions = tmp_path / "s.csv"
+        assert run(["synth", "--out", flows_csv, "--config", cfgfile,
+                    "--duration", 3600, "--seed", 4, "--scan-window", 1]) == 0
+        assert run(["ingest", "--in", flows_csv, "--out", sessions,
+                    "--config", cfgfile]) == 0
+        starts = {ln.split(",")[0] for ln in sessions.read_text().splitlines()[1:]
+                  if ",10.9.9.9," in ln}
+        assert starts == {"600"}
+
     def test_flag_overrides_config(self, tmp_path, small_flow_csv):
         cfgfile = tmp_path / "det.cfg"
         cfgfile.write_text("window_width = 600.0\n")

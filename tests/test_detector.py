@@ -1,5 +1,8 @@
+import json
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -34,6 +37,21 @@ def three_session_window():
         sess("10.0.0.2", 80),
         sess("10.0.0.1", 443),
     ))
+
+
+FULL_SCAN_CHILD = """
+import json, resource
+from flowtopo import (ScanSpec, TrafficProfile, generate_normal, inject_scan,
+                      pair_bidirectional, window)
+from flowtopo.detector import summarize_window
+profile = TrafficProfile(n_clients=12, duration=300.0, seed=5)
+records = inject_scan(generate_normal(profile), ScanSpec(port_range=(1, 65535)),
+                      profile)
+(w,) = window(pair_bidirectional(records), profile.window_width)
+values = summarize_window(w).values
+print(json.dumps({"values": values,
+                  "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
 
 
 def fv(values, start=0.0):
@@ -87,6 +105,20 @@ class TestSummarize:
         idx = FEATURE_NAMES.index("max_ecp_in_degree")
         assert noisy.values[idx] >= 29
         assert quiet.values[idx] == 0.0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in KiB only on Linux")
+    def test_full_port_scan_window_bounded_memory(self):
+        # all 65535 ports scanned in one window: 262,124 order-complex edges,
+        # whose boundary columns must be reduced as they are generated;
+        # holding them all at once takes about 1.3 GiB
+        proc = subprocess.run([sys.executable, "-c", FULL_SCAN_CHILD],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["values"] == [65579.0, 13.0, 65535.0, 9.0, 1.0004425116350042,
+                                 65531.0, 4.0, 1.0, 196590.0, 65531.0]
+        assert out["maxrss_kib"] < 800 * 1024
 
 
 # ---------------------------------------------------------------- baseline

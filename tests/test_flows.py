@@ -56,6 +56,15 @@ class TestParse:
         with pytest.raises(FlowFormatError):
             parse_flows(lines)
 
+    @pytest.mark.parametrize("line, field", [
+        ("nan,nan,10.0.0.1,10.0.0.2,5000,80,S", "sTime"),
+        ("1,inf,10.0.0.1,10.0.0.2,5000,80,S", "eTime"),
+    ])
+    def test_non_finite_time_names_line_and_field(self, line, field):
+        with pytest.raises(FlowFormatError, match="not finite") as err:
+            parse_flows([FLOW_HEADER, line])
+        assert (err.value.field, err.value.line_number) == (field, 2)
+
     def test_record_errors_name_field(self):
         with pytest.raises(FlowFormatError) as err:
             FlowRecord(5.0, 2.0, "10.0.0.1", "10.0.0.2", 80, 80, "S")

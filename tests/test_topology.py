@@ -48,7 +48,7 @@ def oracle_build_ecp(h):
     return Ecp(supports=dict(h.edges), arcs=frozenset(arcs))
 
 
-def random_layered_supports(rng, universe=8):
+def random_layered_supports(rng, universe=8, max_ports=40):
     """Supports drawn from a small pool, so duplicates, nested chains and
     singletons all occur; one edge per label."""
     ips = [f"10.0.0.{i}" for i in range(universe)]
@@ -60,8 +60,58 @@ def random_layered_supports(rng, universe=8):
                                  rng.randint(1, len(order))))
         pool.extend(frozenset(order[:c]) for c in cuts)
     pool.extend(frozenset([v]) for v in rng.sample(ips, rng.randint(0, 3)))
-    ports = rng.sample(range(1, 65536), rng.randint(1, 40))
+    ports = rng.sample(range(1, 65536), rng.randint(1, max_ports))
     return {p: rng.choice(pool) for p in ports}
+
+
+def scan_supports(rng):
+    """A scan-shaped window: many ports touched only by the scanner, under
+    common ports whose supports are partly nested and partly incomparable."""
+    clients = [f"10.0.0.{i}" for i in range(1, 6)]
+    supports = {p: {"10.9.9.9"} for p in range(1, 41)}
+    for p in rng.sample(range(20000, 20100), rng.randint(1, 6)):
+        supports[p] = {"10.9.9.9"} | set(rng.sample(clients, rng.randint(1, 5)))
+    for p in rng.sample(range(30000, 30100), rng.randint(0, 3)):
+        supports[p] = set(rng.sample(clients, rng.randint(1, 5)))
+    return supports
+
+
+def oracle_order_complex(ecp, max_dim=None):
+    """Order complex from the memoized transitive closure of the arcs, with
+    chains grown on a stack; assumes nothing about the arcs being closed."""
+    nodes = ecp.nodes()
+    index = {lab: i for i, lab in enumerate(nodes)}
+    direct = {n: set() for n in nodes}
+    for e, f in ecp.arcs:
+        direct[e].add(f)
+    reach = {}
+
+    def successors(n):
+        if n not in reach:
+            acc = set(direct[n])
+            for m in direct[n]:
+                acc |= successors(m)
+            reach[n] = acc
+        return reach[n]
+
+    max_len = None if max_dim is None else max_dim + 1
+    by_dim = {}
+    stack = [(lab,) for lab in nodes]
+    while stack:
+        chain = stack.pop()
+        k = len(chain) - 1
+        by_dim.setdefault(k, []).append(tuple(sorted(index[l] for l in chain)))
+        if max_len is None or len(chain) < max_len:
+            for nxt in successors(chain[-1]):
+                stack.append(chain + (nxt,))
+    return SimplicialComplex({k: tuple(sorted(v)) for k, v in sorted(by_dim.items())},
+                             labels=tuple(nodes))
+
+
+def assert_same_complex(got, expect):
+    # labels are excluded from SimplicialComplex equality, so compare both
+    assert got.simplices == expect.simplices
+    assert got.labels == expect.labels
 
 
 def random_complex(rng, n_vertices=6):
@@ -302,6 +352,35 @@ class TestOrderComplex:
                 got = {s for sims in K.simplices.values() for s in sims}
                 assert got == expect
 
+    def test_equals_closure_oracle(self):
+        rng = random.Random(4242)
+        cases = [{}, {1: {"a"}, 2: {"a"}, 3: {"a", "b"}, 4: {"a", "b"},
+                      5: {"a", "b", "c"}, 6: {"a", "b", "c", "d"}}]
+        # sizes keep the dense oracle_betti to a few seconds in all
+        cases += [random_layered_supports(rng, max_ports=15) for _ in range(150)]
+        cases += [random_supports(rng, universe=6, n_edges=rng.randint(1, 15))
+                  for _ in range(60)]
+        cases += [scan_supports(rng) for _ in range(10)]
+        for supports in cases:
+            ecp = build_ecp(hg(supports))
+            for cap in (None, 0, 1, 2):
+                K = order_complex(ecp, max_dim=cap)
+                assert_same_complex(K, oracle_order_complex(ecp, max_dim=cap))
+                d = max(K.dim, 0)
+                assert betti(K, d) == oracle_betti(K, d)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.dictionaries(st.integers(0, 60),
+                           st.frozensets(st.sampled_from("abcdef"), min_size=1),
+                           max_size=15),
+           st.sampled_from((None, 0, 1, 2)))
+    def test_equals_closure_oracle_property(self, supports, cap):
+        ecp = build_ecp(hg(supports))
+        K = order_complex(ecp, max_dim=cap)
+        assert_same_complex(K, oracle_order_complex(ecp, max_dim=cap))
+        d = max(K.dim, 0)
+        assert betti(K, d) == oracle_betti(K, d)
+
 
 # ---------------------------------------------------------------- homology
 
@@ -326,6 +405,12 @@ class TestBetti:
     def test_square_cycle(self):
         K = SimplicialComplex.from_simplices([(0, 1), (1, 2), (2, 3), (0, 3)])
         assert betti(K, 1) == (1, 1)
+
+    def test_empty_complex_all_zeros(self):
+        for K in (SimplicialComplex({}),
+                  order_complex(build_ecp(Hypergraph.from_edges({})), max_dim=2)):
+            for d in range(3):
+                assert betti(K, d) == (0,) * (d + 1)
 
     def test_negative_max_dim(self):
         with pytest.raises(ValueError):
