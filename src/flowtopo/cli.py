@@ -23,7 +23,7 @@ def _load_config(args) -> dict:
     cfg = dict(detector.DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(detector.parse_config(Path(args.config).read_text()))
-    for key in ("capacity", "window_width", "max_eps", "max_dim", "quantile"):
+    for key in detector.CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -55,24 +55,17 @@ def _cmd_ingest(args) -> None:
     Path(args.out).write_text(flows.serialize_windowed_sessions(windows))
 
 
-def _windows_from_csv(path: str, width: float):
-    return flows.parse_windowed_sessions(_read_lines(path), width=width)
-
-
 def _cmd_features(args) -> None:
     cfg = _load_config(args)
     names = tuple(cfg["features"])
-    windows = _windows_from_csv(args.input, cfg["window_width"])
-    lines = ["window_start," + ",".join(names)]
-    for w in windows:
-        v = detector.summarize_window(w, features=names)
-        lines.append(fmt(v.window_start) + "," + ",".join(fmt(x) for x in v.values))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    windows = flows.parse_windowed_sessions(_read_lines(args.input), cfg["window_width"])
+    vectors = [detector.summarize_window(w, features=names) for w in windows]
+    _write_feature_csv(args.out, names, ((v.window_start, v.values) for v in vectors))
 
 
 def _cmd_topo(args) -> None:
     cfg = _load_config(args)
-    windows = _windows_from_csv(args.input, cfg["window_width"])
+    windows = flows.parse_windowed_sessions(_read_lines(args.input), cfg["window_width"])
     cols = ("window_start", "n_vertices", "n_edges", "max_vertex_degree",
             "max_edge_size", "mean_edge_size", "max_support_multiplicity",
             "max_ecp_in_degree", "max_ecp_out_degree", "rbs_beta0", "rbs_beta1")
@@ -127,6 +120,13 @@ def _parse_feature_csv(path: str):
     return names, vectors
 
 
+def _write_feature_csv(path: str, names, rows) -> None:
+    """Inverse of _parse_feature_csv: one (window_start, values) row per line."""
+    lines = ["window_start," + ",".join(names)]
+    lines += [",".join(fmt(x) for x in (start, *values)) for start, values in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def _cmd_detect(args) -> None:
     cfg = _load_config(args)
     names, vectors = _parse_feature_csv(args.input)
@@ -167,11 +167,8 @@ def _cmd_train_ae(args) -> None:
 def _cmd_denoise(args) -> None:
     model = autoencoder.Mlp.load(args.model)
     names, vectors = _parse_feature_csv(args.input)
-    lines = ["window_start," + ",".join(names)]
-    for v in vectors:
-        cleaned = model.denoise(list(v.values))
-        lines.append(fmt(v.window_start) + "," + ",".join(fmt(x) for x in cleaned))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write_feature_csv(args.out, names,
+                       ((v.window_start, model.denoise(list(v.values))) for v in vectors))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,20 +177,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Topological anomaly detection pipeline for netflow logs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    # --in/--out, --config where the subcommand loads one, and one override
+    # flag per config setting it reads
+    def common(p, *settings, needs_input=True, config=True):
         if needs_input:
             p.add_argument("--in", dest="input", required=True, help="input file")
         p.add_argument("--out", required=True, help="output file")
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--window-width", dest="window_width", type=float)
-        p.add_argument("--max-eps", dest="max_eps", type=float)
-        p.add_argument("--max-dim", dest="max_dim", type=int)
-        p.add_argument("--capacity", type=int)
-        p.add_argument("--quantile", type=float)
-        p.add_argument("--seed", type=int)
+        if config:
+            p.add_argument("--config", help="key = value config file")
+        for key in settings:
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=detector.CONFIG_KEYS[key])
 
     p = sub.add_parser("synth", help="generate synthetic flow CSV")
-    common(p, needs_input=False)
+    common(p, "window_width", needs_input=False)
+    p.add_argument("--seed", type=int)
     p.add_argument("--n-clients", type=int, default=12)
     p.add_argument("--n-servers", type=int, default=3)
     p.add_argument("--mean-flows", type=float, default=3.0)
@@ -206,28 +204,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest", help="flow CSV -> windowed sessions CSV")
-    common(p)
+    common(p, "window_width")
     p.add_argument("--origin", type=float, default=0.0)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("features", help="sessions CSV -> feature vector CSV")
-    common(p)
+    common(p, "window_width")
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("topo", help="sessions CSV -> per-window topology stats CSV")
-    common(p)
+    common(p, "window_width")
     p.set_defaults(func=_cmd_topo)
 
     p = sub.add_parser("ph", help="point cloud CSV -> persistence diagram CSV")
-    common(p)
+    common(p, "max_eps", "max_dim")
     p.set_defaults(func=_cmd_ph)
 
     p = sub.add_parser("detect", help="feature CSV -> anomaly reports (JSON lines)")
-    common(p)
+    common(p, "capacity", "max_eps", "max_dim", "quantile")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("train-ae", help="feature CSV -> trained autoencoder model")
-    common(p)
+    common(p, config=False)
+    p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int, default=300)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--momentum", type=float, default=0.9)
@@ -237,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train_ae)
 
     p = sub.add_parser("denoise", help="feature CSV -> denoised feature CSV")
-    common(p)
+    common(p, config=False)
     p.add_argument("--model", required=True, help="trained model file")
     p.set_defaults(func=_cmd_denoise)
 

@@ -99,6 +99,15 @@ class TimeWindow:
         return self.start + self.width
 
 
+def _session_order(s: SessionRecord) -> tuple:
+    return (s.start, s.client_ip, s.server_ip, s.client_port, s.server_port)
+
+
+def _check_width(width: float) -> None:
+    if not 0 < width < math.inf:
+        raise ValueError(f"window width must be finite and > 0, got {width}")
+
+
 _FIELDS = ("sTime", "eTime", "sIP", "dIP", "sPort", "dPort", "flags")
 
 
@@ -246,8 +255,7 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
     for i in range(n):
         components.setdefault(find(i), []).append(recs[i])
     sessions = [_component_session(members) for members in components.values()]
-    sessions.sort(key=lambda s: (s.start, s.client_ip, s.server_ip,
-                                 s.client_port, s.server_port))
+    sessions.sort(key=_session_order)
     return sessions
 
 
@@ -259,10 +267,10 @@ def window(sessions: Iterable[SessionRecord], width: float,
     Empty windows between the first and last occupied one are emitted
     explicitly so the downstream detector sees an unbroken timeline.
     """
-    if width <= 0:
-        raise ValueError(f"window width must be > 0, got {width}")
-    ordered = sorted(sessions, key=lambda s: (s.start, s.client_ip, s.server_ip,
-                                              s.client_port, s.server_port))
+    _check_width(width)
+    if not math.isfinite(origin):
+        raise ValueError(f"window origin must be finite, got {origin}")
+    ordered = sorted(sessions, key=_session_order)
     if not ordered:
         return []
     indices = [math.floor((s.start - origin) / width) for s in ordered]
@@ -292,8 +300,7 @@ def parse_windowed_sessions(lines: Iterable[str], width: float) -> list[TimeWind
     Empty windows carry no rows, so the gap-filled timeline is reconstructed
     from the window_start values and the given width.
     """
-    if width <= 0:
-        raise ValueError(f"window width must be > 0, got {width}")
+    _check_width(width)
     it = iter(lines)
     try:
         header = next(it)
@@ -313,6 +320,8 @@ def parse_windowed_sessions(lines: Iterable[str], width: float) -> list[TimeWind
                 f"line {lineno}: expected 8 fields, got {len(parts)}", lineno)
         try:
             ws = float(parts[0])
+            if not math.isfinite(ws):
+                raise ValueError(f"window_start {parts[0]!r} is not finite")
             s = SessionRecord(client_ip=parts[1], server_ip=parts[2],
                               client_port=int(parts[3]), server_port=int(parts[4]),
                               start=float(parts[5]), end=float(parts[6]),
@@ -332,9 +341,7 @@ def parse_windowed_sessions(lines: Iterable[str], width: float) -> list[TimeWind
         by_index.setdefault(idx, []).extend(sessions)
     windows = []
     for i in range(max(by_index) + 1):
-        sessions = sorted(by_index.get(i, []),
-                          key=lambda s: (s.start, s.client_ip, s.server_ip,
-                                         s.client_port, s.server_port))
+        sessions = sorted(by_index.get(i, []), key=_session_order)
         windows.append(TimeWindow(start=first + i * width, width=width,
                                   sessions=tuple(sessions)))
     return windows

@@ -61,8 +61,8 @@ def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
     deaths in dimension max_dim are correct.  Non-finite coordinates are
     rejected.
     """
-    if max_eps <= 0:
-        raise ValueError("max_eps must be > 0")
+    if not max_eps > 0:
+        raise ValueError(f"max_eps must be > 0, got {max_eps}")
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     pts = np.asarray(points, dtype=float)

@@ -8,6 +8,7 @@ per port in its range inside the chosen window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,10 @@ class TrafficProfile:
             raise ValueError("n_clients, n_servers and common_ports must be nonempty")
         if self.mean_flows < 0:
             raise ValueError("mean_flows must be >= 0")
-        if self.window_width <= 0 or self.duration <= 0:
-            raise ValueError("duration and window_width must be > 0")
+        for name in ("duration", "window_width"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def n_windows(self) -> int:

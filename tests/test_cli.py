@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -229,6 +230,102 @@ class TestConfigAndErrors:
         cloud.write_text("0,0\nbad,1\n")
         out = tmp_path / "d.csv"
         assert run(["ph", "--in", cloud, "--out", out]) == 1
+        assert not out.exists()
+
+
+# every flag each subcommand accepts; each one is read by that subcommand
+FLAGS = {
+    "synth": {"--out", "--config", "--window-width", "--seed", "--n-clients",
+              "--n-servers", "--mean-flows", "--duration", "--scan-window",
+              "--scan-ports", "--scanner-ip", "--target-ip"},
+    "ingest": {"--in", "--out", "--config", "--window-width", "--origin"},
+    "features": {"--in", "--out", "--config", "--window-width"},
+    "topo": {"--in", "--out", "--config", "--window-width"},
+    "ph": {"--in", "--out", "--config", "--max-eps", "--max-dim"},
+    "detect": {"--in", "--out", "--config", "--capacity", "--max-eps", "--max-dim",
+               "--quantile"},
+    "train-ae": {"--in", "--out", "--seed", "--epochs", "--lr", "--momentum",
+                 "--batch-size", "--hidden", "--bottleneck"},
+    "denoise": {"--in", "--out", "--model"},
+}
+SETTING_FLAGS = ("--config", "--window-width", "--max-eps", "--max-dim",
+                 "--capacity", "--quantile", "--seed")
+UNREAD = [(cmd, flag) for cmd, flags in FLAGS.items()
+          for flag in SETTING_FLAGS if flag not in flags]
+
+
+def required_args(cmd, tmp_path):
+    args = [cmd, "--out", tmp_path / "out"]
+    if cmd != "synth":
+        args += ["--in", tmp_path / "in"]
+    if cmd == "denoise":
+        args += ["--model", tmp_path / "model"]
+    return args
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("cmd, flag", UNREAD)
+    def test_unread_setting_exits_2(self, cmd, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            run(required_args(cmd, tmp_path) + [flag, "1"])
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", sorted(FLAGS))
+    def test_help_lists_exactly_its_flags(self, cmd, capsys):
+        with pytest.raises(SystemExit) as e:
+            run([cmd, "--help"])
+        assert e.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed - {"--help"} == FLAGS[cmd]
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("stages")
+    paths = {name: d / f"{name}.csv" for name in ("flows", "sessions", "features")}
+    assert run(["synth", "--out", paths["flows"], "--n-clients", 4, "--n-servers", 2,
+                "--duration", 7200, "--seed", 5, "--scan-window", 12]) == 0
+    assert run(["ingest", "--in", paths["flows"], "--out", paths["sessions"]]) == 0
+    assert run(["features", "--in", paths["sessions"], "--out", paths["features"]]) == 0
+    paths["cloud"] = d / "cloud.csv"
+    paths["cloud"].write_text("0,0\n1,0\n1,1\n0,1\n")
+    header, first, *rest = paths["sessions"].read_text().splitlines()
+    for start in ("inf", "nan"):
+        paths[f"sessions_{start}"] = d / f"sessions_{start}.csv"
+        bad = start + first[first.index(","):]
+        paths[f"sessions_{start}"].write_text("\n".join([header, bad, *rest]) + "\n")
+    return paths
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("args, message", [
+        (["synth", "--window-width", "nan"], "window_width must be finite"),
+        (["synth", "--window-width", "inf"], "window_width must be finite"),
+        (["synth", "--duration", "inf"], "duration must be finite"),
+        (["ingest", "--in", "@flows", "--window-width", "inf"], "window width must be finite"),
+        (["ingest", "--in", "@flows", "--window-width", "nan"], "window width must be finite"),
+        (["ingest", "--in", "@flows", "--origin", "inf"], "window origin must be finite"),
+        (["features", "--in", "@sessions", "--window-width", "inf"],
+         "window width must be finite"),
+        (["topo", "--in", "@sessions", "--window-width", "nan"], "window width must be finite"),
+        (["features", "--in", "@sessions_inf"], "line 2: window_start 'inf' is not finite"),
+        (["features", "--in", "@sessions_nan"], "line 2: window_start 'nan' is not finite"),
+        (["topo", "--in", "@sessions_inf"], "line 2: window_start 'inf' is not finite"),
+        (["topo", "--in", "@sessions_nan"], "line 2: window_start 'nan' is not finite"),
+        (["detect", "--in", "@features", "--capacity", 8, "--max-eps", "nan"],
+         "max_eps must be > 0, got nan"),
+        (["ph", "--in", "@cloud", "--max-eps", "nan"], "max_eps must be > 0, got nan"),
+    ])
+    def test_rejected_with_one_line(self, args, message, stage_inputs, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = [stage_inputs[a[1:]] if str(a).startswith("@") else a for a in args]
+        assert run(args + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"flowtopo {args[0]}: ")
+        assert message in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
 

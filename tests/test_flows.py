@@ -322,8 +322,12 @@ class TestWindow:
         assert [len(w.sessions) for w in ws] == [1, 0, 1]
 
     def test_width_must_be_positive(self):
-        with pytest.raises(ValueError):
-            window([sess(0.0)], width=0.0)
+        for width in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="window width"):
+                window([sess(0.0)], width=width)
+        for origin in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="window origin"):
+                window([sess(0.0)], width=300.0, origin=origin)
 
     def test_partition_property(self):
         rng = random.Random(11)
@@ -354,3 +358,18 @@ class TestWindowedCsv:
     def test_header_present(self):
         text = serialize_windowed_sessions([])
         assert text.startswith("window_start,client_ip")
+
+    @pytest.mark.parametrize("width", [0.0, math.inf, math.nan])
+    def test_width_must_be_finite_and_positive(self, width):
+        text = serialize_windowed_sessions(window([sess(10.0)], width=300.0))
+        with pytest.raises(ValueError, match="window width"):
+            parse_windowed_sessions(text.splitlines(), width=width)
+
+    @pytest.mark.parametrize("start", ["inf", "nan", "-inf"])
+    def test_non_finite_window_start_names_line(self, start):
+        lines = serialize_windowed_sessions(
+            window([sess(10.0), sess(650.0)], width=300.0)).splitlines()
+        lines[2] = start + lines[2][lines[2].index(","):]
+        with pytest.raises(FlowFormatError, match="line 3: window_start") as e:
+            parse_windowed_sessions(lines, width=300.0)
+        assert e.value.line_number == 3

@@ -226,8 +226,9 @@ class TestVietorisRips:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             vietoris_rips([], max_eps=1.0, max_dim=1)
-        with pytest.raises(ValueError):
-            vietoris_rips([(0.0, 0.0)], max_eps=0.0, max_dim=1)
+        for bad in (0.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="max_eps"):
+                vietoris_rips([(0.0, 0.0)], max_eps=bad, max_dim=1)
         with pytest.raises(ValueError):
             vietoris_rips([(0.0, 0.0)], max_eps=1.0, max_dim=-1)
 

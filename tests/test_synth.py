@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from flowtopo.flows import pair_bidirectional, serialize_flows, window
@@ -24,8 +26,11 @@ class TestProfile:
             TrafficProfile(n_clients=0)
         with pytest.raises(ValueError):
             TrafficProfile(mean_flows=-1.0)
-        with pytest.raises(ValueError):
-            TrafficProfile(window_width=0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="window_width"):
+                TrafficProfile(window_width=bad)
+            with pytest.raises(ValueError, match="duration"):
+                TrafficProfile(duration=bad)
 
 
 class TestGenerate:
