@@ -84,14 +84,12 @@ def _cmd_topo(args) -> None:
 def _cmd_ph(args) -> None:
     cfg = _load_config(args)
     points = []
-    for lineno, line in enumerate(_read_lines(args.input), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, fields in flows.csv_rows(_read_lines(args.input)):
         try:
-            points.append([float(v) for v in line.split(",")])
+            points.append([float(v) for v in fields])
         except ValueError:
-            raise ValueError(f"point cloud line {lineno}: not numeric: {line!r}") from None
+            raise ValueError(f"point cloud line {lineno}: not numeric: "
+                             f"{','.join(fields)!r}") from None
     filtration = persistence.vietoris_rips(points, max_eps=cfg["max_eps"],
                                            max_dim=cfg["max_dim"])
     diagram = persistence.barcode(filtration).restrict(cfg["max_dim"])
@@ -99,25 +97,18 @@ def _cmd_ph(args) -> None:
 
 
 def _parse_feature_csv(path: str):
-    lines = _read_lines(path)
-    if not lines:
-        raise ValueError("feature CSV is empty")
-    header = lines[0].split(",")
-    if header[0] != "window_start":
+    rows = flows.csv_rows(_read_lines(path))
+    _, header = next(rows, (None, None))
+    if header is None or header[0] != "window_start":
         raise ValueError("feature CSV must start with a window_start column")
-    names = tuple(header[1:])
     vectors = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
+    for lineno, (start, *values) in rows:
         try:
             vectors.append(detector.FeatureVector(
-                window_start=float(parts[0]),
-                values=tuple(float(v) for v in parts[1:])))
+                window_start=float(start), values=tuple(float(v) for v in values)))
         except ValueError as exc:
             raise ValueError(f"feature CSV line {lineno}: {exc}") from None
-    return names, vectors
+    return tuple(header[1:]), vectors
 
 
 def _write_feature_csv(path: str, names, rows) -> None:

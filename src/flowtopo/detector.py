@@ -160,6 +160,9 @@ def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,
     vectors = list(vectors)
     if capacity < 3:
         raise ValueError("baseline capacity must be >= 3")
+    if math.isinf(max_eps):
+        # an infinite H0 bar would survive truncation and cannot be distanced
+        raise ValueError(f"max_eps must be finite, got {max_eps}")
     if len(vectors) != capacity:
         raise ValueError(f"need exactly {capacity} vectors, got {len(vectors)}")
     raw = np.array([v.values for v in vectors], dtype=float)

@@ -8,11 +8,12 @@ are merged and the originating side is designated the client.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import ipaddress
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 FLOW_HEADER = "sTime,eTime,sIP,dIP,sPort,dPort,flags"
 SESSION_HEADER = (
@@ -27,7 +28,7 @@ def fmt(x: float) -> str:
 
 
 class FlowFormatError(ValueError):
-    """Malformed flow record or flow CSV input.
+    """Malformed flow or session record, or malformed CSV input of any format.
 
     Carries the CSV field name and, for parsed input, the 1-based line number.
     """
@@ -37,6 +38,35 @@ class FlowFormatError(ValueError):
         super().__init__(message)
         self.line_number = line_number
         self.field = field
+
+
+@functools.lru_cache(maxsize=4096)
+def _is_ipv4(text: str) -> bool:
+    # memoized: a day's records repeat a few hundred addresses, and the
+    # address parser is the most expensive part of a record check
+    try:
+        ipaddress.IPv4Address(text)
+    except ipaddress.AddressValueError:
+        return False
+    return True
+
+
+def _check_record(names: tuple[str, ...], values: tuple) -> None:
+    """Check one record's (address, address, port, port, start, end) values,
+    named as its format names them: IPv4, 0-65535, finite with end >= start."""
+    for field, port in zip(names[2:4], values[2:4]):
+        if not 0 <= port <= 65535:
+            raise FlowFormatError(f"{field} {port} out of range 0-65535", field=field)
+    for field, ip in zip(names[:2], values[:2]):
+        if not _is_ipv4(ip):
+            raise FlowFormatError(f"{field} {ip!r} is not a dotted-quad IPv4 address",
+                                  field=field)
+    for field, t in zip(names[4:], values[4:]):
+        if not math.isfinite(t):
+            raise FlowFormatError(f"{field} {t} is not finite", field=field)
+    if values[5] < values[4]:
+        raise FlowFormatError(f"{names[5]} {values[5]} precedes {names[4]} {values[4]}",
+                              field=names[5])
 
 
 @dataclass(frozen=True)
@@ -52,21 +82,9 @@ class FlowRecord:
     flags: str
 
     def __post_init__(self):
-        for field, port in (("sPort", self.s_port), ("dPort", self.d_port)):
-            if not 0 <= port <= 65535:
-                raise FlowFormatError(f"{field} {port} out of range 0-65535", field=field)
-        for field, ip in (("sIP", self.s_ip), ("dIP", self.d_ip)):
-            try:
-                ipaddress.IPv4Address(ip)
-            except ipaddress.AddressValueError:
-                raise FlowFormatError(f"{field} {ip!r} is not a dotted-quad IPv4 address",
-                                      field=field) from None
-        for field, t in (("sTime", self.s_time), ("eTime", self.e_time)):
-            if not math.isfinite(t):
-                raise FlowFormatError(f"{field} {t} is not finite", field=field)
-        if self.e_time < self.s_time:
-            raise FlowFormatError(f"eTime {self.e_time} precedes sTime {self.s_time}",
-                                  field="eTime")
+        _check_record(("sIP", "dIP", "sPort", "dPort", "sTime", "eTime"),
+                      (self.s_ip, self.d_ip, self.s_port, self.d_port,
+                       self.s_time, self.e_time))
 
 
 @dataclass(frozen=True)
@@ -82,8 +100,12 @@ class SessionRecord:
     constituent_count: int
 
     def __post_init__(self):
+        _check_record(("client_ip", "server_ip", "client_port", "server_port",
+                       "start", "end"),
+                      (self.client_ip, self.server_ip, self.client_port,
+                       self.server_port, self.start, self.end))
         if self.constituent_count < 1:
-            raise ValueError("constituent_count must be >= 1")
+            raise FlowFormatError("constituent_count must be >= 1", field="constituent_count")
 
 
 @dataclass(frozen=True)
@@ -108,58 +130,64 @@ def _check_width(width: float) -> None:
         raise ValueError(f"window width must be finite and > 0, got {width}")
 
 
-_FIELDS = ("sTime", "eTime", "sIP", "dIP", "sPort", "dPort", "flags")
+def csv_rows(lines: Iterable[str], header: str | None = None
+             ) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each line that is not empty or whitespace.
+
+    Every row must have as many fields as the first, which must equal the
+    header if one is given and is then not yielded; FlowFormatError otherwise.
+    """
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        line = line.rstrip("\r\n")
+        fields = line.split(",")
+        if width is None:
+            width = len(fields)
+            if header is not None:
+                if line != header:
+                    raise FlowFormatError(f"line {lineno}: bad header "
+                                          f"{line.rstrip()!r}, expected {header!r}",
+                                          lineno)
+                continue
+        elif len(fields) != width:
+            raise FlowFormatError(f"line {lineno}: expected {width} comma-separated "
+                                  f"fields, got {len(fields)}", lineno)
+        yield lineno, fields
+    if width is None and header is not None:
+        raise FlowFormatError("empty input: missing header line", 1)
 
 
-def _parse_line(line: str, lineno: int) -> FlowRecord:
-    parts = line.split(",")
-    if len(parts) != 7:
-        raise FlowFormatError(
-            f"line {lineno}: expected 7 comma-separated fields, got {len(parts)}",
-            lineno)
-    vals = {}
-    for name, raw in zip(_FIELDS, parts):
-        raw = raw.strip()
+def _record(cls, table, fields: list[str], lineno: int):
+    """Convert fields by the (name, type) table and build cls from them."""
+    values = []
+    for (name, kind), raw in zip(table, fields):
         try:
-            if name in ("sTime", "eTime"):
-                vals[name] = float(raw)
-            elif name in ("sPort", "dPort"):
-                vals[name] = int(raw)
-            else:
-                vals[name] = raw
+            values.append(kind(raw.strip()))
         except ValueError:
             raise FlowFormatError(
-                f"line {lineno}: field {name} has unparseable value {raw!r}",
+                f"line {lineno}: field {name} has unparseable value {raw.strip()!r}",
                 lineno, name) from None
     try:
-        return FlowRecord(vals["sTime"], vals["eTime"], vals["sIP"], vals["dIP"],
-                          vals["sPort"], vals["dPort"], vals["flags"])
+        return cls(*values)
     except FlowFormatError as exc:
         raise FlowFormatError(f"line {lineno}: {exc}", lineno, exc.field) from None
+
+
+_FLOW_FIELDS = (("sTime", float), ("eTime", float), ("sIP", str), ("dIP", str),
+                ("sPort", int), ("dPort", int), ("flags", str))
 
 
 def parse_flows(lines: Iterable[str]) -> list[FlowRecord]:
     """Parse flow CSV lines into records.
 
-    The first line must be exactly ``sTime,eTime,sIP,dIP,sPort,dPort,flags``.
+    The first non-blank line must be exactly ``sTime,eTime,sIP,dIP,sPort,dPort,flags``.
     Raises FlowFormatError naming the offending line (and field, if one) on
     malformed input.
     """
-    records = []
-    it = iter(lines)
-    try:
-        header = next(it)
-    except StopIteration:
-        raise FlowFormatError("empty input: missing header line", 1) from None
-    if header.rstrip("\r\n") != FLOW_HEADER:
-        raise FlowFormatError(
-            f"line 1: bad header {header.rstrip()!r}, expected {FLOW_HEADER!r}", 1)
-    for lineno, line in enumerate(it, start=2):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        records.append(_parse_line(line, lineno))
-    return records
+    return [_record(FlowRecord, _FLOW_FIELDS, fields, lineno)
+            for lineno, fields in csv_rows(lines, FLOW_HEADER)]
 
 
 def serialize_flows(records: Iterable[FlowRecord]) -> str:
@@ -294,6 +322,18 @@ def serialize_windowed_sessions(windows: Iterable[TimeWindow]) -> str:
     return "\n".join(out) + "\n"
 
 
+_SESSION_FIELDS = (("window_start", float), ("client_ip", str), ("server_ip", str),
+                   ("client_port", int), ("server_port", int), ("start", float),
+                   ("end", float), ("constituent_count", int))
+
+
+def _windowed_session(window_start: float, *fields) -> tuple[float, SessionRecord]:
+    if not math.isfinite(window_start):
+        raise FlowFormatError(f"window_start '{window_start}' is not finite",
+                              field="window_start")
+    return window_start, SessionRecord(*fields)
+
+
 def parse_windowed_sessions(lines: Iterable[str], width: float) -> list[TimeWindow]:
     """Rebuild TimeWindows from the windowed-session CSV.
 
@@ -301,34 +341,10 @@ def parse_windowed_sessions(lines: Iterable[str], width: float) -> list[TimeWind
     from the window_start values and the given width.
     """
     _check_width(width)
-    it = iter(lines)
-    try:
-        header = next(it)
-    except StopIteration:
-        raise FlowFormatError("empty input: missing header line", 1) from None
-    if header.rstrip("\r\n") != SESSION_HEADER:
-        raise FlowFormatError(
-            f"line 1: bad header {header.rstrip()!r}, expected {SESSION_HEADER!r}", 1)
     rows: dict[float, list[SessionRecord]] = {}
-    for lineno, line in enumerate(it, start=2):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise FlowFormatError(
-                f"line {lineno}: expected 8 fields, got {len(parts)}", lineno)
-        try:
-            ws = float(parts[0])
-            if not math.isfinite(ws):
-                raise ValueError(f"window_start {parts[0]!r} is not finite")
-            s = SessionRecord(client_ip=parts[1], server_ip=parts[2],
-                              client_port=int(parts[3]), server_port=int(parts[4]),
-                              start=float(parts[5]), end=float(parts[6]),
-                              constituent_count=int(parts[7]))
-        except ValueError as exc:
-            raise FlowFormatError(f"line {lineno}: {exc}", lineno) from None
-        rows.setdefault(ws, []).append(s)
+    for lineno, fields in csv_rows(lines, SESSION_HEADER):
+        ws, session = _record(_windowed_session, _SESSION_FIELDS, fields, lineno)
+        rows.setdefault(ws, []).append(session)
     if not rows:
         return []
     first = min(rows)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .flows import fmt
+from .flows import csv_rows, fmt
 
 DIAGRAM_HEADER = "dim,birth,death"
 
@@ -320,24 +320,21 @@ def wasserstein(a: PersistenceDiagram, b: PersistenceDiagram, dim: int,
     if n == 0 and m == 0:
         return 0.0
 
-    size = n + m
-    cost = np.zeros((size, size))
-    for i, (bi, di) in enumerate(bars_a):
-        for j, (bj, dj) in enumerate(bars_b):
-            cost[i, j] = max(abs(bi - bj), abs(di - dj)) ** p
-    diag_a = [((d - b) / 2.0) ** p for b, d in bars_a]
-    diag_b = [((d - b) / 2.0) ** p for b, d in bars_b]
+    a_arr = np.array(bars_a, dtype=float).reshape(n, 2)
+    b_arr = np.array(bars_b, dtype=float).reshape(m, 2)
+    block = np.abs(a_arr[:, None, :] - b_arr[None, :, :]).max(axis=2) ** p
+    diag_a = ((a_arr[:, 1] - a_arr[:, 0]) / 2.0) ** p
+    diag_b = ((b_arr[:, 1] - b_arr[:, 0]) / 2.0) ** p
     # each point may pair only with its own diagonal surrogate; surrogate
     # pairs with each other at zero cost, so a too-large filler is safe
-    big = max([c for row in cost[:n, :m] for c in row] + diag_a + diag_b, default=0.0) + 1.0
-    cost[:n, m:] = big
-    for i in range(n):
-        cost[i, m + i] = diag_a[i]
-    cost[n:, :m] = big
-    for j in range(m):
-        cost[n + j, j] = diag_b[j]
+    big = np.concatenate((block.ravel(), diag_a, diag_b)).max() + 1.0
+    cost = np.full((n + m, n + m), big)
+    cost[:n, :m] = block
+    cost[n:, m:] = 0.0
+    cost[np.arange(n), m + np.arange(n)] = diag_a
+    cost[n + np.arange(m), np.arange(m)] = diag_b
     rows, cols = linear_sum_assignment(cost)
-    total = math.fsum(cost[r, c] for r, c in zip(rows, cols))
+    total = math.fsum(cost[rows, cols])
     return total ** (1.0 / p)
 
 
@@ -352,16 +349,7 @@ def diagram_to_csv(diagram: PersistenceDiagram) -> str:
 
 
 def diagram_from_csv(lines: Iterable[str]) -> PersistenceDiagram:
-    it = iter(lines)
-    header = next(it, None)
-    if header is None or header.rstrip("\r\n") != DIAGRAM_HEADER:
-        raise ValueError(f"bad diagram header, expected {DIAGRAM_HEADER!r}")
     bars: dict[int, list[tuple[float, float]]] = {}
-    for line in it:
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        k_s, b_s, d_s = line.split(",")
-        death = math.inf if d_s == "inf" else float(d_s)
-        bars.setdefault(int(k_s), []).append((float(b_s), death))
+    for _, (k, birth, death) in csv_rows(lines, DIAGRAM_HEADER):
+        bars.setdefault(int(k), []).append((float(birth), float(death)))
     return PersistenceDiagram({k: tuple(sorted(v)) for k, v in sorted(bars.items())})

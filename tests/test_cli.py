@@ -296,7 +296,34 @@ def stage_inputs(tmp_path_factory):
         paths[f"sessions_{start}"] = d / f"sessions_{start}.csv"
         bad = start + first[first.index(","):]
         paths[f"sessions_{start}"].write_text("\n".join([header, bad, *rest]) + "\n")
+    # session rows broken in one field each: {name: {column: value}}
+    for name, changes in (("nan_start", {5: "nan"}), ("inf_end", {6: "inf"}),
+                          ("reversed", {5: "5", 6: "2"}), ("bad_ip", {1: "not-an-ip"}),
+                          ("bad_port", {4: "99999"})):
+        parts = first.split(",")
+        for column, value in changes.items():
+            parts[column] = value
+        paths[f"sessions_{name}"] = d / f"sessions_{name}.csv"
+        paths[f"sessions_{name}"].write_text("\n".join([header, ",".join(parts), *rest]) + "\n")
+    lines = paths["features"].read_text().splitlines()
+    lines[2] = lines[2][:lines[2].rindex(",")]
+    paths["features_ragged"] = d / "features_ragged.csv"
+    paths["features_ragged"].write_text("\n".join(lines) + "\n")
+    paths["cloud_ragged"] = d / "cloud_ragged.csv"
+    paths["cloud_ragged"].write_text("0,0\n1,0\n1,1,1\n0,1\n")
     return paths
+
+
+def assert_one_line_failure(args, message, stage_inputs, tmp_path, capsys):
+    """args ("@name" for a staged input) exit 1 with one line holding message."""
+    out = tmp_path / "out"
+    args = [stage_inputs[a[1:]] if str(a).startswith("@") else a for a in args]
+    assert run(args + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"flowtopo {args[0]}: ")
+    assert message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestNonFiniteSettings:
@@ -317,16 +344,34 @@ class TestNonFiniteSettings:
         (["detect", "--in", "@features", "--capacity", 8, "--max-eps", "nan"],
          "max_eps must be > 0, got nan"),
         (["ph", "--in", "@cloud", "--max-eps", "nan"], "max_eps must be > 0, got nan"),
+        (["detect", "--in", "@features", "--capacity", 8, "--max-eps", "inf"],
+         "max_eps must be finite, got inf"),
     ])
     def test_rejected_with_one_line(self, args, message, stage_inputs, tmp_path, capsys):
-        out = tmp_path / "out"
-        args = [stage_inputs[a[1:]] if str(a).startswith("@") else a for a in args]
-        assert run(args + ["--out", out]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"flowtopo {args[0]}: ")
-        assert message in err
-        assert err.count("\n") == 1
-        assert not out.exists()
+        assert_one_line_failure(args, message, stage_inputs, tmp_path, capsys)
+
+
+class TestMalformedRows:
+    @pytest.mark.parametrize("cmd", ["features", "topo"])
+    @pytest.mark.parametrize("name, message", [
+        ("nan_start", "line 2: start nan is not finite"),
+        ("inf_end", "line 2: end inf is not finite"),
+        ("reversed", "line 2: end 2.0 precedes start 5.0"),
+        ("bad_ip", "line 2: client_ip 'not-an-ip' is not a dotted-quad IPv4 address"),
+        ("bad_port", "line 2: server_port 99999 out of range 0-65535"),
+    ])
+    def test_session_row_rejected(self, cmd, name, message, stage_inputs, tmp_path,
+                                  capsys):
+        assert_one_line_failure([cmd, "--in", f"@sessions_{name}"], message,
+                                stage_inputs, tmp_path, capsys)
+
+    @pytest.mark.parametrize("args, message", [
+        (["detect", "--in", "@features_ragged", "--capacity", 8],
+         "line 3: expected 11 comma-separated fields, got 10"),
+        (["ph", "--in", "@cloud_ragged"], "line 3: expected 2 comma-separated fields, got 3"),
+    ])
+    def test_ragged_row_rejected(self, args, message, stage_inputs, tmp_path, capsys):
+        assert_one_line_failure(args, message, stage_inputs, tmp_path, capsys)
 
 
 class TestEntryPoint:

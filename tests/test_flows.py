@@ -1,3 +1,4 @@
+import ipaddress
 import math
 import random
 
@@ -11,6 +12,7 @@ from flowtopo.flows import (
     FlowRecord,
     SessionRecord,
     _component_session,
+    _is_ipv4,
     pair_bidirectional,
     parse_flows,
     parse_windowed_sessions,
@@ -74,6 +76,11 @@ class TestParse:
                          "1,2,10.0.0.1,10.0.0.2,80,-1,S"])
         assert (err.value.field, err.value.line_number) == ("dPort", 3)
 
+    def test_whitespace_only_line_skipped(self):
+        lines = [FLOW_HEADER, "  ", "100.0,101.2,10.0.0.1,10.0.0.2,51515,80,S", "\t"]
+        assert parse_flows(lines) == [
+            FlowRecord(100.0, 101.2, "10.0.0.1", "10.0.0.2", 51515, 80, "S")]
+
     def test_round_trip(self):
         rng = random.Random(42)
         records = []
@@ -87,6 +94,48 @@ class TestParse:
         text = serialize_flows(records)
         assert parse_flows(text.splitlines()) == records
         assert serialize_flows(parse_flows(text.splitlines())) == text
+
+
+FLOW_KWARGS = dict(s_time=1.0, e_time=2.0, s_ip="10.0.0.1", d_ip="10.1.0.1",
+                   s_port=40000, d_port=80, flags="S")
+SESSION_KWARGS = dict(start=1.0, end=2.0, client_ip="10.0.0.1", server_ip="10.1.0.1",
+                      client_port=40000, server_port=80, constituent_count=1)
+
+
+class TestRecordCheck:
+    # (changes to the flow record, changes to the session record, the two
+    # fields each error must name)
+    @pytest.mark.parametrize("flow, session, fields", [
+        ({"s_ip": "not-an-ip"}, {"client_ip": "not-an-ip"}, ("sIP", "client_ip")),
+        ({"d_ip": "999.0.0.2"}, {"server_ip": "999.0.0.2"}, ("dIP", "server_ip")),
+        ({"s_port": 70000}, {"client_port": 70000}, ("sPort", "client_port")),
+        ({"d_port": -1}, {"server_port": -1}, ("dPort", "server_port")),
+        ({"s_time": math.nan}, {"start": math.nan}, ("sTime", "start")),
+        ({"e_time": math.inf}, {"end": math.inf}, ("eTime", "end")),
+        ({"s_time": 5.0}, {"start": 5.0}, ("eTime", "end")),
+    ])
+    def test_session_rejects_what_flow_rejects(self, flow, session, fields):
+        for cls, kwargs, changes, field in ((FlowRecord, FLOW_KWARGS, flow, fields[0]),
+                                            (SessionRecord, SESSION_KWARGS, session,
+                                             fields[1])):
+            with pytest.raises(FlowFormatError) as err:
+                cls(**{**kwargs, **changes})
+            assert err.value.field == field
+            assert str(err.value).startswith(field + " ")
+
+    def test_constituent_count(self):
+        with pytest.raises(FlowFormatError, match="constituent_count"):
+            SessionRecord(**{**SESSION_KWARGS, "constituent_count": 0})
+
+    @given(st.text(alphabet="0123456789.x ", max_size=17))
+    @settings(max_examples=300, deadline=None)
+    def test_memoized_ipv4_check_matches_parser(self, text):
+        try:
+            ipaddress.IPv4Address(text)
+            want = True
+        except ipaddress.AddressValueError:
+            want = False
+        assert _is_ipv4(text) is want
 
 
 def _reverse_match(a, b):
@@ -372,4 +421,21 @@ class TestWindowedCsv:
         lines[2] = start + lines[2][lines[2].index(","):]
         with pytest.raises(FlowFormatError, match="line 3: window_start") as e:
             parse_windowed_sessions(lines, width=300.0)
+        assert e.value.line_number == 3
+
+    @pytest.mark.parametrize("column, value, message", [
+        (5, "nan", "line 3: start nan is not finite"),
+        (2, "10.1.0", "line 3: server_ip '10.1.0' is not a dotted-quad IPv4 address"),
+        (3, "x", "line 3: field client_port has unparseable value 'x'"),
+        (8, "1", "line 3: expected 8 comma-separated fields, got 9"),
+    ])
+    def test_bad_row_names_line(self, column, value, message):
+        lines = serialize_windowed_sessions(
+            window([sess(10.0), sess(650.0)], width=300.0)).splitlines()
+        parts = lines[2].split(",")
+        parts[column:column + 1] = [value]
+        lines[2] = ",".join(parts)
+        with pytest.raises(FlowFormatError) as e:
+            parse_windowed_sessions(lines, width=300.0)
+        assert str(e.value) == message
         assert e.value.line_number == 3

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from flowtopo.persistence import (
     DIAGRAM_HEADER,
@@ -142,6 +143,31 @@ def oracle_wasserstein(bars_a, bars_b, p):
                     if best is None or total < best:
                         best = total
     return (best or 0.0) ** (1.0 / p)
+
+
+def loop_wasserstein(a, b, dim, p):
+    """The cost matrix built entry by entry, solved by the same assignment."""
+    bars_a, bars_b = a.in_dim(dim), b.in_dim(dim)
+    n, m = len(bars_a), len(bars_b)
+    if n == 0 and m == 0:
+        return 0.0
+    size = n + m
+    cost = np.zeros((size, size))
+    for i, (bi, di) in enumerate(bars_a):
+        for j, (bj, dj) in enumerate(bars_b):
+            cost[i, j] = max(abs(bi - bj), abs(di - dj)) ** p
+    diag_a = [((d - b) / 2.0) ** p for b, d in bars_a]
+    diag_b = [((d - b) / 2.0) ** p for b, d in bars_b]
+    big = max([c for row in cost[:n, :m] for c in row] + diag_a + diag_b, default=0.0) + 1.0
+    cost[:n, m:] = big
+    for i in range(n):
+        cost[i, m + i] = diag_a[i]
+    cost[n:, :m] = big
+    for j in range(m):
+        cost[n + j, j] = diag_b[j]
+    rows, cols = linear_sum_assignment(cost)
+    total = math.fsum(cost[r, c] for r, c in zip(rows, cols))
+    return total ** (1.0 / p)
 
 
 def random_diagram(rng, max_bars=5):
@@ -424,6 +450,10 @@ class TestDiagramOps:
         with pytest.raises(ValueError):
             diagram_from_csv([])
 
+    def test_csv_short_row_names_line(self):
+        with pytest.raises(ValueError, match="^line 3: expected 3 comma-separated fields, got 2$"):
+            diagram_from_csv(["dim,birth,death", "0,0,1", "0,1"])
+
 
 # ---------------------------------------------------------------- wasserstein
 
@@ -493,3 +523,24 @@ class TestWasserstein:
             assert dab <= dac + dcb + 1e-12
             assert wasserstein(a, a, 0) == pytest.approx(0.0, abs=1e-12)
             assert dab >= 0.0
+
+    def test_equals_loop_oracle(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            a = random_diagram(rng, max_bars=rng.choice([0, 3, 12]))
+            b = random_diagram(rng, max_bars=rng.choice([0, 3, 12]))
+            assert wasserstein(a, b, 0) == loop_wasserstein(a, b, 0, 1.0)
+            assert wasserstein(a, b, 0, p=2.0) == pytest.approx(
+                loop_wasserstein(a, b, 0, 2.0), rel=1e-12)
+
+    @given(st.lists(st.lists(st.tuples(st.floats(0, 10), st.floats(0, 5)), max_size=6),
+                    min_size=3, max_size=3),
+           st.sampled_from([1.0, 2.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_metric_properties(self, bar_lists, p):
+        a, b, c = (PersistenceDiagram({0: tuple(sorted((x, x + y) for x, y in bars))})
+                   for bars in bar_lists)
+        dab, dba = wasserstein(a, b, 0, p=p), wasserstein(b, a, 0, p=p)
+        assert dab == pytest.approx(dba, rel=1e-9, abs=1e-9)
+        assert dab <= wasserstein(a, c, 0, p=p) + wasserstein(c, b, 0, p=p) + 1e-9
+        assert wasserstein(a, a, 0, p=p) == 0.0
