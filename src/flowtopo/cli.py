@@ -19,10 +19,15 @@ def _read_lines(path: str) -> list[str]:
     return Path(path).read_text().splitlines()
 
 
+def _config_file(args) -> dict:
+    """The settings the --config file sets; none without one."""
+    path = getattr(args, "config", None)
+    return detector.parse_config(Path(path).read_text()) if path else {}
+
+
 def _load_config(args) -> dict:
     cfg = dict(detector.DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(detector.parse_config(Path(args.config).read_text()))
+    cfg.update(_config_file(args))
     for key in detector.CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -121,6 +126,10 @@ def _write_feature_csv(path: str, names, rows) -> None:
 def _cmd_detect(args) -> None:
     cfg = _load_config(args)
     names, vectors = _parse_feature_csv(args.input)
+    wanted = _config_file(args).get("features")
+    if wanted is not None and tuple(wanted) != names:
+        raise ValueError(f"config features {','.join(wanted)} differ from the "
+                         f"feature CSV columns {','.join(names)}")
     reports = detector.run_detector(vectors, capacity=cfg["capacity"],
                                     max_eps=cfg["max_eps"], max_dim=cfg["max_dim"],
                                     quantile=cfg["quantile"], features=names)

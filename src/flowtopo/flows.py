@@ -342,9 +342,11 @@ def parse_windowed_sessions(lines: Iterable[str], width: float) -> list[TimeWind
     """
     _check_width(width)
     rows: dict[float, list[SessionRecord]] = {}
+    first_line: dict[float, int] = {}
     for lineno, fields in csv_rows(lines, SESSION_HEADER):
         ws, session = _record(_windowed_session, _SESSION_FIELDS, fields, lineno)
         rows.setdefault(ws, []).append(session)
+        first_line.setdefault(ws, lineno)
     if not rows:
         return []
     first = min(rows)
@@ -353,7 +355,8 @@ def parse_windowed_sessions(lines: Iterable[str], width: float) -> list[TimeWind
         idx = round((ws - first) / width)
         if abs(first + idx * width - ws) > width * 1e-9:
             raise FlowFormatError(
-                f"window_start {ws} is not on the {width}-second grid from {first}")
+                f"line {first_line[ws]}: window_start {ws} is not on the "
+                f"{width}-second grid from {first}", first_line[ws], "window_start")
         by_index.setdefault(idx, []).extend(sessions)
     windows = []
     for i in range(max(by_index) + 1):

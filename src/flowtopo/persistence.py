@@ -1,7 +1,8 @@
 """Persistent homology of point clouds and Wasserstein distances between diagrams.
 
 The Vietoris-Rips filtration connects points at distance <= eps and fills in
-cliques; it is built one dimension at a time from boolean adjacency masks.
+cliques; it is built one dimension at a time from boolean adjacency masks
+and handed to the barcode as arrays, with no per-simplex Python object.
 The barcode pairs simplices as the GF(2) boundary-matrix reduction in
 filtration order would, but computes the pairs more cheaply: H0 by union-find
 with the elder rule, higher dimensions by reducing coboundaries (persistent
@@ -15,6 +16,7 @@ projections.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Sequence
@@ -22,20 +24,46 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .flows import csv_rows, fmt
+from .flows import FlowFormatError, csv_rows, fmt
 
 DIAGRAM_HEADER = "dim,birth,death"
 
 
-@dataclass(frozen=True)
 class Filtration:
     """Simplices with birth values, sorted by (birth, dimension, vertex order).
 
     The sort guarantees faces precede cofaces whenever births are valid;
-    barcode() verifies the face-birth condition itself.
+    barcode() verifies the face-birth condition itself.  The simplices are
+    held as three read-only arrays in filtration order: ``births`` (float64),
+    ``sizes`` (vertices per simplex) and ``vertices`` (every simplex's vertex
+    labels, concatenated).  ``simplices`` is the same filtration as a tuple
+    of ``(vertex tuple, birth)`` pairs, built on first access.
     """
 
-    simplices: tuple[tuple[tuple[int, ...], float], ...]
+    __slots__ = ("births", "sizes", "vertices", "_simplices")
+
+    def __init__(self, simplices: Iterable[tuple[Sequence[int], float]]):
+        simplices = tuple(simplices)
+        verts_of = [v for v, _ in simplices]
+        sizes = np.fromiter(map(len, verts_of), dtype=np.int64, count=len(verts_of))
+        # operator.index refuses a float label, which int64 would truncate
+        vertices = np.fromiter(map(operator.index, chain.from_iterable(verts_of)),
+                               dtype=np.int64, count=int(sizes.sum()))
+        births = np.array([b for _, b in simplices], dtype=float)
+        self._set(births, sizes, vertices)
+
+    @classmethod
+    def _from_arrays(cls, births: np.ndarray, sizes: np.ndarray,
+                     vertices: np.ndarray) -> "Filtration":
+        f = cls.__new__(cls)
+        f._set(births, sizes, vertices)
+        return f
+
+    def _set(self, births, sizes, vertices) -> None:
+        for name, arr in (("births", births), ("sizes", sizes), ("vertices", vertices)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_simplices", None)
 
     @classmethod
     def from_simplices(cls, pairs: Iterable[tuple[Sequence[int], float]]) -> "Filtration":
@@ -46,10 +74,40 @@ class Filtration:
                 raise ValueError(f"simplex {verts} has repeated vertices")
             canon.append((v, float(birth)))
         canon.sort(key=lambda p: (p[1], len(p[0]), p[0]))
-        return cls(tuple(canon))
+        return cls(canon)
+
+    @property
+    def simplices(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        if self._simplices is None:
+            flat = self.vertices.tolist()
+            ends = np.cumsum(self.sizes).tolist()
+            starts = [0] + ends[:-1]
+            verts = [tuple(flat[lo:hi]) for lo, hi in zip(starts, ends)]
+            object.__setattr__(self, "_simplices",
+                               tuple(zip(verts, self.births.tolist())))
+        return self._simplices
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Filtration is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return Filtration._from_arrays, (self.births, self.sizes, self.vertices)
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return len(self.births)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Filtration):
+            return NotImplemented
+        return (np.array_equal(self.sizes, other.sizes)
+                and np.array_equal(self.vertices, other.vertices)
+                and np.array_equal(self.births, other.births))
+
+    def __hash__(self) -> int:
+        return hash(self.simplices)
+
+    def __repr__(self) -> str:
+        return f"Filtration({self.simplices!r})"
 
 
 def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
@@ -99,13 +157,19 @@ def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
         layers.append(layer)
         layer_births.append(births)
 
-    # one stable sort by (birth, dim) keeps the lexicographic order of ties
+    # one stable sort by (birth, dim) keeps the lexicographic order of ties;
+    # the layers are padded with -1 to one width, reordered as rows, and the
+    # padding dropped, which leaves each simplex's vertices in place
     all_births = np.concatenate(layer_births)
-    dims = np.repeat(np.arange(len(layers)), [len(lay) for lay in layers])
-    order = np.lexsort((dims, all_births))
-    verts = [tuple(v) for lay in layers for v in lay.tolist()]
-    return Filtration(tuple(zip([verts[i] for i in order.tolist()],
-                                all_births[order].tolist())))
+    sizes = np.repeat(np.arange(1, len(layers) + 1), [len(lay) for lay in layers])
+    order = np.lexsort((sizes, all_births))
+    padded = np.full((len(sizes), len(layers)), -1)
+    row = 0
+    for lay in layers:
+        padded[row:row + len(lay), :lay.shape[1]] = lay
+        row += len(lay)
+    padded = padded[order]
+    return Filtration._from_arrays(all_births[order], sizes[order], padded[padded >= 0])
 
 
 @dataclass(frozen=True)
@@ -160,29 +224,25 @@ def barcode(filtration: Filtration) -> PersistenceDiagram:
     [birth_i, birth_j) in dimension dim(i); unpaired simplices, including
     those of the top dimension, give [birth, inf).
     """
-    simps = filtration.simplices
-    total = len(simps)
-    if total == 0:
+    if len(filtration) == 0:
         return PersistenceDiagram({})
-    verts_of, birth_of = zip(*simps)
-    births = np.array(birth_of, dtype=float)
-    sizes = np.fromiter(map(len, verts_of), dtype=np.int64, count=total)
-    flat = np.fromiter(chain.from_iterable(verts_of), dtype=np.int64,
-                       count=int(sizes.sum()))
+    births, sizes, flat = filtration.births, filtration.sizes, filtration.vertices
     starts = np.cumsum(sizes) - sizes
     by_dim = [np.flatnonzero(sizes == k + 1) for k in range(int(sizes.max()))]
 
     # a simplex's key is its tuple of vertex ranks read in base n_vertices,
     # so keys sort like vertex tuples and a facet is found by binary search
-    labels = np.unique(flat[starts[by_dim[0]]])
-    known = np.isin(flat, labels)
+    labels, ranks = np.unique(flat, return_inverse=True)
+    is_vertex = np.zeros(len(labels), dtype=bool)
+    is_vertex[ranks[starts[by_dim[0]]]] = True
+    known = is_vertex[ranks]
     if not known.all():
         at = int(np.argmin(known))
-        verts = verts_of[np.searchsorted(starts, at, side="right") - 1]
+        verts, _ = filtration.simplices[np.searchsorted(starts, at, side="right") - 1]
         raise ValueError(f"filtration is missing face {(int(flat[at]),)} of {verts}")
     base = len(labels)
     key_type = np.int64 if base ** len(by_dim) < 2 ** 63 else object
-    ranks = np.searchsorted(labels, flat).astype(key_type)
+    ranks = ranks.astype(key_type)
 
     # faces[k][i]: filtration positions of the facets of simplex by_dim[k][i]
     faces: dict[int, np.ndarray] = {}
@@ -200,19 +260,21 @@ def barcode(filtration: Filtration) -> PersistenceDiagram:
         found = sorted_keys[idx] == facet_keys
         if not found.all():
             row, drop = np.argwhere(~found)[0]
-            coface = verts_of[pos[row]]
+            coface, _ = filtration.simplices[pos[row]]
             raise ValueError(f"filtration is missing face "
                              f"{coface[:drop] + coface[drop + 1:]} of {coface}")
         face_pos = by_dim[k - 1][key_order[idx]]
         late = births[face_pos] > births[pos][:, None]
         if late.any():
             row, drop = np.argwhere(late)[0]
-            face, coface = face_pos[row, drop], pos[row]
-            raise ValueError(f"face {verts_of[face]} born at {birth_of[face]} after "
-                             f"coface {verts_of[coface]} at {birth_of[coface]}")
+            face, face_birth = filtration.simplices[face_pos[row, drop]]
+            coface, coface_birth = filtration.simplices[pos[row]]
+            raise ValueError(f"face {face} born at {face_birth} after "
+                             f"coface {coface} at {coface_birth}")
         faces[k] = face_pos
         keys = rows @ base ** (k - j[:, 0])
 
+    birth_of = births.tolist()
     bars: dict[int, list[tuple[float, float]]] = {}
 
     def add_bar(k: int, birth_pos: int, death_pos: int | None) -> None:
@@ -243,8 +305,9 @@ def barcode(filtration: Filtration) -> PersistenceDiagram:
     for k in range(1, len(by_dim) - 1):
         pos = by_dim[k]
         # coface positions grouped by facet, ascending within each group
+        # (the smallest unsigned type lets numpy radix-sort the positions)
         facets = faces[k + 1].ravel()
-        grouping = np.argsort(facets, kind="stable")
+        grouping = np.argsort(facets.astype(np.min_scalar_type(len(births))), kind="stable")
         cofaces = np.repeat(by_dim[k + 1], k + 2)[grouping]
         bounds = np.searchsorted(facets[grouping], pos)
         ends = np.append(bounds[1:], len(cofaces))
@@ -287,14 +350,20 @@ def barcode(filtration: Filtration) -> PersistenceDiagram:
             next_cleared.add(pivot)
         cleared = next_cleared
 
-    # the top dimension has no cofaces: what is left unpaired never dies
+    diagram = {k: tuple(sorted(v)) for k, v in sorted(bars.items())}
+    # the top dimension has no cofaces: what is left unpaired never dies.
+    # Its births are in filtration order, so sorted already unless the
+    # filtration was built unsorted; the stable sort then orders them as
+    # sorted() orders the (birth, inf) bars.
     top = len(by_dim) - 1
     if top > 0:
         pos = by_dim[top]
-        essential = births[pos[~np.isin(pos, list(cleared))]].tolist()
+        paired = np.zeros(len(births), dtype=bool)
+        paired[np.fromiter(cleared, dtype=np.int64, count=len(cleared))] = True
+        essential = np.sort(births[pos[~paired[pos]]], kind="stable").tolist()
         if essential:
-            bars[top] = list(zip(essential, repeat(math.inf)))
-    return PersistenceDiagram({k: tuple(sorted(v)) for k, v in sorted(bars.items())})
+            diagram[top] = tuple(zip(essential, repeat(math.inf)))
+    return PersistenceDiagram(diagram)
 
 
 def wasserstein(a: PersistenceDiagram, b: PersistenceDiagram, dim: int,
@@ -350,6 +419,11 @@ def diagram_to_csv(diagram: PersistenceDiagram) -> str:
 
 def diagram_from_csv(lines: Iterable[str]) -> PersistenceDiagram:
     bars: dict[int, list[tuple[float, float]]] = {}
-    for _, (k, birth, death) in csv_rows(lines, DIAGRAM_HEADER):
-        bars.setdefault(int(k), []).append((float(birth), float(death)))
+    for lineno, fields in csv_rows(lines, DIAGRAM_HEADER):
+        try:
+            k, birth, death = int(fields[0]), float(fields[1]), float(fields[2])
+        except ValueError:
+            raise FlowFormatError(f"line {lineno}: not numeric: {','.join(fields)!r}",
+                                  lineno) from None
+        bars.setdefault(k, []).append((birth, death))
     return PersistenceDiagram({k: tuple(sorted(v)) for k, v in sorted(bars.items())})

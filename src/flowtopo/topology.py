@@ -192,6 +192,25 @@ def _gf2_rank(columns: Iterable[int]) -> int:
     return rank
 
 
+def _graph_rank(edges, vertices) -> int:
+    """Rank of boundary_1 over GF(2), which is a graph's incidence matrix:
+    vertices minus components, counted as the edges that join two
+    union-find components."""
+    root = list(range(len(vertices)))
+    index = {v: i for i, (v,) in enumerate(vertices)}
+    rank = 0
+    for a, b in edges:
+        a, b = index[a], index[b]
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[max(a, b)] = min(a, b)
+            rank += 1
+    return rank
+
+
 def _boundary_columns(k_simplices, faces) -> Iterator[int]:
     """Bit-packed boundary columns, rows over (k-1)-faces, yielded one per
     k-simplex so that only the reduced pivots are ever held at once."""
@@ -208,7 +227,8 @@ def betti(k_complex: SimplicialComplex, max_dim: int) -> BettiVector:
 
     beta_k = n_k - rank(boundary_k) - rank(boundary_{k+1}), where boundary_0
     is zero and boundary_{max_dim+1} comes from stored higher simplices when
-    present.
+    present.  boundary_1 is ranked by union-find, the others by GF(2)
+    elimination.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
@@ -216,7 +236,12 @@ def betti(k_complex: SimplicialComplex, max_dim: int) -> BettiVector:
     for k in range(1, max_dim + 2):
         sk = k_complex.simplices.get(k, ())
         faces = k_complex.simplices.get(k - 1, ())
-        ranks.append(_gf2_rank(_boundary_columns(sk, faces)) if sk and faces else 0)
+        if not (sk and faces):
+            ranks.append(0)
+        elif k == 1:
+            ranks.append(_graph_rank(sk, faces))
+        else:
+            ranks.append(_gf2_rank(_boundary_columns(sk, faces)))
     return tuple(k_complex.count(k) - ranks[k] - ranks[k + 1]
                  for k in range(max_dim + 1))
 

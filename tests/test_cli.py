@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from flowtopo.cli import main
+from flowtopo.detector import FEATURE_NAMES
 
 
 def run(args):
@@ -372,6 +373,26 @@ class TestMalformedRows:
     ])
     def test_ragged_row_rejected(self, args, message, stage_inputs, tmp_path, capsys):
         assert_one_line_failure(args, message, stage_inputs, tmp_path, capsys)
+
+
+class TestDetectFeatures:
+    def test_config_features_must_match_header(self, stage_inputs, tmp_path, capsys):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("features = n_records, rbs_beta1\n")
+        columns = ",".join(FEATURE_NAMES)
+        assert_one_line_failure(
+            ["detect", "--in", "@features", "--capacity", 8, "--config", cfg],
+            f"config features n_records,rbs_beta1 differ from the feature CSV "
+            f"columns {columns}", stage_inputs, tmp_path, capsys)
+
+    def test_matching_config_features_same_output(self, stage_inputs, tmp_path):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("features = " + ",".join(FEATURE_NAMES) + "\n")
+        plain, configured = tmp_path / "plain.jsonl", tmp_path / "configured.jsonl"
+        args = ["detect", "--in", stage_inputs["features"], "--capacity", 8]
+        assert run(args + ["--out", plain]) == 0
+        assert run(args + ["--out", configured, "--config", cfg]) == 0
+        assert configured.read_bytes() == plain.read_bytes()
 
 
 class TestEntryPoint:

@@ -23,6 +23,7 @@ from flowtopo.detector import (
     window_statistics,
 )
 from flowtopo.flows import SessionRecord, TimeWindow
+from flowtopo.persistence import Filtration, barcode, vietoris_rips
 
 # ---------------------------------------------------------------- features
 
@@ -158,6 +159,27 @@ class TestBaseline:
         vecs = [fv([7.0, 7.0])] * 5
         b = init_baseline(vecs, 5, max_eps=2.0, max_dim=1, features=("a", "b"))
         assert b.diagram.bars == {0: ((0.0, 2.0),)}
+
+
+class TestCloudDiagram:
+    def test_equals_tuple_filtration_oracle(self):
+        # detector-sized clouds (a 20-point baseline plus one window, 10
+        # coordinates); the oracle rebuilds the filtration from its tuples
+        import numpy as np
+
+        rng = np.random.default_rng(11)
+        for trial in range(12):
+            pts = rng.normal(size=(21, 10))
+            if trial % 3 == 0:
+                pts[-1] = pts[0]  # a window equal to a baseline point
+            if trial % 3 == 1:
+                pts = np.round(pts)  # many tied distances
+            points = tuple(tuple(row) for row in pts.tolist())
+            for max_eps, max_dim in ((20.0, 1), (4.0, 1), (3.0, 2)):
+                oracle = barcode(Filtration(
+                    vietoris_rips(points, max_eps, max_dim).simplices))
+                want = oracle.restrict(max_dim).truncate(max_eps)
+                assert cloud_diagram(points, max_eps, max_dim) == want
 
 
 # ---------------------------------------------------------------- scoring

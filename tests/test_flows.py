@@ -423,6 +423,19 @@ class TestWindowedCsv:
             parse_windowed_sessions(lines, width=300.0)
         assert e.value.line_number == 3
 
+    def test_off_grid_window_start_names_first_line(self):
+        lines = serialize_windowed_sessions(
+            window([sess(10.0), sess(20.0), sess(650.0), sess(660.0)],
+                   width=300.0)).splitlines()
+        for i in (3, 4):
+            lines[i] = "150" + lines[i][lines[i].index(","):]
+        with pytest.raises(FlowFormatError) as e:
+            parse_windowed_sessions(lines, width=300.0)
+        assert str(e.value) == ("line 4: window_start 150.0 is not on the "
+                                "300.0-second grid from 0.0")
+        assert e.value.line_number == 4
+        assert e.value.field == "window_start"
+
     @pytest.mark.parametrize("column, value, message", [
         (5, "nan", "line 3: start nan is not finite"),
         (2, "10.1.0", "line 3: server_ip '10.1.0' is not a dotted-quad IPv4 address"),

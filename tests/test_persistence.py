@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from itertools import combinations, permutations
 
@@ -244,6 +246,39 @@ class TestVietorisRips:
             assert (vietoris_rips(pts, max_eps, max_dim)
                     == reference_rips(pts, max_eps, max_dim))
 
+    def test_arrays_equal_reference_and_tuple_round_trip(self):
+        # the arrays vietoris_rips builds directly equal those the tuple
+        # constructor builds, and the tuple view rebuilds the same filtration
+        rng = random.Random(16)
+        for _ in range(60):
+            pts = random_cloud(rng, n_max=9, dim=rng.choice([1, 2, 3]))
+            max_eps = rng.choice([0.5, 1.0, 2.0, 5.0])
+            max_dim = rng.choice([0, 1, 2])
+            f = vietoris_rips(pts, max_eps, max_dim)
+            ref = reference_rips(pts, max_eps, max_dim)
+            for name in ("births", "sizes", "vertices"):
+                assert np.array_equal(getattr(f, name), getattr(ref, name))
+            assert f.births.dtype == np.float64
+            assert f.sizes.sum() == len(f.vertices)
+            assert Filtration(f.simplices) == f
+            assert Filtration(f.simplices).simplices == f.simplices
+            assert len(f) == len(f.simplices)
+
+    def test_filtration_read_only_and_copyable(self):
+        f = vietoris_rips([(0.0, 0.0), (1.0, 0.0)], max_eps=2.0, max_dim=1)
+        with pytest.raises(ValueError):
+            f.births[0] = 5.0
+        with pytest.raises(AttributeError):
+            f.births = np.zeros(3)
+        assert f.births.tolist() == [0.0, 0.0, 1.0]
+        for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert twin == f and twin.simplices == f.simplices
+
+    def test_non_integer_vertex_label_rejected(self):
+        # int64 would truncate 0.5 to vertex 0
+        with pytest.raises(TypeError):
+            Filtration([((0.5,), 0.0)])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="point 1 has a non-finite"):
@@ -453,6 +488,11 @@ class TestDiagramOps:
     def test_csv_short_row_names_line(self):
         with pytest.raises(ValueError, match="^line 3: expected 3 comma-separated fields, got 2$"):
             diagram_from_csv(["dim,birth,death", "0,0,1", "0,1"])
+
+    def test_csv_bad_field_names_line(self):
+        for row in ("0,x,1", "one,0,1", "0,0,"):
+            with pytest.raises(ValueError, match=f"^line 3: not numeric: '{row}'$"):
+                diagram_from_csv(["dim,birth,death", "0,0,1", row])
 
 
 # ---------------------------------------------------------------- wasserstein

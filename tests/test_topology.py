@@ -11,7 +11,10 @@ from flowtopo.hypergraph import Hypergraph
 from flowtopo.topology import (
     Ecp,
     SimplicialComplex,
+    _boundary_columns,
     _boundary_matrix,
+    _gf2_rank,
+    _graph_rank,
     betti,
     build_ecp,
     hasse,
@@ -422,6 +425,17 @@ class TestBetti:
             K = random_complex(rng)
             d = max(K.dim, 0)
             assert betti(K, d) == oracle_betti(K, d)
+
+    def test_graph_rank_equals_gf2_rank(self):
+        # boundary_1 ranked by union-find against GF(2) elimination, on
+        # graphs with isolated vertices, several components and cycles
+        rng = random.Random(80)
+        for _ in range(200):
+            labels = rng.sample(range(-3, 60), rng.randint(1, 14))
+            edges = [e for e in combinations(labels, 2) if rng.random() < rng.random()]
+            K = SimplicialComplex.from_simplices([(v,) for v in labels] + edges)
+            sk, faces = K.simplices.get(1, ()), K.simplices[0]
+            assert _graph_rank(sk, faces) == _gf2_rank(_boundary_columns(sk, faces))
 
     def test_euler_characteristic_alternating_sum(self):
         rng = random.Random(78)
