@@ -24,7 +24,8 @@ def blob(n, spread=0.3):
 
 
 def show(points, label):
-    diagram = barcode(vietoris_rips(points, max_eps=2.5, max_dim=1))
+    # triangles are built only to kill H1 classes; their unpaired H2 bars mean nothing
+    diagram = barcode(vietoris_rips(points, max_eps=2.5, max_dim=1)).restrict(1)
     print(f"{label} ({len(points)} points)")
     for k in diagram.dims():
         bars = sorted(diagram.in_dim(k), key=lambda bd: -(min(bd[1], 99) - bd[0]))

@@ -42,12 +42,14 @@ def _cmd_synth(args) -> None:
         mean_flows=args.mean_flows, duration=args.duration,
         window_width=cfg["window_width"],
         seed=args.seed if args.seed is not None else 7)
+    lo, _, hi = args.scan_ports.partition(":")
+    if not (lo.isdecimal() and hi.isdecimal()):
+        raise ValueError(f"--scan-ports must be lo:hi integers, got {args.scan_ports!r}")
     records = synth.generate_normal(profile)
     for w_idx in args.scan_window or []:
-        lo, hi = (int(p) for p in args.scan_ports.split(":"))
         scan = synth.ScanSpec(scanner_ip=args.scanner_ip,
                               target_ip=args.target_ip or profile.server_ip(0),
-                              port_range=(lo, hi), window_index=w_idx)
+                              port_range=(int(lo), int(hi)), window_index=w_idx)
         records = synth.inject_scan(records, scan, profile)
     Path(args.out).write_text(flows.serialize_flows(records))
 

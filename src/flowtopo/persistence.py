@@ -29,69 +29,73 @@ from .flows import FlowFormatError, csv_rows, fmt
 DIAGRAM_HEADER = "dim,birth,death"
 
 
+@dataclass(frozen=True, eq=False)
 class Filtration:
-    """Simplices with birth values, sorted by (birth, dimension, vertex order).
+    """Simplices in filtration order, as three read-only arrays.
 
-    The sort guarantees faces precede cofaces whenever births are valid;
-    barcode() verifies the face-birth condition itself.  The simplices are
-    held as three read-only arrays in filtration order: ``births`` (float64),
-    ``sizes`` (vertices per simplex) and ``vertices`` (every simplex's vertex
-    labels, concatenated).  ``simplices`` is the same filtration as a tuple
-    of ``(vertex tuple, birth)`` pairs, built on first access.
+    ``births`` (float64) holds each simplex's birth, ``sizes`` (integer) its
+    vertex count and ``vertices`` (integer) all vertex labels, concatenated.
+    Births are finite and never decrease, and sizes never decrease at equal
+    birth, so faces precede cofaces once barcode() has checked face births.
+    The constructor raises ValueError naming the first simplex that breaks
+    this.  from_simplices() sorts (vertex tuple, birth) pairs into order.
     """
 
-    __slots__ = ("births", "sizes", "vertices", "_simplices")
+    births: np.ndarray
+    sizes: np.ndarray
+    vertices: np.ndarray
 
-    def __init__(self, simplices: Iterable[tuple[Sequence[int], float]]):
-        simplices = tuple(simplices)
-        verts_of = [v for v, _ in simplices]
-        sizes = np.fromiter(map(len, verts_of), dtype=np.int64, count=len(verts_of))
-        # operator.index refuses a float label, which int64 would truncate
-        vertices = np.fromiter(map(operator.index, chain.from_iterable(verts_of)),
-                               dtype=np.int64, count=int(sizes.sum()))
-        births = np.array([b for _, b in simplices], dtype=float)
-        self._set(births, sizes, vertices)
-
-    @classmethod
-    def _from_arrays(cls, births: np.ndarray, sizes: np.ndarray,
-                     vertices: np.ndarray) -> "Filtration":
-        f = cls.__new__(cls)
-        f._set(births, sizes, vertices)
-        return f
-
-    def _set(self, births, sizes, vertices) -> None:
-        for name, arr in (("births", births), ("sizes", sizes), ("vertices", vertices)):
+    def __post_init__(self):
+        births, sizes, vertices = self.births, self.sizes, self.vertices
+        for name, arr, want in (("births", births, np.float64), ("sizes", sizes, np.integer),
+                                ("vertices", vertices, np.integer)):
+            if not (isinstance(arr, np.ndarray) and arr.ndim == 1
+                    and np.issubdtype(arr.dtype, want)):
+                raise ValueError(f"{name} must be a 1-D {want.__name__} array")
+        if len(sizes) != len(births) or sizes.sum() != len(vertices):
+            raise ValueError(f"{len(births)} births, {len(sizes)} sizes summing to "
+                             f"{int(sizes.sum())} and {len(vertices)} vertices do not match")
+        empty = np.flatnonzero(sizes < 1)
+        if empty.size:
+            raise ValueError(f"simplex {int(empty[0])} has {int(sizes[empty[0]])} vertices")
+        bad = np.flatnonzero(~np.isfinite(births))
+        if bad.size:
+            verts, birth = self.simplices[bad[0]]
+            raise ValueError(f"simplex {verts} has non-finite birth {birth}")
+        bad = np.flatnonzero((births[1:] < births[:-1]) | (
+            (births[1:] == births[:-1]) & (sizes[1:] < sizes[:-1])))
+        if bad.size:
+            (prev, prev_birth), (verts, birth) = self.simplices[bad[0]:bad[0] + 2]
+            raise ValueError(f"simplex {verts} born at {birth} comes after {prev} born "
+                             f"at {prev_birth}; order simplices by birth, then size")
+        for arr in (births, sizes, vertices):
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_simplices", None)
 
     @classmethod
     def from_simplices(cls, pairs: Iterable[tuple[Sequence[int], float]]) -> "Filtration":
         canon = []
         for verts, birth in pairs:
-            v = tuple(sorted(verts))
+            # operator.index refuses a float label, which int64 would truncate
+            v = tuple(sorted(map(operator.index, verts)))
             if len(set(v)) != len(v):
                 raise ValueError(f"simplex {verts} has repeated vertices")
-            canon.append((v, float(birth)))
-        canon.sort(key=lambda p: (p[1], len(p[0]), p[0]))
-        return cls(canon)
+            canon.append((float(birth), len(v), v))
+        canon.sort()
+        sizes = np.array([k for _, k, _ in canon], dtype=np.int64)
+        vertices = np.fromiter(chain.from_iterable(v for _, _, v in canon),
+                               dtype=np.int64, count=int(sizes.sum()))
+        return cls(np.array([b for b, _, _ in canon], dtype=np.float64), sizes, vertices)
 
     @property
     def simplices(self) -> tuple[tuple[tuple[int, ...], float], ...]:
-        if self._simplices is None:
-            flat = self.vertices.tolist()
-            ends = np.cumsum(self.sizes).tolist()
-            starts = [0] + ends[:-1]
-            verts = [tuple(flat[lo:hi]) for lo, hi in zip(starts, ends)]
-            object.__setattr__(self, "_simplices",
-                               tuple(zip(verts, self.births.tolist())))
-        return self._simplices
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Filtration is immutable; cannot set {name!r}")
+        flat = self.vertices.tolist()
+        ends = np.cumsum(self.sizes).tolist()
+        verts = [tuple(flat[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
+        return tuple(zip(verts, self.births.tolist()))
 
     def __reduce__(self):
-        return Filtration._from_arrays, (self.births, self.sizes, self.vertices)
+        # rebuilt through the constructor, so copies are checked and read-only
+        return Filtration, (self.births, self.sizes, self.vertices)
 
     def __len__(self) -> int:
         return len(self.births)
@@ -102,12 +106,6 @@ class Filtration:
         return (np.array_equal(self.sizes, other.sizes)
                 and np.array_equal(self.vertices, other.vertices)
                 and np.array_equal(self.births, other.births))
-
-    def __hash__(self) -> int:
-        return hash(self.simplices)
-
-    def __repr__(self) -> str:
-        return f"Filtration({self.simplices!r})"
 
 
 def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
@@ -169,7 +167,7 @@ def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
         padded[row:row + len(lay), :lay.shape[1]] = lay
         row += len(lay)
     padded = padded[order]
-    return Filtration._from_arrays(all_births[order], sizes[order], padded[padded >= 0])
+    return Filtration(all_births[order], sizes[order], padded[padded >= 0])
 
 
 @dataclass(frozen=True)
@@ -352,15 +350,13 @@ def barcode(filtration: Filtration) -> PersistenceDiagram:
 
     diagram = {k: tuple(sorted(v)) for k, v in sorted(bars.items())}
     # the top dimension has no cofaces: what is left unpaired never dies.
-    # Its births are in filtration order, so sorted already unless the
-    # filtration was built unsorted; the stable sort then orders them as
-    # sorted() orders the (birth, inf) bars.
+    # Its births are in filtration order, so already sorted.
     top = len(by_dim) - 1
     if top > 0:
         pos = by_dim[top]
         paired = np.zeros(len(births), dtype=bool)
         paired[np.fromiter(cleared, dtype=np.int64, count=len(cleared))] = True
-        essential = np.sort(births[pos[~paired[pos]]], kind="stable").tolist()
+        essential = births[pos[~paired[pos]]].tolist()
         if essential:
             diagram[top] = tuple(zip(essential, repeat(math.inf)))
     return PersistenceDiagram(diagram)

@@ -29,8 +29,8 @@ class TrafficProfile:
     def __post_init__(self):
         if self.n_clients < 1 or self.n_servers < 1 or not self.common_ports:
             raise ValueError("n_clients, n_servers and common_ports must be nonempty")
-        if self.mean_flows < 0:
-            raise ValueError("mean_flows must be >= 0")
+        if not 0 <= self.mean_flows < math.inf:
+            raise ValueError(f"mean_flows must be finite and >= 0, got {self.mean_flows}")
         for name in ("duration", "window_width"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -56,8 +56,8 @@ class ScanSpec:
 
     def __post_init__(self):
         lo, hi = self.port_range
-        if lo > hi:
-            raise ValueError(f"port range lo {lo} exceeds hi {hi}")
+        if not 0 <= lo <= hi <= 65535:
+            raise ValueError(f"port_range {lo}:{hi} must have 0 <= lo <= hi <= 65535")
 
     @property
     def n_ports(self) -> int:

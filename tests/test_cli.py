@@ -347,6 +347,14 @@ class TestNonFiniteSettings:
         (["ph", "--in", "@cloud", "--max-eps", "nan"], "max_eps must be > 0, got nan"),
         (["detect", "--in", "@features", "--capacity", 8, "--max-eps", "inf"],
          "max_eps must be finite, got inf"),
+        (["synth", "--mean-flows", "nan"], "mean_flows must be finite and >= 0, got nan"),
+        (["synth", "--mean-flows", "inf"], "mean_flows must be finite and >= 0, got inf"),
+        (["synth", "--scan-window", 1, "--scan-ports", "5"],
+         "--scan-ports must be lo:hi integers, got '5'"),
+        (["synth", "--scan-window", 1, "--scan-ports", "a:b"],
+         "--scan-ports must be lo:hi integers, got 'a:b'"),
+        (["synth", "--scan-window", 1, "--scan-ports", "1:70000"],
+         "port_range 1:70000 must have 0 <= lo <= hi <= 65535"),
     ])
     def test_rejected_with_one_line(self, args, message, stage_inputs, tmp_path, capsys):
         assert_one_line_failure(args, message, stage_inputs, tmp_path, capsys)

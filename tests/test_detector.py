@@ -176,7 +176,7 @@ class TestCloudDiagram:
                 pts = np.round(pts)  # many tied distances
             points = tuple(tuple(row) for row in pts.tolist())
             for max_eps, max_dim in ((20.0, 1), (4.0, 1), (3.0, 2)):
-                oracle = barcode(Filtration(
+                oracle = barcode(Filtration.from_simplices(
                     vietoris_rips(points, max_eps, max_dim).simplices))
                 want = oracle.restrict(max_dim).truncate(max_eps)
                 assert cloud_diagram(points, max_eps, max_dim) == want

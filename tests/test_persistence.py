@@ -260,8 +260,8 @@ class TestVietorisRips:
                 assert np.array_equal(getattr(f, name), getattr(ref, name))
             assert f.births.dtype == np.float64
             assert f.sizes.sum() == len(f.vertices)
-            assert Filtration(f.simplices) == f
-            assert Filtration(f.simplices).simplices == f.simplices
+            assert Filtration.from_simplices(f.simplices) == f
+            assert Filtration.from_simplices(f.simplices).simplices == f.simplices
             assert len(f) == len(f.simplices)
 
     def test_filtration_read_only_and_copyable(self):
@@ -273,11 +273,13 @@ class TestVietorisRips:
         assert f.births.tolist() == [0.0, 0.0, 1.0]
         for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert twin == f and twin.simplices == f.simplices
+            for name in ("births", "sizes", "vertices"):
+                assert not getattr(twin, name).flags.writeable
 
     def test_non_integer_vertex_label_rejected(self):
         # int64 would truncate 0.5 to vertex 0
         with pytest.raises(TypeError):
-            Filtration([((0.5,), 0.0)])
+            Filtration.from_simplices([((0.5,), 0.0)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -292,6 +294,57 @@ class TestVietorisRips:
                 vietoris_rips([(0.0, 0.0)], max_eps=bad, max_dim=1)
         with pytest.raises(ValueError):
             vietoris_rips([(0.0, 0.0)], max_eps=1.0, max_dim=-1)
+
+
+# ---------------------------------------------------------------- filtration
+
+
+def as_arrays(pairs):
+    """The constructor's three arrays for pairs taken in the given order."""
+    return (np.array([b for _, b in pairs], dtype=np.float64),
+            np.array([len(v) for v, _ in pairs], dtype=np.int64),
+            np.array([u for v, _ in pairs for u in v], dtype=np.int64))
+
+
+class TestFiltration:
+    # edge (0, 2) listed before the two edges born earlier
+    UNSORTED = [((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 2), 0.8), ((0, 1), 0.5),
+                ((1, 2), 0.5), ((0, 1, 2), 1.0)]
+
+    def test_unsorted_pairs_sorted_and_unsorted_arrays_rejected(self):
+        d = barcode(Filtration.from_simplices(self.UNSORTED))
+        assert d.in_dim(0) == ((0.0, 0.5), (0.0, 0.5), (0.0, math.inf))
+        assert d.in_dim(1) == ((0.8, 1.0),)
+        with pytest.raises(ValueError, match=r"simplex \(0, 1\) born at 0.5 comes after "
+                                             r"\(0, 2\) born at 0.8"):
+            Filtration(*as_arrays(self.UNSORTED))
+
+    def test_coface_before_face_at_equal_birth_rejected(self):
+        with pytest.raises(ValueError, match=r"simplex \(1,\) born at 0.0 comes after "
+                                             r"\(0, 1\)"):
+            Filtration(*as_arrays([((0,), 0.0), ((0, 1), 0.0), ((1,), 0.0)]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_birth_rejected(self, bad):
+        pairs = [((0,), 0.0), ((1,), bad), ((0, 1), 1.0)]
+        for build in (Filtration.from_simplices, lambda p: Filtration(*as_arrays(p))):
+            with pytest.raises(ValueError, match=r"simplex \(1,\) has non-finite birth"):
+                build(pairs)
+
+    @pytest.mark.parametrize("arrays, message", [
+        ((np.zeros(2), np.ones(1, np.int64), np.zeros(1, np.int64)),
+         "2 births, 1 sizes summing to 1 and 1 vertices do not match"),
+        ((np.zeros(2), np.ones(2, np.int64), np.arange(3)),
+         "2 births, 2 sizes summing to 2 and 3 vertices do not match"),
+        ((np.zeros(2), np.array([1, 0]), np.zeros(1, np.int64)), "simplex 1 has 0 vertices"),
+        ((np.zeros(1), np.ones(1, np.int64), np.zeros(1)),
+         "vertices must be a 1-D integer array"),
+        ((np.zeros((1, 1)), np.ones(1, np.int64), np.zeros(1, np.int64)),
+         "births must be a 1-D float64 array"),
+    ])
+    def test_malformed_arrays_rejected(self, arrays, message):
+        with pytest.raises(ValueError, match=message):
+            Filtration(*arrays)
 
 
 # ---------------------------------------------------------------- barcode
@@ -332,10 +385,10 @@ class TestBarcode:
 
     def test_missing_face_rejected(self):
         with pytest.raises(ValueError):
-            barcode(Filtration((((0, 1), 1.0),)))
+            barcode(Filtration.from_simplices((((0, 1), 1.0),)))
 
     def test_face_born_late_rejected(self):
-        f = Filtration((((0,), 0.0), ((1,), 2.0), ((0, 1), 1.0)))
+        f = Filtration.from_simplices((((0,), 0.0), ((1,), 2.0), ((0, 1), 1.0)))
         with pytest.raises(ValueError):
             barcode(f)
 
@@ -438,18 +491,25 @@ class TestBarcodeOracle:
         assert barcode(f) == oracle_barcode(f)
 
     def test_empty_filtration(self):
-        assert barcode(Filtration(())) == PersistenceDiagram({})
+        assert barcode(Filtration.from_simplices(())) == PersistenceDiagram({})
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                     min_size=1, max_size=8).flatmap(
                         lambda pts: st.tuples(st.just(pts), st.permutations(pts))),
            st.sampled_from([1.0, 1.5, 2.5, 6.0]),
-           st.integers(0, 2))
-    def test_diagram_invariant_under_permutation(self, clouds, max_eps, max_dim):
+           st.integers(0, 2),
+           st.randoms(use_true_random=False))
+    def test_diagram_invariant_under_permutation(self, clouds, max_eps, max_dim, rnd):
         pts, shuffled = clouds
-        d = barcode(vietoris_rips(pts, max_eps, max_dim))
+        f = vietoris_rips(pts, max_eps, max_dim)
+        d = barcode(f)
         assert d == barcode(vietoris_rips(shuffled, max_eps, max_dim))
+        # the same simplices, listed and spelled in any order
+        pairs = [(rnd.sample(verts, len(verts)), b) for verts, b in f.simplices]
+        rnd.shuffle(pairs)
+        g = Filtration.from_simplices(pairs)
+        assert g == f and barcode(g) == d
 
 
 class TestDiagramOps:

@@ -24,8 +24,9 @@ class TestProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrafficProfile(n_clients=0)
-        with pytest.raises(ValueError):
-            TrafficProfile(mean_flows=-1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="mean_flows"):
+                TrafficProfile(mean_flows=bad)
         for bad in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="window_width"):
                 TrafficProfile(window_width=bad)
@@ -111,8 +112,9 @@ class TestInjectScan:
             inject_scan([], ScanSpec(window_index=-1), SMALL)
 
     def test_port_range_validation(self):
-        with pytest.raises(ValueError):
-            ScanSpec(port_range=(100, 1))
+        for bad in ((100, 1), (-1, 5), (1, 65536)):
+            with pytest.raises(ValueError, match="port_range"):
+                ScanSpec(port_range=bad)
 
     def test_deterministic_merge(self):
         base = generate_normal(SMALL)
