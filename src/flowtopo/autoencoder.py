@@ -36,8 +36,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -164,22 +166,37 @@ class Mlp:
 
     @classmethod
     def loads(cls, text: str) -> "Mlp":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != MODEL_FORMAT:
+        """Inverse of dumps; a malformed model raises ValueError naming its line."""
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+        if not lines or lines[0][1] != MODEL_FORMAT:
             raise ValueError(f"unrecognized model format (expected {MODEL_FORMAT!r})")
-        sizes = tuple(int(s) for s in lines[1].split())
+        rows = iter(lines[1:])
+
+        def row(kind, count: int) -> list:
+            lineno, line = next(rows, (lines[-1][0] + 1, None))
+            if line is None:
+                raise ValueError(f"line {lineno}: missing; the model ends early")
+            fields = line.split()
+            if len(fields) != count:
+                raise ValueError(f"line {lineno}: expected {count} numbers, got {len(fields)}")
+            try:
+                values = [kind(v) for v in fields]
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            bad = [v for v in values if not -np.inf < v < np.inf]
+            if bad:
+                raise ValueError(f"line {lineno}: parameter {bad[0]} is not finite")
+            return values
+
+        # no size check: a size below 1 asks a line for fewer than one number
+        sizes = row(int, 5)
         weights, biases = [], []
-        pos = 2
         for fan_in, fan_out in zip(sizes, sizes[1:]):
-            rows = []
-            for _ in range(fan_out):
-                rows.append([float(v) for v in lines[pos].split()])
-                pos += 1
-            weights.append(np.array(rows))
-            biases.append(np.array([float(v) for v in lines[pos].split()]))
-            pos += 1
-        if pos != len(lines):
-            raise ValueError("trailing data after model parameters")
+            weights.append(np.array([row(float, fan_in) for _ in range(fan_out)]))
+            biases.append(np.array(row(float, fan_out)))
+        extra = next(rows, None)
+        if extra is not None:
+            raise ValueError(f"line {extra[0]}: trailing data after model parameters")
         return cls(weights, biases, allow_wide_bottleneck=True)
 
     def save(self, path) -> None:
@@ -194,7 +211,7 @@ def train(m: Mlp, data, cfg: TrainConfig) -> list[float]:
     """Mini-batch gradient descent with momentum; trains m in place.
 
     Returns the full-data loss after each epoch.  Identical seeds give
-    identical histories.
+    identical histories.  A loss that is not finite raises ValueError.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim == 1:
@@ -209,7 +226,7 @@ def train(m: Mlp, data, cfg: TrainConfig) -> list[float]:
                 for w, b in zip(m.weights, m.biases)]
     history = []
     n = len(x)
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = x[order[start:start + cfg.batch_size]]
@@ -221,7 +238,11 @@ def train(m: Mlp, data, cfg: TrainConfig) -> list[float]:
                 velocity[i] = (vw, vb)
                 m.weights[i] = m.weights[i] + vw
                 m.biases[i] = m.biases[i] + vb
-        loss, _ = m.loss_and_gradients(x)
+        # the loss expression of loss_and_gradients, without its backward pass
+        _, acts = m._forward_batch(x)
+        loss = float(np.mean((acts[-1] - x) ** 2))
+        if not np.isfinite(loss):
+            raise ValueError(f"training diverged: the loss after epoch {epoch} is {loss}")
         history.append(loss)
     return history
 

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import autoencoder, detector, flows, persistence, synth
 from .flows import fmt
+from .hypergraph import HypergraphStats
 
 
 def _read_lines(path: str) -> list[str]:
@@ -28,7 +30,7 @@ def _config_file(args) -> dict:
 def _load_config(args) -> dict:
     cfg = dict(detector.DEFAULTS)
     cfg.update(_config_file(args))
-    for key in detector.CONFIG_KEYS:
+    for key in detector.DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -73,18 +75,13 @@ def _cmd_features(args) -> None:
 def _cmd_topo(args) -> None:
     cfg = _load_config(args)
     windows = flows.parse_windowed_sessions(_read_lines(args.input), cfg["window_width"])
-    cols = ("window_start", "n_vertices", "n_edges", "max_vertex_degree",
-            "max_edge_size", "mean_edge_size", "max_support_multiplicity",
-            "max_ecp_in_degree", "max_ecp_out_degree", "rbs_beta0", "rbs_beta1")
-    lines = [",".join(cols)]
+    stat_names = [f.name for f in fields(HypergraphStats)]
+    lines = [",".join(["window_start", *stat_names, "max_ecp_in_degree",
+                       "max_ecp_out_degree", "rbs_beta0", "rbs_beta1"])]
     for w in windows:
-        st, ecp, (b0, b1) = detector._window_topology(w)
-        lines.append(",".join([
-            fmt(w.start), str(st.n_vertices), str(st.n_edges),
-            str(st.max_vertex_degree), str(st.max_edge_size),
-            fmt(st.mean_edge_size), str(st.max_support_multiplicity),
-            str(ecp.max_in_degree()), str(ecp.max_out_degree()),
-            str(b0), str(b1)]))
+        st, ecp, betti = detector._window_topology(w)
+        values = (w.start, *astuple(st), ecp.max_in_degree(), ecp.max_out_degree(), *betti)
+        lines.append(",".join(map(fmt, values)))
     Path(args.out).write_text("\n".join(lines) + "\n")
 
 
@@ -189,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", help="key = value config file")
         for key in settings:
             p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           type=detector.CONFIG_KEYS[key])
+                           type=type(detector.DEFAULTS[key]))
 
     p = sub.add_parser("synth", help="generate synthetic flow CSV")
     common(p, "window_width", needs_input=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ FEATURE_NAMES = (
     "max_support_multiplicity",
 )
 
+# every config setting and its default; a setting's type is its default's type
 DEFAULTS = {
     "capacity": 20,
     "window_width": 300.0,
@@ -76,13 +77,7 @@ class AnomalyReport:
     attribution: str | None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "window_start": self.window_start,
-            "score": self.score,
-            "threshold": self.threshold,
-            "anomalous": self.anomalous,
-            "attribution": self.attribution,
-        })
+        return json.dumps(asdict(self))
 
 
 def _window_topology(w: TimeWindow) -> tuple[HypergraphStats, Ecp, tuple[int, int]]:
@@ -245,10 +240,8 @@ def step(b: Baseline, v: FeatureVector, threshold: float) -> tuple[AnomalyReport
                                attribution=attribute(b, v))
         return report, b
     new_points = b.points[1:] + (z,)
-    new_baseline = Baseline(points=new_points, mean=b.mean, std=b.std,
-                            max_eps=b.max_eps, max_dim=b.max_dim,
-                            feature_names=b.feature_names,
-                            diagram=cloud_diagram(new_points, b.max_eps, b.max_dim))
+    new_baseline = replace(b, points=new_points,
+                           diagram=cloud_diagram(new_points, b.max_eps, b.max_dim))
     report = AnomalyReport(window_start=v.window_start, score=score,
                            threshold=threshold, anomalous=False, attribution=None)
     return report, new_baseline
@@ -273,21 +266,11 @@ def run_detector(vectors, capacity: int, max_eps: float, max_dim: int,
     return reports
 
 
-CONFIG_KEYS = {
-    "capacity": int,
-    "window_width": float,
-    "max_eps": float,
-    "max_dim": int,
-    "quantile": float,
-    "features": None,
-}
-
-
 def parse_config(text: str) -> dict:
     """Parse `key = value` config lines; `#` starts a comment.
 
-    `features` takes a comma-separated list of coordinate names; the other
-    keys are numeric.  Unknown keys are rejected.
+    Each key of DEFAULTS takes its default's type, except that `features`
+    takes a comma-separated list of coordinate names.  Unknown keys are rejected.
     """
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -299,13 +282,13 @@ def parse_config(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in DEFAULTS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key == "features":
             out[key] = [f.strip() for f in value.split(",") if f.strip()]
         else:
             try:
-                out[key] = CONFIG_KEYS[key](value)
+                out[key] = type(DEFAULTS[key])(value)
             except ValueError:
                 raise ValueError(
                     f"config line {lineno}: bad value {value!r} for {key}") from None

@@ -226,6 +226,31 @@ def _component_session(members: list[FlowRecord]) -> SessionRecord:
         constituent_count=len(members))
 
 
+def find(root, a: int) -> int:
+    """Root of a's set; root (a list or dict) maps each element to its parent."""
+    while root[a] != a:
+        root[a] = a = root[root[a]]
+    return a
+
+
+def union(root, a: int, b: int) -> int | None:
+    """Hang the larger root of a and b under the smaller and return it, or
+    None when they share a root.  Path halving, as in find (Tarjan & van
+    Leeuwen, "Worst-case analysis of set union algorithms", JACM 1984)."""
+    # the walks are inline: barcode calls union once per edge, and two find
+    # calls per union cost its H0 loop about 30%
+    while root[a] != a:
+        root[a] = a = root[root[a]]
+    while root[b] != b:
+        root[b] = b = root[root[b]]
+    if a == b:
+        return None
+    if a > b:
+        a, b = b, a
+    root[b] = a
+    return b
+
+
 def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
     """Merge mirrored, time-overlapping flow records into sessions.
 
@@ -250,18 +275,6 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
                                           r.s_port, r.d_port, r.flags))
     n = len(recs)
     parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
     groups: dict[tuple, list[int]] = {}
     for i, r in enumerate(recs):
         key = tuple(sorted([(r.s_ip, r.s_port), (r.d_ip, r.d_port)]))
@@ -276,12 +289,12 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
             while opposite and opposite[0][0] < r.s_time:
                 heapq.heappop(opposite)
             for _, i in opposite:
-                union(i, j)
+                union(parent, i, j)
             heapq.heappush(own, (r.e_time, j))
 
     components: dict[int, list[FlowRecord]] = {}
     for i in range(n):
-        components.setdefault(find(i), []).append(recs[i])
+        components.setdefault(find(parent, i), []).append(recs[i])
     sessions = [_component_session(members) for members in components.values()]
     sessions.sort(key=_session_order)
     return sessions
@@ -298,17 +311,19 @@ def window(sessions: Iterable[SessionRecord], width: float,
     _check_width(width)
     if not math.isfinite(origin):
         raise ValueError(f"window origin must be finite, got {origin}")
-    ordered = sorted(sessions, key=_session_order)
-    if not ordered:
-        return []
-    indices = [math.floor((s.start - origin) / width) for s in ordered]
-    lo, hi = min(indices), max(indices)
-    buckets: dict[int, list[SessionRecord]] = {i: [] for i in range(lo, hi + 1)}
-    for idx, s in zip(indices, ordered):
-        buckets[idx].append(s)
+    by_index: dict[int, list[SessionRecord]] = {}
+    for s in sessions:
+        by_index.setdefault(math.floor((s.start - origin) / width), []).append(s)
+    return _timeline(by_index, origin, width) if by_index else []
+
+
+def _timeline(by_index: dict[int, list[SessionRecord]], origin: float,
+              width: float) -> list[TimeWindow]:
+    """A window at origin + i * width for every i from the smallest key of
+    by_index to the largest, holding by_index.get(i) in session order."""
     return [TimeWindow(start=origin + i * width, width=width,
-                       sessions=tuple(buckets[i]))
-            for i in range(lo, hi + 1)]
+                       sessions=tuple(sorted(by_index.get(i, ()), key=_session_order)))
+            for i in range(min(by_index), max(by_index) + 1)]
 
 
 def serialize_windowed_sessions(windows: Iterable[TimeWindow]) -> str:
@@ -358,9 +373,4 @@ def parse_windowed_sessions(lines: Iterable[str], width: float) -> list[TimeWind
                 f"line {first_line[ws]}: window_start {ws} is not on the "
                 f"{width}-second grid from {first}", first_line[ws], "window_start")
         by_index.setdefault(idx, []).extend(sessions)
-    windows = []
-    for i in range(max(by_index) + 1):
-        sessions = sorted(by_index.get(i, []), key=_session_order)
-        windows.append(TimeWindow(start=first + i * width, width=width,
-                                  sessions=tuple(sessions)))
-    return windows
+    return _timeline(by_index, first, width)

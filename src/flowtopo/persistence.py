@@ -24,14 +24,14 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .flows import FlowFormatError, csv_rows, fmt
+from .flows import FlowFormatError, csv_rows, fmt, union
 
 DIAGRAM_HEADER = "dim,birth,death"
 
 
 @dataclass(frozen=True, eq=False)
 class Filtration:
-    """Simplices in filtration order, as three read-only arrays.
+    """Simplices in filtration order, as three read-only arrays of its own.
 
     ``births`` (float64) holds each simplex's birth, ``sizes`` (integer) its
     vertex count and ``vertices`` (integer) all vertex labels, concatenated.
@@ -46,12 +46,16 @@ class Filtration:
     vertices: np.ndarray
 
     def __post_init__(self):
-        births, sizes, vertices = self.births, self.sizes, self.vertices
-        for name, arr, want in (("births", births, np.float64), ("sizes", sizes, np.integer),
-                                ("vertices", vertices, np.integer)):
+        for name, want in (("births", np.float64), ("sizes", np.integer),
+                           ("vertices", np.integer)):
+            arr = getattr(self, name)
             if not (isinstance(arr, np.ndarray) and arr.ndim == 1
                     and np.issubdtype(arr.dtype, want)):
                 raise ValueError(f"{name} must be a 1-D {want.__name__} array")
+            arr = arr.copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        births, sizes, vertices = self.births, self.sizes, self.vertices
         if len(sizes) != len(births) or sizes.sum() != len(vertices):
             raise ValueError(f"{len(births)} births, {len(sizes)} sizes summing to "
                              f"{int(sizes.sum())} and {len(vertices)} vertices do not match")
@@ -68,8 +72,6 @@ class Filtration:
             (prev, prev_birth), (verts, birth) = self.simplices[bad[0]:bad[0] + 2]
             raise ValueError(f"simplex {verts} born at {birth} comes after {prev} born "
                              f"at {prev_birth}; order simplices by birth, then size")
-        for arr in (births, sizes, vertices):
-            arr.flags.writeable = False
 
     @classmethod
     def from_simplices(cls, pairs: Iterable[tuple[Sequence[int], float]]) -> "Filtration":
@@ -281,18 +283,13 @@ def barcode(filtration: Filtration) -> PersistenceDiagram:
         if death > birth:
             bars.setdefault(k, []).append((birth, death))
 
-    # H0: union-find with the elder rule
+    # H0: union-find with the elder rule; union returns the younger root
     root = {v: v for v in by_dim[0].tolist()}
     cleared: set[int] = set()
     edges = zip(by_dim[1].tolist(), faces[1].tolist()) if len(by_dim) > 1 else ()
     for edge, (a, b) in edges:
-        while root[a] != a:
-            root[a] = a = root[root[a]]
-        while root[b] != b:
-            root[b] = b = root[root[b]]
-        if a != b:
-            elder, younger = min(a, b), max(a, b)
-            root[younger] = elder
+        younger = union(root, a, b)
+        if younger is not None:
             add_bar(0, younger, edge)
             cleared.add(edge)
     for v, r in root.items():

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .flows import union
 from .hypergraph import Hypergraph
 
 BettiVector = tuple[int, ...]
@@ -198,17 +199,7 @@ def _graph_rank(edges, vertices) -> int:
     union-find components."""
     root = list(range(len(vertices)))
     index = {v: i for i, (v,) in enumerate(vertices)}
-    rank = 0
-    for a, b in edges:
-        a, b = index[a], index[b]
-        while root[a] != a:
-            root[a] = a = root[root[a]]
-        while root[b] != b:
-            root[b] = b = root[root[b]]
-        if a != b:
-            root[max(a, b)] = min(a, b)
-            rank += 1
-    return rank
+    return sum(union(root, index[a], index[b]) is not None for a, b in edges)
 
 
 def _boundary_columns(k_simplices, faces) -> Iterator[int]:

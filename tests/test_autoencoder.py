@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,11 @@ class TestValidation:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        for field, bad in (("learning_rate", math.nan), ("learning_rate", math.inf),
+                           ("momentum", math.nan), ("momentum", math.inf),
+                           ("momentum", -0.1), ("momentum", 1.0)):
+            with pytest.raises(ValueError, match=f"{field} must be .*, got {bad}"):
+                TrainConfig(**{field: bad})
 
 
 class TestGradients:
@@ -170,6 +178,7 @@ class TestTraining:
         m2, h2 = train_autoencoder(data, [3, 5, 2, 5, 3], cfg)
         assert m1.dumps() == m2.dumps()
         assert h1 == h2
+        assert h1[-1] == m1.loss_and_gradients(data)[0]
         cfg2 = TrainConfig(learning_rate=0.01, epochs=10, batch_size=4, seed=12)
         m3, _ = train_autoencoder(data, [3, 5, 2, 5, 3], cfg2)
         assert m3.dumps() != m1.dumps()
@@ -184,6 +193,15 @@ class TestTraining:
         m = Mlp.random([3, 4, 2, 4, 3], seed=0)
         with pytest.raises(ValueError):
             train(m, np.zeros((4, 5)), TrainConfig())
+
+    def test_divergence_names_epoch(self):
+        m = Mlp.random([3, 4, 2, 4, 3], seed=0)
+        data = np.random.default_rng(1).normal(size=(16, 3))
+        cfg = TrainConfig(learning_rate=1e6, epochs=50, batch_size=4)
+        # numpy's overflow warnings would otherwise pre-empt the check
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match=r"loss after epoch \d+ is (inf|nan)"):
+            train(m, data, cfg)
 
     def test_empty_data(self):
         m = Mlp.random([3, 4, 2, 4, 3], seed=0)
@@ -215,6 +233,24 @@ class TestSerialization:
         m = Mlp.random([3, 4, 2, 4, 3], seed=0)
         with pytest.raises(ValueError):
             Mlp.loads(m.dumps() + "0.5 0.5\n")
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda lines: lines[:3], "line 4: missing; the model ends early"),
+        (lambda lines: lines[:1], "line 2: missing; the model ends early"),
+        (lambda lines: lines[:2] + [lines[2].rsplit(" ", 1)[0]] + lines[3:],
+         "line 3: expected 3 numbers, got 2"),
+        (lambda lines: lines[:3] + ["nan" + lines[3][lines[3].index(" "):]] + lines[4:],
+         "line 4: parameter nan is not finite"),
+        (lambda lines: lines[:3] + ["x" + lines[3][lines[3].index(" "):]] + lines[4:],
+         "line 4: could not convert string to float: 'x'"),
+        (lambda lines: [lines[0], "3 4 x 4 3"] + lines[2:], "line 2: invalid literal"),
+        (lambda lines: [lines[0], "3 4 2 4"] + lines[2:], "line 2: expected 5 numbers"),
+        (lambda lines: [lines[0], "3 0 2 0 3"] + lines[2:], "line 3: expected 0 numbers, got 3"),
+    ])
+    def test_malformed_model_names_line(self, cut, message):
+        lines = Mlp.random([3, 4, 2, 4, 3], seed=0).dumps().splitlines()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Mlp.loads("\n".join(cut(lines)) + "\n")
 
     def test_save_load_file(self, tmp_path):
         m = Mlp.random([3, 4, 2, 4, 3], seed=33)

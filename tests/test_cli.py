@@ -312,6 +312,10 @@ def stage_inputs(tmp_path_factory):
     paths["features_ragged"].write_text("\n".join(lines) + "\n")
     paths["cloud_ragged"] = d / "cloud_ragged.csv"
     paths["cloud_ragged"].write_text("0,0\n1,0\n1,1,1\n0,1\n")
+    model = d / "model.txt"
+    assert run(["train-ae", "--in", paths["features"], "--out", model, "--epochs", 1]) == 0
+    paths["model_cut"] = d / "model_cut.txt"
+    paths["model_cut"].write_text("".join(model.read_text().splitlines(True)[:3]))
     return paths
 
 
@@ -355,6 +359,12 @@ class TestNonFiniteSettings:
          "--scan-ports must be lo:hi integers, got 'a:b'"),
         (["synth", "--scan-window", 1, "--scan-ports", "1:70000"],
          "port_range 1:70000 must have 0 <= lo <= hi <= 65535"),
+        (["train-ae", "--in", "@features", "--lr", "nan"],
+         "learning_rate must be finite and >= 0, got nan"),
+        (["train-ae", "--in", "@features", "--lr", "inf"],
+         "learning_rate must be finite and >= 0, got inf"),
+        (["train-ae", "--in", "@features", "--momentum", "nan"],
+         "momentum must be in [0, 1), got nan"),
     ])
     def test_rejected_with_one_line(self, args, message, stage_inputs, tmp_path, capsys):
         assert_one_line_failure(args, message, stage_inputs, tmp_path, capsys)
@@ -378,6 +388,8 @@ class TestMalformedRows:
         (["detect", "--in", "@features_ragged", "--capacity", 8],
          "line 3: expected 11 comma-separated fields, got 10"),
         (["ph", "--in", "@cloud_ragged"], "line 3: expected 2 comma-separated fields, got 3"),
+        (["denoise", "--in", "@features", "--model", "@model_cut"],
+         "line 4: missing; the model ends early"),
     ])
     def test_ragged_row_rejected(self, args, message, stage_inputs, tmp_path, capsys):
         assert_one_line_failure(args, message, stage_inputs, tmp_path, capsys)

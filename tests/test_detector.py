@@ -374,6 +374,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="key = value"):
             parse_config("capacity 5\n")
 
-    def test_defaults_cover_all_keys(self):
-        from flowtopo.detector import CONFIG_KEYS
-        assert set(DEFAULTS) == set(CONFIG_KEYS)
+    @pytest.mark.parametrize("key", sorted(DEFAULTS))
+    def test_default_parses_back_with_its_type(self, key):
+        value = DEFAULTS[key]
+        text = ", ".join(value) if key == "features" else str(value)
+        parsed = parse_config(f"{key} = {text}\n")[key]
+        assert parsed == value and type(parsed) is type(value)

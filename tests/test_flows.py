@@ -13,6 +13,7 @@ from flowtopo.flows import (
     SessionRecord,
     _component_session,
     _is_ipv4,
+    _session_order,
     pair_bidirectional,
     parse_flows,
     parse_windowed_sessions,
@@ -356,6 +357,16 @@ def sess(start, port=80, client="10.0.0.1", server="10.0.0.2"):
     return SessionRecord(client, server, 51515, port, start, start + 1.0, 1)
 
 
+# sessions that tie on the session order but differ in end and count, so
+# the order within a window must also be stable
+SESSIONS = st.lists(st.builds(
+    lambda start, length, client, port, count: SessionRecord(
+        client, "10.0.0.2", 51515, port, start, start + length, count),
+    st.floats(-1000.0, 1000.0), st.sampled_from([0.0, 1.5]),
+    st.sampled_from(["10.0.0.1", "10.0.0.3"]), st.sampled_from([22, 80]),
+    st.integers(1, 2)), max_size=30)
+
+
 class TestWindow:
     def test_basic_assignment(self):
         (w,) = window([sess(100.0)], width=300.0)
@@ -395,6 +406,26 @@ class TestWindow:
 
     def test_empty_input(self):
         assert window([], width=300.0) == []
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(SESSIONS, st.floats(10.0, 5000.0), st.floats(-1e4, 1e4))
+    def test_timeline_property(self, sessions, width, origin):
+        ws = window(sessions, width=width, origin=origin)
+        index = [math.floor((s.start - origin) / width) for s in sessions]
+        lo = min(index, default=0)
+        assert len(ws) == (max(index) - lo + 1 if sessions else 0)
+        for k, w in enumerate(ws):
+            assert (w.start, w.width) == (origin + (lo + k) * width, width)
+            # in session order, and stable: sessions that tie keep input order
+            mine = [s for s, i in zip(sessions, index) if i == lo + k]
+            assert w.sessions == tuple(sorted(mine, key=_session_order))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(SESSIONS, st.integers(10, 5000))
+    def test_integer_grid_round_trips(self, sessions, width):
+        ws = window(sessions, width=float(width))
+        text = serialize_windowed_sessions(ws)
+        assert parse_windowed_sessions(text.splitlines(), width=float(width)) == ws
 
 
 class TestWindowedCsv:

@@ -331,6 +331,16 @@ class TestFiltration:
             with pytest.raises(ValueError, match=r"simplex \(1,\) has non-finite birth"):
                 build(pairs)
 
+    def test_keeps_its_own_arrays(self):
+        base, sizes, vertices = as_arrays([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)])
+        view = base[:]
+        f = Filtration(view, sizes, vertices)
+        base[2] = -1.0
+        sizes[0], vertices[0] = 2, 7
+        assert f.simplices == (((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0))
+        for arr in (base, view, sizes, vertices):
+            assert arr.flags.writeable
+
     @pytest.mark.parametrize("arrays, message", [
         ((np.zeros(2), np.ones(1, np.int64), np.zeros(1, np.int64)),
          "2 births, 1 sizes summing to 1 and 1 vertices do not match"),
