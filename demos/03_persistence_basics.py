@@ -24,8 +24,7 @@ def blob(n, spread=0.3):
 
 
 def show(points, label):
-    # triangles are built only to kill H1 classes; their unpaired H2 bars mean nothing
-    diagram = barcode(vietoris_rips(points, max_eps=2.5, max_dim=1)).restrict(1)
+    diagram = barcode(vietoris_rips(points, max_eps=2.5, max_dim=1), max_dim=1)
     print(f"{label} ({len(points)} points)")
     for k in diagram.dims():
         bars = sorted(diagram.in_dim(k), key=lambda bd: -(min(bd[1], 99) - bd[0]))
@@ -44,10 +43,9 @@ cloud = show(blob(24), "gaussian blob")
 print("  -> no long H1 bar: nothing encloses empty space")
 print()
 
-circle2 = barcode(vietoris_rips(noisy_circle(24), max_eps=2.5, max_dim=1))
-a, b, c = (d.truncate(2.5) for d in (circle, circle2,
-                                     barcode(vietoris_rips(blob(24),
-                                                           max_eps=2.5, max_dim=1))))
+circle2 = barcode(vietoris_rips(noisy_circle(24), max_eps=2.5, max_dim=1), max_dim=1)
+blob2 = barcode(vietoris_rips(blob(24), max_eps=2.5, max_dim=1), max_dim=1)
+a, b, c = (d.truncate(2.5) for d in (circle, circle2, blob2))
 print("1-Wasserstein distances between truncated H1 diagrams:")
 print(f"  circle vs fresh circle : {wasserstein(a, b, dim=1):.3f}")
 print(f"  circle vs blob         : {wasserstein(a, c, dim=1):.3f}")

@@ -207,6 +207,9 @@ class Mlp:
         return cls.loads(Path(path).read_text())
 
 
+# a diverging run overflows on its way to the non-finite loss that train
+# reports by epoch, so numpy's warnings would only repeat that one line
+@np.errstate(over="ignore", invalid="ignore")
 def train(m: Mlp, data, cfg: TrainConfig) -> list[float]:
     """Mini-batch gradient descent with momentum; trains m in place.
 

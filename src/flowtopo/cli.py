@@ -96,7 +96,7 @@ def _cmd_ph(args) -> None:
                              f"{','.join(fields)!r}") from None
     filtration = persistence.vietoris_rips(points, max_eps=cfg["max_eps"],
                                            max_dim=cfg["max_dim"])
-    diagram = persistence.barcode(filtration).restrict(cfg["max_dim"])
+    diagram = persistence.barcode(filtration, cfg["max_dim"])
     Path(args.out).write_text(persistence.diagram_to_csv(diagram))
 
 

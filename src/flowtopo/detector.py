@@ -146,7 +146,7 @@ class Baseline:
 def cloud_diagram(points, max_eps: float, max_dim: int) -> PersistenceDiagram:
     """Truncated diagram of a standardized point cloud, dims 0..max_dim."""
     filtration = vietoris_rips(points, max_eps=max_eps, max_dim=max_dim)
-    return barcode(filtration).restrict(max_dim).truncate(max_eps)
+    return barcode(filtration, max_dim).truncate(max_eps)
 
 
 def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,

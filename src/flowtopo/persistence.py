@@ -5,12 +5,18 @@ cliques; it is built one dimension at a time from boolean adjacency masks
 and handed to the barcode as arrays, with no per-simplex Python object.
 The barcode pairs simplices as the GF(2) boundary-matrix reduction in
 filtration order would, but computes the pairs more cheaply: H0 by union-find
-with the elder rule, higher dimensions by reducing coboundaries (persistent
-cohomology, which yields the same pairs) with clearing (Bauer, "Ripser",
-JACT 2021; de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
-(co)homology", 2011).  Diagram distance is a minimal-cost matching
-(Hungarian assignment) with L-infinity ground metric and diagonal
-projections.
+with the elder rule, stopping at the spanning tree; higher dimensions by
+reducing coboundaries (persistent cohomology, which yields the same pairs)
+with clearing, after taking the apparent pairs of a whole dimension in one
+numpy pass (Bauer, "Ripser: efficient computation of Vietoris-Rips
+persistence barcodes", JACT 2021; de Silva, Morozov & Vejdemo-Johansson,
+"Dualities in persistent (co)homology", 2011).  Facets are found through a
+dense lookup table indexed by vertex label or simplex key while that table
+stays within DENSE_PER_SIMPLEX entries per simplex, and by sorting and
+binary search beyond it.  barcode(f, max_dim) computes no dimension above
+max_dim, so a Rips filtration's top dimension costs no infinite bars.
+Diagram distance is a minimal-cost matching (Hungarian assignment) with
+L-infinity ground metric and diagonal projections.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
@@ -27,6 +34,8 @@ from scipy.optimize import linear_sum_assignment
 from .flows import FlowFormatError, csv_rows, fmt, union
 
 DIAGRAM_HEADER = "dim,birth,death"
+# dense lookup tables may hold this many entries per simplex of the filtration
+DENSE_PER_SIMPLEX = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +161,13 @@ def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
         rows, new = np.nonzero(extends)
         if rows.size == 0:
             break
-        births = np.maximum(births[rows], dist[layer[rows], new[:, None]].max(axis=1))
-        layer = np.column_stack((layer[rows], new))
+        layer = layer[rows]
+        # one 1-D gather per column; a max of the same floats in another
+        # order, so the births are bit for bit the clique's largest distance
+        births = births[rows]
+        for col in layer.T:
+            births = np.maximum(births, dist[col, new])
+        layer = np.column_stack((layer, new))
         layers.append(layer)
         layer_births.append(births)
 
@@ -208,108 +222,118 @@ class PersistenceDiagram:
         return PersistenceDiagram({k: v for k, v in self.bars.items() if k <= max_dim})
 
 
-def barcode(filtration: Filtration) -> PersistenceDiagram:
-    """Persistence diagram of any filtration whose simplices have all their faces.
+def _facet_rows(filtration: Filtration, by_dim: list[np.ndarray]) -> dict[int, np.ndarray]:
+    """facets[k][i, d]: the row in by_dim[k - 1] of the facet of simplex
+    by_dim[k][i] without its d-th vertex, for every k >= 1.
 
-    Every face must be in the filtration and born no later than its
-    coface; otherwise ValueError.  H0 comes from union-find over the edges in
-    filtration order: an edge joining two components kills the younger one
-    (elder rule, later position dies).  Each dimension k >= 1 is reduced as
-    cohomology: the coboundary columns of the k-simplices, taken in reverse
-    filtration order, are reduced left to right with the earliest coface as
-    pivot, so a nonzero column pairs its k-simplex with that pivot.  The
-    k-simplices already paired one dimension down are skipped (clearing);
-    their columns would reduce to zero.  These pairs are exactly those of the
-    boundary-matrix reduction.  A pairing (i, j) gives the bar
-    [birth_i, birth_j) in dimension dim(i); unpaired simplices, including
-    those of the top dimension, give [birth, inf).
+    Raises ValueError naming the first missing face, or the first face born
+    after its coface.
     """
-    if len(filtration) == 0:
-        return PersistenceDiagram({})
     births, sizes, flat = filtration.births, filtration.sizes, filtration.vertices
     starts = np.cumsum(sizes) - sizes
-    by_dim = [np.flatnonzero(sizes == k + 1) for k in range(int(sizes.max()))]
-
-    # a simplex's key is its tuple of vertex ranks read in base n_vertices,
-    # so keys sort like vertex tuples and a facet is found by binary search
-    labels, ranks = np.unique(flat, return_inverse=True)
-    is_vertex = np.zeros(len(labels), dtype=bool)
-    is_vertex[ranks[starts[by_dim[0]]]] = True
-    known = is_vertex[ranks]
+    # Labels, then keys, are looked up in a table indexed by them while that
+    # table has at most DENSE_PER_SIMPLEX entries per simplex; larger or
+    # negative labels are ranked by sorting, and larger keys (or keys past
+    # int64) are found by binary search over the sorted keys.
+    bound = DENSE_PER_SIMPLEX * len(births)
+    if 0 <= flat.min() and flat.max() < bound:
+        index, n_labels = flat, int(flat.max()) + 1
+    else:
+        labels, index = np.unique(flat, return_inverse=True)
+        n_labels = len(labels)
+    is_vertex = np.zeros(n_labels, dtype=bool)
+    is_vertex[index[starts[by_dim[0]]]] = True
+    known = is_vertex[index]
     if not known.all():
         at = int(np.argmin(known))
         verts, _ = filtration.simplices[np.searchsorted(starts, at, side="right") - 1]
         raise ValueError(f"filtration is missing face {(int(flat[at]),)} of {verts}")
-    base = len(labels)
+    # a simplex's key is its tuple of vertex ranks read in base n_vertices
+    base = int(np.count_nonzero(is_vertex))
     key_type = np.int64 if base ** len(by_dim) < 2 ** 63 else object
-    ranks = ranks.astype(key_type)
+    ranks = index if base == n_labels else (np.cumsum(is_vertex) - 1)[index]
+    ranks = ranks.astype(key_type, copy=False)
+    size_of = np.repeat(sizes, sizes)
 
-    # faces[k][i]: filtration positions of the facets of simplex by_dim[k][i]
-    faces: dict[int, np.ndarray] = {}
+    facets: dict[int, np.ndarray] = {}
     keys = ranks[starts[by_dim[0]]]
     for k in range(1, len(by_dim)):
         pos = by_dim[k]
-        rows = ranks[starts[pos][:, None] + np.arange(k + 1)]
-        # facet_keys[:, d] is the key of the facet without the d-th vertex
-        j = np.arange(k + 1, dtype=key_type)[:, None]
-        digit = np.where(j < j.T, k - 1 - j, k - j)
-        facet_keys = rows @ np.where(j == j.T, 0, base ** digit)
-        key_order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[key_order]
-        idx = np.minimum(np.searchsorted(sorted_keys, facet_keys), len(keys) - 1)
-        found = sorted_keys[idx] == facet_keys
-        if not found.all():
-            row, drop = np.argwhere(~found)[0]
+        rows = ranks[size_of == k + 1].reshape(-1, k + 1)
+        # facet_keys[:, d] is the key of the facet without the d-th vertex,
+        # in which vertex c < d is digit k - 1 - c and vertex c > d digit k - c
+        facet_keys = rows @ np.array(
+            [[0 if c == d else base ** (k - c - (c < d)) for d in range(k + 1)]
+             for c in range(k + 1)], dtype=key_type)
+        # face_rows is -1 where no facet has the key
+        if key_type is np.int64 and base ** k <= bound:
+            table = np.full(base ** k, -1)
+            table[keys] = np.arange(len(keys))
+            face_rows = table[facet_keys]
+        else:
+            key_order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[key_order]
+            at = np.searchsorted(sorted_keys, facet_keys)
+            # keys are >= 0, so the appended -1 matches no facet key
+            face_rows = np.where(np.append(sorted_keys, -1)[at] == facet_keys,
+                                 np.append(key_order, -1)[at], -1)
+        missing = face_rows < 0
+        if missing.any():
+            row, drop = np.argwhere(missing)[0]
             coface, _ = filtration.simplices[pos[row]]
             raise ValueError(f"filtration is missing face "
                              f"{coface[:drop] + coface[drop + 1:]} of {coface}")
-        face_pos = by_dim[k - 1][key_order[idx]]
-        late = births[face_pos] > births[pos][:, None]
-        if late.any():
-            row, drop = np.argwhere(late)[0]
+        # births never decrease and sizes never decrease at equal birth, so a
+        # face is born after its coface exactly when it comes later
+        if (by_dim[k - 1][reduce(np.maximum, face_rows.T)] > pos).any():
+            face_pos = by_dim[k - 1][face_rows]
+            row, drop = np.argwhere(births[face_pos] > births[pos][:, None])[0]
             face, face_birth = filtration.simplices[face_pos[row, drop]]
             coface, coface_birth = filtration.simplices[pos[row]]
             raise ValueError(f"face {face} born at {face_birth} after "
                              f"coface {coface} at {coface_birth}")
-        faces[k] = face_pos
-        keys = rows @ base ** (k - j[:, 0])
+        facets[k] = face_rows
+        if k + 1 < len(by_dim):
+            keys = rows @ np.array([base ** (k - c) for c in range(k + 1)], dtype=key_type)
+    return facets
 
-    birth_of = births.tolist()
-    bars: dict[int, list[tuple[float, float]]] = {}
 
-    def add_bar(k: int, birth_pos: int, death_pos: int | None) -> None:
-        birth = birth_of[birth_pos]
-        death = math.inf if death_pos is None else birth_of[death_pos]
-        if death > birth:
-            bars.setdefault(k, []).append((birth, death))
+def _cohomology(births: np.ndarray, pos: np.ndarray, copos: np.ndarray,
+                coface_facets: np.ndarray, cleared: np.ndarray):
+    """Bars of the simplices at filtration positions pos (one dimension).
 
-    # H0: union-find with the elder rule; union returns the younger root
-    root = {v: v for v in by_dim[0].tolist()}
-    cleared: set[int] = set()
-    edges = zip(by_dim[1].tolist(), faces[1].tolist()) if len(by_dim) > 1 else ()
-    for edge, (a, b) in edges:
-        younger = union(root, a, b)
-        if younger is not None:
-            add_bar(0, younger, edge)
-            cleared.add(edge)
-    for v, r in root.items():
-        if r == v:
-            add_bar(0, v, None)
+    copos holds the positions of the simplices one dimension up, and
+    coface_facets their facets as rows of pos.  cleared marks the rows of pos
+    that died one dimension down.  Returns the bars, sorted, and a mask of
+    the rows of copos that these pairs kill.
+    """
+    flat = coface_facets.ravel()
+    # coface rows grouped by facet, ascending within each group (the
+    # smallest unsigned type lets numpy radix-sort the rows)
+    cofaces = np.argsort(flat.astype(np.min_scalar_type(len(pos))),
+                         kind="stable") // coface_facets.shape[1]
+    counts = np.bincount(flat, minlength=len(pos))
+    ends = np.cumsum(counts)
+    bounds = ends - counts
+    live = ~cleared & (counts > 0)
+    first = cofaces[np.minimum(bounds, len(cofaces) - 1)]
+    # apparent pairs: s and its earliest coface t, when s is t's latest facet.
+    # Only columns of simplices later than s are reduced before s's, and none
+    # of them holds t, so s pairs with t without a column addition.
+    latest = reduce(np.maximum, coface_facets.T)
+    apparent = live & (latest[first] == np.arange(len(pos)))
+    # simplices with no coface never die
+    free = np.flatnonzero(~cleared & (counts == 0))
 
-    # dims >= 1 below the top: cohomology with clearing
-    for k in range(1, len(by_dim) - 1):
-        pos = by_dim[k]
-        # coface positions grouped by facet, ascending within each group
-        # (the smallest unsigned type lets numpy radix-sort the positions)
-        facets = faces[k + 1].ravel()
-        grouping = np.argsort(facets.astype(np.min_scalar_type(len(births))), kind="stable")
-        cofaces = np.repeat(by_dim[k + 1], k + 2)[grouping]
-        bounds = np.searchsorted(facets[grouping], pos)
-        ends = np.append(bounds[1:], len(cofaces))
-        firsts = cofaces[np.minimum(bounds, len(cofaces) - 1)]
-        # pivot -> its column: a bitmask over filtration positions once
-        # reduced, or the (lo, hi) slice of cofaces while still unreduced
-        owner: dict[int, int | tuple[int, int]] = {}
+    rest = np.flatnonzero(live & ~apparent)
+    late_born: list[int] = []
+    killed: list[int] = []
+    essential: list[int] = []
+    if rest.size:
+        # pivot -> its column: a bitmask over coface rows once reduced, or the
+        # (lo, hi) slice of cofaces while still unreduced
+        owner: dict[int, int | tuple[int, int]] = dict(zip(
+            first[apparent].tolist(), zip(bounds[apparent].tolist(), ends[apparent].tolist())))
 
         def column(lo: int, hi: int) -> int:
             return sum(1 << c for c in cofaces[lo:hi].tolist())
@@ -320,14 +344,8 @@ def barcode(filtration: Filtration) -> PersistenceDiagram:
                 col = owner[pivot] = column(*col)
             return col
 
-        next_cleared: set[int] = set()
-        for s, lo, hi, pivot in zip(reversed(pos.tolist()), reversed(bounds.tolist()),
-                                    reversed(ends.tolist()), reversed(firsts.tolist())):
-            if s in cleared:
-                continue
-            if lo == hi:
-                add_bar(k, s, None)
-                continue
+        for s, lo, hi, pivot in zip(reversed(rest.tolist()), reversed(bounds[rest].tolist()),
+                                    reversed(ends[rest].tolist()), reversed(first[rest].tolist())):
             if pivot not in owner:
                 owner[pivot] = (lo, hi)
             else:
@@ -338,22 +356,94 @@ def barcode(filtration: Filtration) -> PersistenceDiagram:
                         break
                     col ^= reduced(pivot)
                 if not col:
-                    add_bar(k, s, None)
+                    essential.append(s)
                     continue
                 owner[pivot] = col
-            add_bar(k, s, pivot)
-            next_cleared.add(pivot)
-        cleared = next_cleared
+            late_born.append(s)
+            killed.append(pivot)
 
-    diagram = {k: tuple(sorted(v)) for k, v in sorted(bars.items())}
+    born = np.concatenate((np.flatnonzero(apparent), np.array(late_born, dtype=np.intp)))
+    died = np.concatenate((first[apparent], np.array(killed, dtype=np.intp)))
+    infinite = np.concatenate((free, np.array(essential, dtype=np.intp)))
+    birth = births[pos[np.concatenate((born, infinite))]]
+    death = np.concatenate((births[copos[died]], np.full(len(infinite), math.inf)))
+    keep = death > birth
+    birth, death = birth[keep], death[keep]
+    order = np.lexsort((death, birth))
+    killed_mask = np.zeros(len(copos), dtype=bool)
+    killed_mask[died] = True
+    return tuple(zip(birth[order].tolist(), death[order].tolist())), killed_mask
+
+
+def barcode(filtration: Filtration, max_dim: int | None = None) -> PersistenceDiagram:
+    """Persistence diagram of any filtration whose simplices have all their faces.
+
+    Every face must be in the filtration and born no later than its
+    coface; otherwise ValueError.  H0 comes from union-find over the edges in
+    filtration order, which stops once the edges span every component: an
+    edge joining two components kills the younger one (elder rule, later
+    position dies).  Each dimension k >= 1 is reduced as cohomology: the
+    coboundary columns of the k-simplices, taken in reverse filtration
+    order, are reduced left to right with the earliest coface as pivot, so a
+    nonzero column pairs its k-simplex with that pivot.  The k-simplices
+    already paired one dimension down are skipped (clearing); their columns
+    would reduce to zero.  Apparent pairs, and simplices with no coface, are
+    found for a whole dimension at once; only the other columns are reduced
+    one by one.  These pairs are exactly those of the boundary-matrix
+    reduction.  A pairing (i, j) gives the bar [birth_i, birth_j) in
+    dimension dim(i); unpaired simplices, including those of the top
+    dimension, give [birth, inf).
+
+    With max_dim, no dimension above it is computed: the result equals
+    barcode(filtration).restrict(max_dim), but a Rips filtration built to
+    max_dim costs no infinite bars for its top dimension, whose killing
+    cofaces were never built.
+    """
+    if max_dim is not None and max_dim < 0:
+        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
+    if len(filtration) == 0:
+        return PersistenceDiagram({})
+    births, sizes = filtration.births, filtration.sizes
+    by_dim = [np.flatnonzero(sizes == k + 1) for k in range(int(sizes.max()))]
+    facets = _facet_rows(filtration, by_dim)
+    top = len(by_dim) - 1
+    last = top if max_dim is None else min(max_dim, top)
+    diagram: dict[int, tuple[tuple[float, float], ...]] = {}
+
+    # H0: union-find over vertex rows with the elder rule; union returns the
+    # younger root.  After n_vertices - 1 merges no edge can kill a component.
+    vertex_births = births[by_dim[0]].tolist()
+    root = list(range(len(vertex_births)))
+    to_merge = len(root) - 1
+    bars: list[tuple[float, float]] = []
+    killers: list[int] = []
+    if top and to_merge:
+        edge_births = births[by_dim[1]].tolist()
+        for edge, (a, b) in enumerate(facets[1].tolist()):
+            younger = union(root, a, b)
+            if younger is not None:
+                killers.append(edge)
+                if edge_births[edge] > vertex_births[younger]:
+                    bars.append((vertex_births[younger], edge_births[edge]))
+                to_merge -= 1
+                if not to_merge:
+                    break
+    bars += [(vertex_births[v], math.inf) for v, r in enumerate(root) if r == v]
+    diagram[0] = tuple(sorted(bars))
+    cleared = np.zeros(len(by_dim[1]) if top else 0, dtype=bool)
+    cleared[killers] = True
+
+    # dims >= 1 below the top: cohomology with clearing
+    for k in range(1, min(last, top - 1) + 1):
+        bars_k, cleared = _cohomology(births, by_dim[k], by_dim[k + 1],
+                                      facets[k + 1], cleared)
+        if bars_k:
+            diagram[k] = bars_k
+
     # the top dimension has no cofaces: what is left unpaired never dies.
     # Its births are in filtration order, so already sorted.
-    top = len(by_dim) - 1
-    if top > 0:
-        pos = by_dim[top]
-        paired = np.zeros(len(births), dtype=bool)
-        paired[np.fromiter(cleared, dtype=np.int64, count=len(cleared))] = True
-        essential = births[pos[~paired[pos]]].tolist()
+    if 0 < top == last:
+        essential = births[by_dim[top][~cleared]].tolist()
         if essential:
             diagram[top] = tuple(zip(essential, repeat(math.inf)))
     return PersistenceDiagram(diagram)

@@ -198,9 +198,8 @@ class TestTraining:
         m = Mlp.random([3, 4, 2, 4, 3], seed=0)
         data = np.random.default_rng(1).normal(size=(16, 3))
         cfg = TrainConfig(learning_rate=1e6, epochs=50, batch_size=4)
-        # numpy's overflow warnings would otherwise pre-empt the check
-        with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match=r"loss after epoch \d+ is (inf|nan)"):
+        # no numpy warning escapes: under -W error one would pre-empt the check
+        with pytest.raises(ValueError, match=r"loss after epoch \d+ is (inf|nan)"):
             train(m, data, cfg)
 
     def test_empty_data(self):

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import re
 from itertools import combinations, permutations
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from flowtopo import persistence
 from flowtopo.persistence import (
     DIAGRAM_HEADER,
     Filtration,
@@ -520,6 +522,98 @@ class TestBarcodeOracle:
         rnd.shuffle(pairs)
         g = Filtration.from_simplices(pairs)
         assert g == f and barcode(g) == d
+
+
+class TestMaxDim:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 3))
+    def test_equals_restricted_oracle(self, rnd, max_dim):
+        f = Filtration.from_simplices(random_filtration(rnd, card_max=5))
+        assert barcode(f, max_dim) == oracle_barcode(f).restrict(max_dim)
+
+    def test_rips_top_dimension_left_out(self):
+        # 8 points in general position, all within max_eps: 56 triangles
+        pts = [(math.cos(t), math.sin(t), 0.1 * t) for t in range(8)]
+        f = vietoris_rips(pts, max_eps=10.0, max_dim=1)
+        assert barcode(f).infinite_count(2) > 0
+        assert 2 not in barcode(f, 1).dims()
+        assert barcode(f, 1) == barcode(f).restrict(1) == barcode(f, 5).restrict(1)
+
+    @pytest.mark.parametrize("bad", [-1, -3])
+    def test_negative_rejected(self, bad):
+        f = Filtration.from_simplices([((0,), 0.0)])
+        with pytest.raises(ValueError, match=f"^max_dim must be >= 0, got {bad}$"):
+            barcode(f, bad)
+
+
+@pytest.fixture(params=["dense", "sorted"])
+def lookup(request, monkeypatch):
+    """Run a test with dense lookup tables where they fit, then with none."""
+    if request.param == "sorted":
+        monkeypatch.setattr(persistence, "DENSE_PER_SIMPLEX", 0)
+    return request.param
+
+
+class TestFacetLookup:
+    """Labels and keys are looked up in tables while those stay small, and
+    sorted and binary-searched otherwise; both give the same diagrams."""
+
+    def test_equals_oracle(self, lookup):
+        rng = random.Random(41)
+        for _ in range(150):
+            f = Filtration.from_simplices(random_filtration(rng, card_max=5))
+            assert barcode(f) == oracle_barcode(f)
+
+    @pytest.mark.parametrize("relabel", [lambda v: -1 - v, lambda v: 10 ** 12 + v],
+                             ids=["negative", "beyond-table"])
+    def test_relabelled_vertices(self, relabel):
+        rng = random.Random(42)
+        for _ in range(100):
+            pairs = random_filtration(rng)
+            want = oracle_barcode(Filtration.from_simplices(pairs))
+            f = Filtration.from_simplices([(tuple(map(relabel, v)), b) for v, b in pairs])
+            assert barcode(f) == want
+            assert barcode(f, 1) == want.restrict(1)
+
+    def test_wide_simplex_far_labels(self):
+        # object keys (10 vertices of 80 overflow int64) and sorted labels
+        pairs = [(tuple(10 ** 12 + v for v in sub), float(card + max(sub) // 3))
+                 for card in range(1, 11) for sub in combinations(range(10), card)]
+        pairs += [((10 ** 12 + v,), 0.5) for v in range(10, 80)]
+        f = Filtration.from_simplices(pairs)
+        want = oracle_barcode(f)
+        for max_dim in (0, 4, 9):
+            assert barcode(f, max_dim) == want.restrict(max_dim)
+
+    # name -> (pairs, message with the face and coface left open, face, coface)
+    BROKEN = {
+        "vertex": ([((0,), 0.0), ((0, 1), 1.0)],
+                   "filtration is missing face {} of {}", (1,), (0, 1)),
+        "edge": ([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0), ((0, 2), 1.0),
+                  ((0, 1, 2), 2.0)], "filtration is missing face {} of {}", (1, 2), (0, 1, 2)),
+        # no edges at all: the triangle's facets are looked up among no keys
+        "dimension": ([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1, 2), 2.0)],
+                      "filtration is missing face {} of {}", (1, 2), (0, 1, 2)),
+        "late-vertex": ([((0,), 0.0), ((1,), 3.0), ((0, 1), 1.0)],
+                        "face {} born at 3.0 after coface {} at 1.0", (1,), (0, 1)),
+        "late-edge": ([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0), ((0, 2), 1.0),
+                       ((1, 2), 4.0), ((0, 1, 2), 2.0)],
+                      "face {} born at 4.0 after coface {} at 2.0", (1, 2), (0, 1, 2)),
+    }
+
+    @pytest.mark.parametrize("shift", [0, 10 ** 12])
+    @pytest.mark.parametrize("case", list(BROKEN))
+    def test_broken_face_named(self, lookup, shift, case):
+        pairs, message, face, coface = self.BROKEN[case]
+
+        def moved(verts):
+            return tuple(u + shift for u in verts)
+
+        f = Filtration.from_simplices([(moved(v), b) for v, b in pairs])
+        message = re.escape(message.format(moved(face), moved(coface)))
+        for max_dim in (None, 0):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                barcode(f, max_dim)
 
 
 class TestDiagramOps:
