@@ -1,9 +1,10 @@
 """From-scratch feedforward autoencoder for anomaly detection and denoising.
 
-Five layer sizes [d, h, b, h, d] with a strict bottleneck b < d, leaky
-rectifier hidden units, identity output.  Training is mini-batch gradient
-descent with momentum on mean squared reconstruction error, fully
-deterministic under the configured seed.
+Five layer sizes [d, h, b, h, d] with a strict bottleneck b < d, checked
+where an architecture is chosen (Mlp.random), leaky rectifier hidden units,
+identity output.  Training is mini-batch gradient descent with momentum on
+mean squared reconstruction error, fully deterministic under the
+configured seed.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Mlp:
     The middle activation is the latent code.
     """
 
-    def __init__(self, weights, biases, allow_wide_bottleneck: bool = False):
+    def __init__(self, weights, biases):
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]
         if len(self.weights) != 4 or len(self.biases) != 4:
@@ -61,9 +62,6 @@ class Mlp:
         sizes = self.layer_sizes
         if sizes[0] != sizes[-1]:
             raise ValueError("input and output widths must match")
-        if not allow_wide_bottleneck and sizes[2] >= sizes[0]:
-            raise ValueError(
-                f"bottleneck {sizes[2]} must be strictly smaller than input {sizes[0]}")
         for w, b in zip(self.weights, self.biases):
             if w.shape[0] != b.shape[0]:
                 raise ValueError("bias length must match weight rows")
@@ -76,22 +74,25 @@ class Mlp:
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
     @classmethod
-    def random(cls, layer_sizes, seed: int = 0,
-               allow_wide_bottleneck: bool = False) -> "Mlp":
+    def random(cls, layer_sizes, seed: int = 0) -> "Mlp":
         """Glorot uniform initialization, deterministic under seed.
 
         Each layer draws from [-a, a] with a = sqrt(6 / (fan_in + fan_out)).
+        The bottleneck b must be strictly smaller than the input d.
         """
         sizes = tuple(int(s) for s in layer_sizes)
         if len(sizes) != 5:
             raise ValueError("layer_sizes must be [d, h, b, h, d]")
+        if sizes[2] >= sizes[0]:
+            raise ValueError(
+                f"bottleneck {sizes[2]} must be strictly smaller than input {sizes[0]}")
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             scale = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(rng.uniform(-scale, scale, size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out))
-        return cls(weights, biases, allow_wide_bottleneck=allow_wide_bottleneck)
+        return cls(weights, biases)
 
     def _forward_batch(self, x: np.ndarray):
         """Returns pre-activations and activations per layer; x is (n, d)."""
@@ -197,7 +198,7 @@ class Mlp:
         extra = next(rows, None)
         if extra is not None:
             raise ValueError(f"line {extra[0]}: trailing data after model parameters")
-        return cls(weights, biases, allow_wide_bottleneck=True)
+        return cls(weights, biases)
 
     def save(self, path) -> None:
         Path(path).write_text(self.dumps())

@@ -1,8 +1,8 @@
 """Command-line pipeline: synth -> ingest -> features -> detect, plus stage tools.
 
-Every subcommand is deterministic given its inputs, flags and seed; outputs
-are built in memory and written in one shot, so failures leave no partial
-files behind.
+Every subcommand is deterministic given its inputs, flags and seed.  Each
+returns its whole output as text, and main() alone writes it, in one shot
+after the subcommand succeeds, so failures leave no partial files behind.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _cmd_synth(args) -> None:
+def _cmd_synth(args) -> str:
     cfg = _load_config(args)
     profile = synth.TrafficProfile(
         n_clients=args.n_clients, n_servers=args.n_servers,
@@ -53,26 +53,26 @@ def _cmd_synth(args) -> None:
                               target_ip=args.target_ip or profile.server_ip(0),
                               port_range=(int(lo), int(hi)), window_index=w_idx)
         records = synth.inject_scan(records, scan, profile)
-    Path(args.out).write_text(flows.serialize_flows(records))
+    return flows.serialize_flows(records)
 
 
-def _cmd_ingest(args) -> None:
+def _cmd_ingest(args) -> str:
     cfg = _load_config(args)
     records = flows.parse_flows(_read_lines(args.input))
     sessions = flows.pair_bidirectional(records)
     windows = flows.window(sessions, width=cfg["window_width"], origin=args.origin)
-    Path(args.out).write_text(flows.serialize_windowed_sessions(windows))
+    return flows.serialize_windowed_sessions(windows)
 
 
-def _cmd_features(args) -> None:
+def _cmd_features(args) -> str:
     cfg = _load_config(args)
     names = tuple(cfg["features"])
     windows = flows.parse_windowed_sessions(_read_lines(args.input), cfg["window_width"])
     vectors = [detector.summarize_window(w, features=names) for w in windows]
-    _write_feature_csv(args.out, names, ((v.window_start, v.values) for v in vectors))
+    return _feature_csv(names, ((v.window_start, v.values) for v in vectors))
 
 
-def _cmd_topo(args) -> None:
+def _cmd_topo(args) -> str:
     cfg = _load_config(args)
     windows = flows.parse_windowed_sessions(_read_lines(args.input), cfg["window_width"])
     stat_names = [f.name for f in fields(HypergraphStats)]
@@ -82,10 +82,10 @@ def _cmd_topo(args) -> None:
         st, ecp, betti = detector._window_topology(w)
         values = (w.start, *astuple(st), ecp.max_in_degree(), ecp.max_out_degree(), *betti)
         lines.append(",".join(map(fmt, values)))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_ph(args) -> None:
+def _cmd_ph(args) -> str:
     cfg = _load_config(args)
     points = []
     for lineno, fields in flows.csv_rows(_read_lines(args.input)):
@@ -97,7 +97,7 @@ def _cmd_ph(args) -> None:
     filtration = persistence.vietoris_rips(points, max_eps=cfg["max_eps"],
                                            max_dim=cfg["max_dim"])
     diagram = persistence.barcode(filtration, cfg["max_dim"])
-    Path(args.out).write_text(persistence.diagram_to_csv(diagram))
+    return persistence.diagram_to_csv(diagram)
 
 
 def _parse_feature_csv(path: str):
@@ -115,14 +115,14 @@ def _parse_feature_csv(path: str):
     return tuple(header[1:]), vectors
 
 
-def _write_feature_csv(path: str, names, rows) -> None:
+def _feature_csv(names, rows) -> str:
     """Inverse of _parse_feature_csv: one (window_start, values) row per line."""
     lines = ["window_start," + ",".join(names)]
     lines += [",".join(fmt(x) for x in (start, *values)) for start, values in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_detect(args) -> None:
+def _cmd_detect(args) -> str:
     cfg = _load_config(args)
     names, vectors = _parse_feature_csv(args.input)
     wanted = _config_file(args).get("features")
@@ -132,10 +132,10 @@ def _cmd_detect(args) -> None:
     reports = detector.run_detector(vectors, capacity=cfg["capacity"],
                                     max_eps=cfg["max_eps"], max_dim=cfg["max_dim"],
                                     quantile=cfg["quantile"], features=names)
-    Path(args.out).write_text("".join(r.to_json() + "\n" for r in reports))
+    return "".join(r.to_json() + "\n" for r in reports)
 
 
-def _cmd_train_ae(args) -> None:
+def _cmd_train_ae(args) -> str:
     import numpy as np
 
     _, vectors = _parse_feature_csv(args.input)
@@ -160,14 +160,14 @@ def _cmd_train_ae(args) -> None:
     model.biases[0] = model.biases[0] - model.weights[0] @ mean
     model.weights[-1] = std[:, None] * model.weights[-1]
     model.biases[-1] = std * model.biases[-1] + mean
-    model.save(args.out)
+    return model.dumps()
 
 
-def _cmd_denoise(args) -> None:
+def _cmd_denoise(args) -> str:
     model = autoencoder.Mlp.load(args.model)
     names, vectors = _parse_feature_csv(args.input)
-    _write_feature_csv(args.out, names,
-                       ((v.window_start, model.denoise(list(v.values))) for v in vectors))
+    return _feature_csv(names,
+                        ((v.window_start, model.denoise(list(v.values))) for v in vectors))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,7 +246,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        Path(args.out).write_text(args.func(args))
     except (OSError, ValueError) as exc:
         print(f"flowtopo {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -116,10 +116,6 @@ class TimeWindow:
     width: float
     sessions: tuple[SessionRecord, ...]
 
-    @property
-    def end(self) -> float:
-        return self.start + self.width
-
 
 def _session_order(s: SessionRecord) -> tuple:
     return (s.start, s.client_ip, s.server_ip, s.client_port, s.server_port)

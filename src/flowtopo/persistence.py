@@ -10,11 +10,12 @@ reducing coboundaries (persistent cohomology, which yields the same pairs)
 with clearing, after taking the apparent pairs of a whole dimension in one
 numpy pass (Bauer, "Ripser: efficient computation of Vietoris-Rips
 persistence barcodes", JACT 2021; de Silva, Morozov & Vejdemo-Johansson,
-"Dualities in persistent (co)homology", 2011).  Facets are found through a
-dense lookup table indexed by vertex label or simplex key while that table
-stays within DENSE_PER_SIMPLEX entries per simplex, and by sorting and
-binary search beyond it.  barcode(f, max_dim) computes no dimension above
-max_dim, so a Rips filtration's top dimension costs no infinite bars.
+"Dualities in persistent (co)homology", 2011).  A Filtration is checked
+and its facets found where it is built, through a dense table indexed by
+vertex label or simplex key while it stays within DENSE_PER_SIMPLEX
+entries per simplex, and by sorting and binary search beyond it.
+barcode(f, max_dim) computes no dimension above max_dim, so a Rips
+filtration's top dimension costs no infinite bars.
 Diagram distance is a minimal-cost matching (Hungarian assignment) with
 L-infinity ground metric and diagonal projections.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, repeat
 from typing import Iterable, Sequence
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .flows import FlowFormatError, csv_rows, fmt, union
+from .flows import fmt, union
 
 DIAGRAM_HEADER = "dim,birth,death"
 # dense lookup tables may hold this many entries per simplex of the filtration
@@ -43,16 +44,21 @@ class Filtration:
     """Simplices in filtration order, as three read-only arrays of its own.
 
     ``births`` (float64) holds each simplex's birth, ``sizes`` (integer) its
-    vertex count and ``vertices`` (integer) all vertex labels, concatenated.
-    Births are finite and never decrease, and sizes never decrease at equal
-    birth, so faces precede cofaces once barcode() has checked face births.
-    The constructor raises ValueError naming the first simplex that breaks
-    this.  from_simplices() sorts (vertex tuple, birth) pairs into order.
+    vertex count and ``vertices`` (integer) all vertex labels, concatenated,
+    increasing within each simplex.  Births are finite and never decrease,
+    sizes never decrease at equal birth, each face of a simplex is in the
+    filtration and born no later, and no simplex is listed twice; the
+    constructor raises ValueError naming the first simplex that breaks this.
+    It keeps ``positions[k]``, the k-simplices' filtration positions, and
+    ``facets[k]`` (see _facet_rows) for barcode(), read-only too.
+    from_simplices() sorts (vertex tuple, birth) pairs into order.
     """
 
     births: np.ndarray
     sizes: np.ndarray
     vertices: np.ndarray
+    positions: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    facets: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, want in (("births", np.float64), ("sizes", np.integer),
@@ -81,6 +87,11 @@ class Filtration:
             (prev, prev_birth), (verts, birth) = self.simplices[bad[0]:bad[0] + 2]
             raise ValueError(f"simplex {verts} born at {birth} comes after {prev} born "
                              f"at {prev_birth}; order simplices by birth, then size")
+        positions = tuple(np.flatnonzero(sizes == k + 1) for k in range(int(sizes.max(initial=0))))
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "facets", _facet_rows(self, positions) if positions else ())
+        for arr in self.positions + self.facets:
+            arr.flags.writeable = False
 
     @classmethod
     def from_simplices(cls, pairs: Iterable[tuple[Sequence[int], float]]) -> "Filtration":
@@ -88,8 +99,6 @@ class Filtration:
         for verts, birth in pairs:
             # operator.index refuses a float label, which int64 would truncate
             v = tuple(sorted(map(operator.index, verts)))
-            if len(set(v)) != len(v):
-                raise ValueError(f"simplex {verts} has repeated vertices")
             canon.append((float(birth), len(v), v))
         canon.sort()
         sizes = np.array([k for _, k, _ in canon], dtype=np.int64)
@@ -222,80 +231,85 @@ class PersistenceDiagram:
         return PersistenceDiagram({k: v for k, v in self.bars.items() if k <= max_dim})
 
 
-def _facet_rows(filtration: Filtration, by_dim: list[np.ndarray]) -> dict[int, np.ndarray]:
-    """facets[k][i, d]: the row in by_dim[k - 1] of the facet of simplex
-    by_dim[k][i] without its d-th vertex, for every k >= 1.
+def _facet_rows(filtration: Filtration, positions: tuple[np.ndarray, ...]
+                ) -> tuple[np.ndarray, ...]:
+    """facets[k][i, d]: the row in positions[k - 1] of the facet of simplex
+    positions[k][i] without its d-th vertex; facets[0] has no columns.
 
-    Raises ValueError naming the first missing face, or the first face born
-    after its coface.
+    Raises ValueError naming the first simplex, dimension by dimension, that
+    lacks a face, that has a face born after it, or that is listed twice,
+    or the first edge whose vertices do not increase.
     """
-    births, sizes, flat = filtration.births, filtration.sizes, filtration.vertices
-    starts = np.cumsum(sizes) - sizes
-    # Labels, then keys, are looked up in a table indexed by them while that
-    # table has at most DENSE_PER_SIMPLEX entries per simplex; larger or
-    # negative labels are ranked by sorting, and larger keys (or keys past
-    # int64) are found by binary search over the sorted keys.
+    births, sizes, ranks = filtration.births, filtration.sizes, filtration.vertices
+    # Labels rank themselves, and keys are looked up in a table indexed by
+    # them, while that table has at most DENSE_PER_SIMPLEX entries per
+    # simplex; larger or negative labels are ranked by sorting, and larger
+    # keys (or keys past int64) are found by binary search over sorted keys.
     bound = DENSE_PER_SIMPLEX * len(births)
-    if 0 <= flat.min() and flat.max() < bound:
-        index, n_labels = flat, int(flat.max()) + 1
-    else:
-        labels, index = np.unique(flat, return_inverse=True)
-        n_labels = len(labels)
-    is_vertex = np.zeros(n_labels, dtype=bool)
-    is_vertex[index[starts[by_dim[0]]]] = True
-    known = is_vertex[index]
-    if not known.all():
-        at = int(np.argmin(known))
-        verts, _ = filtration.simplices[np.searchsorted(starts, at, side="right") - 1]
-        raise ValueError(f"filtration is missing face {(int(flat[at]),)} of {verts}")
-    # a simplex's key is its tuple of vertex ranks read in base n_vertices
-    base = int(np.count_nonzero(is_vertex))
-    key_type = np.int64 if base ** len(by_dim) < 2 ** 63 else object
-    ranks = index if base == n_labels else (np.cumsum(is_vertex) - 1)[index]
+    if not (0 <= ranks.min() and ranks.max() < bound):
+        ranks = np.unique(ranks, return_inverse=True)[1]
+    base = int(ranks.max()) + 1
+    # a simplex's key is its tuple of vertex ranks read in base `base`; the
+    # key of a label that is no vertex is missing from the vertex keys
+    key_type = np.int64 if base ** len(positions) < 2 ** 63 else object
     ranks = ranks.astype(key_type, copy=False)
     size_of = np.repeat(sizes, sizes)
 
-    facets: dict[int, np.ndarray] = {}
-    keys = ranks[starts[by_dim[0]]]
-    for k in range(1, len(by_dim)):
-        pos = by_dim[k]
+    facets = [np.empty((len(positions[0]), 0), dtype=np.int64)]
+    for k, pos in enumerate(positions):
         rows = ranks[size_of == k + 1].reshape(-1, k + 1)
-        # facet_keys[:, d] is the key of the facet without the d-th vertex,
-        # in which vertex c < d is digit k - 1 - c and vertex c > d digit k - c
-        facet_keys = rows @ np.array(
-            [[0 if c == d else base ** (k - c - (c < d)) for d in range(k + 1)]
-             for c in range(k + 1)], dtype=key_type)
-        # face_rows is -1 where no facet has the key
-        if key_type is np.int64 and base ** k <= bound:
-            table = np.full(base ** k, -1)
-            table[keys] = np.arange(len(keys))
-            face_rows = table[facet_keys]
+        keys = rows[:, 0]
+        if k:
+            # an edge's vertices increase, so it has one spelling and one key;
+            # a larger simplex spelled out of order then has a facet no key fits
+            if k == 1 and (rows[:, 0] >= rows[:, 1]).any():
+                verts, _ = filtration.simplices[pos[np.argmax(rows[:, 0] >= rows[:, 1])]]
+                raise ValueError(f"simplex {verts} has repeated or unsorted vertices")
+            # facet_keys[:, d] is the key of the facet without the d-th vertex,
+            # in which vertex c < d is digit k - 1 - c and vertex c > d digit k - c
+            facet_keys = rows @ np.array(
+                [[0 if c == d else base ** (k - c - (c < d)) for d in range(k + 1)]
+                 for c in range(k + 1)], dtype=key_type)
+            # face_rows is -1 where no facet has the key
+            if table is not None:
+                face_rows = table[facet_keys]
+            else:
+                at = np.searchsorted(sorted_keys, facet_keys)
+                # keys are >= 0, so the appended -1 matches no facet key
+                face_rows = np.where(np.append(sorted_keys, -1)[at] == facet_keys,
+                                     np.append(key_order, -1)[at], -1)
+            if (face_rows < 0).any():
+                row, drop = np.argwhere(face_rows < 0)[0]
+                coface, _ = filtration.simplices[pos[row]]
+                raise ValueError(f"filtration is missing face "
+                                 f"{coface[:drop] + coface[drop + 1:]} of {coface}")
+            # births never decrease and sizes never decrease at equal birth, so
+            # a face is born after its coface exactly when it comes later
+            if (positions[k - 1][reduce(np.maximum, face_rows.T)] > pos).any():
+                face_pos = positions[k - 1][face_rows]
+                row, drop = np.argwhere(births[face_pos] > births[pos][:, None])[0]
+                face, face_birth = filtration.simplices[face_pos[row, drop]]
+                coface, coface_birth = filtration.simplices[pos[row]]
+                raise ValueError(f"face {face} born at {face_birth} after "
+                                 f"coface {coface} at {coface_birth}")
+            facets.append(face_rows)
+            # the facet without the last vertex holds the leading digits
+            keys = facet_keys[:, k] * base + rows[:, k]
+        # rows by key, in the smallest type that holds -1 and every row, for the
+        # next dimension's facets; repeats leave fewer distinct keys than rows
+        if key_type is np.int64 and base ** (k + 1) <= bound:
+            table = np.full(base ** (k + 1), -1, dtype=np.min_scalar_type(-1 - len(keys)))
+            table[keys] = np.arange(len(keys), dtype=table.dtype)
+            distinct = np.count_nonzero(table >= 0)
         else:
-            key_order = np.argsort(keys, kind="stable")
+            table, key_order = None, np.argsort(keys, kind="stable")
             sorted_keys = keys[key_order]
-            at = np.searchsorted(sorted_keys, facet_keys)
-            # keys are >= 0, so the appended -1 matches no facet key
-            face_rows = np.where(np.append(sorted_keys, -1)[at] == facet_keys,
-                                 np.append(key_order, -1)[at], -1)
-        missing = face_rows < 0
-        if missing.any():
-            row, drop = np.argwhere(missing)[0]
-            coface, _ = filtration.simplices[pos[row]]
-            raise ValueError(f"filtration is missing face "
-                             f"{coface[:drop] + coface[drop + 1:]} of {coface}")
-        # births never decrease and sizes never decrease at equal birth, so a
-        # face is born after its coface exactly when it comes later
-        if (by_dim[k - 1][reduce(np.maximum, face_rows.T)] > pos).any():
-            face_pos = by_dim[k - 1][face_rows]
-            row, drop = np.argwhere(births[face_pos] > births[pos][:, None])[0]
-            face, face_birth = filtration.simplices[face_pos[row, drop]]
-            coface, coface_birth = filtration.simplices[pos[row]]
-            raise ValueError(f"face {face} born at {face_birth} after "
-                             f"coface {coface} at {coface_birth}")
-        facets[k] = face_rows
-        if k + 1 < len(by_dim):
-            keys = rows @ np.array([base ** (k - c) for c in range(k + 1)], dtype=key_type)
-    return facets
+            distinct = np.count_nonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        if distinct < len(keys):
+            row = np.setdiff1d(np.arange(len(keys)), np.unique(keys, return_index=True)[1])[0]
+            verts, _ = filtration.simplices[pos[row]]
+            raise ValueError(f"simplex {verts} is listed more than once")
+    return tuple(facets)
 
 
 def _cohomology(births: np.ndarray, pos: np.ndarray, copos: np.ndarray,
@@ -376,23 +390,22 @@ def _cohomology(births: np.ndarray, pos: np.ndarray, copos: np.ndarray,
 
 
 def barcode(filtration: Filtration, max_dim: int | None = None) -> PersistenceDiagram:
-    """Persistence diagram of any filtration whose simplices have all their faces.
+    """Persistence diagram of a filtration, which its constructor has checked.
 
-    Every face must be in the filtration and born no later than its
-    coface; otherwise ValueError.  H0 comes from union-find over the edges in
-    filtration order, which stops once the edges span every component: an
-    edge joining two components kills the younger one (elder rule, later
-    position dies).  Each dimension k >= 1 is reduced as cohomology: the
-    coboundary columns of the k-simplices, taken in reverse filtration
-    order, are reduced left to right with the earliest coface as pivot, so a
-    nonzero column pairs its k-simplex with that pivot.  The k-simplices
-    already paired one dimension down are skipped (clearing); their columns
-    would reduce to zero.  Apparent pairs, and simplices with no coface, are
-    found for a whole dimension at once; only the other columns are reduced
-    one by one.  These pairs are exactly those of the boundary-matrix
-    reduction.  A pairing (i, j) gives the bar [birth_i, birth_j) in
-    dimension dim(i); unpaired simplices, including those of the top
-    dimension, give [birth, inf).
+    H0 comes from union-find over the edges in filtration order, which stops
+    once the edges span every component: an edge joining two components
+    kills the younger one (elder rule, later position dies).  Each dimension
+    k >= 1 is reduced as cohomology: the coboundary columns of the
+    k-simplices, taken in reverse filtration order, are reduced left to
+    right with the earliest coface as pivot, so a nonzero column pairs its
+    k-simplex with that pivot.  The k-simplices already paired one dimension
+    down are skipped (clearing); their columns would reduce to zero.
+    Apparent pairs, and simplices with no coface, are found for a whole
+    dimension at once; only the other columns are reduced one by one.
+    These pairs are exactly those of the boundary-matrix reduction.  A
+    pairing (i, j) gives the bar [birth_i, birth_j) in dimension dim(i);
+    unpaired simplices, including those of the top dimension, give
+    [birth, inf).
 
     With max_dim, no dimension above it is computed: the result equals
     barcode(filtration).restrict(max_dim), but a Rips filtration built to
@@ -403,9 +416,7 @@ def barcode(filtration: Filtration, max_dim: int | None = None) -> PersistenceDi
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     if len(filtration) == 0:
         return PersistenceDiagram({})
-    births, sizes = filtration.births, filtration.sizes
-    by_dim = [np.flatnonzero(sizes == k + 1) for k in range(int(sizes.max()))]
-    facets = _facet_rows(filtration, by_dim)
+    births, by_dim, facets = filtration.births, filtration.positions, filtration.facets
     top = len(by_dim) - 1
     last = top if max_dim is None else min(max_dim, top)
     diagram: dict[int, tuple[tuple[float, float], ...]] = {}
@@ -499,14 +510,3 @@ def diagram_to_csv(diagram: PersistenceDiagram) -> str:
             lines.append(f"{k},{fmt(birth)},{d}")
     return "\n".join(lines) + "\n"
 
-
-def diagram_from_csv(lines: Iterable[str]) -> PersistenceDiagram:
-    bars: dict[int, list[tuple[float, float]]] = {}
-    for lineno, fields in csv_rows(lines, DIAGRAM_HEADER):
-        try:
-            k, birth, death = int(fields[0]), float(fields[1]), float(fields[2])
-        except ValueError:
-            raise FlowFormatError(f"line {lineno}: not numeric: {','.join(fields)!r}",
-                                  lineno) from None
-        bars.setdefault(k, []).append((birth, death))
-    return PersistenceDiagram({k: tuple(sorted(v)) for k, v in sorted(bars.items())})

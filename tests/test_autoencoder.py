@@ -18,13 +18,13 @@ def zero_net(d=3, h=4, b=None):
     sizes = [d, h, b if b is not None else max(1, d - 1), h, d]
     ws = [np.zeros((o, i)) for i, o in zip(sizes, sizes[1:])]
     bs = [np.zeros(o) for o in sizes[1:]]
-    return Mlp(ws, bs, allow_wide_bottleneck=(d == 1))
+    return Mlp(ws, bs)
 
 
 def identity_net(d=3):
     ws = [np.eye(d)] * 4
     bs = [np.zeros(d)] * 4
-    return Mlp(ws, bs, allow_wide_bottleneck=True)
+    return Mlp(ws, bs)
 
 
 class TestForward:
@@ -83,10 +83,8 @@ class TestValidation:
             Mlp([np.eye(2)] * 3, [np.zeros(2)] * 3)
 
     def test_bottleneck_must_narrow(self):
-        ws = [np.eye(2)] * 4
-        bs = [np.zeros(2)] * 4
-        with pytest.raises(ValueError, match="bottleneck"):
-            Mlp(ws, bs)
+        with pytest.raises(ValueError, match="^bottleneck 2 must be strictly smaller than input 2$"):
+            Mlp.random((2, 4, 2, 4, 2))
 
     def test_shapes_must_chain(self):
         ws = [np.zeros((4, 3)), np.zeros((2, 4)), np.zeros((4, 2)), np.zeros((3, 5))]

@@ -13,11 +13,9 @@ from scipy.optimize import linear_sum_assignment
 
 from flowtopo import persistence
 from flowtopo.persistence import (
-    DIAGRAM_HEADER,
     Filtration,
     PersistenceDiagram,
     barcode,
-    diagram_from_csv,
     diagram_to_csv,
     vietoris_rips,
     wasserstein,
@@ -58,16 +56,18 @@ def reference_rips(points, max_eps, max_dim):
     return Filtration.from_simplices(sims)
 
 
-def oracle_barcode(filtration):
+def oracle_barcode(simps):
     """Left-to-right GF(2) reduction of the boundary matrix over int bitmasks.
 
+    simps holds (sorted vertex tuple, birth) pairs in filtration order.
     Columns are bit-packed over row indices in filtration order; each column
     is XOR-reduced against earlier columns sharing its lowest set row.  A
     pairing (i, j) gives the bar [birth_i, birth_j) in dimension dim(i);
     unpaired creators give [birth, inf).
     """
-    simps = filtration.simplices
     index = {verts: pos for pos, (verts, _) in enumerate(simps)}
+    if len(index) != len(simps):
+        raise ValueError("a simplex is listed twice")
     columns = []
     for verts, birth in simps:
         mask = 0
@@ -273,10 +273,15 @@ class TestVietorisRips:
         with pytest.raises(AttributeError):
             f.births = np.zeros(3)
         assert f.births.tolist() == [0.0, 0.0, 1.0]
-        for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        for twin in (f, copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert twin == f and twin.simplices == f.simplices
             for name in ("births", "sizes", "vertices"):
                 assert not getattr(twin, name).flags.writeable
+            # the positions and facets barcode() reads, rebuilt with each copy
+            for derived, want in ((twin.positions, ([0, 1], [2])),
+                                  (twin.facets, ([[], []], [[1, 0]]))):
+                assert [arr.tolist() for arr in derived] == list(want)
+                assert not any(arr.flags.writeable for arr in derived)
 
     def test_non_integer_vertex_label_rejected(self):
         # int64 would truncate 0.5 to vertex 0
@@ -332,6 +337,19 @@ class TestFiltration:
         for build in (Filtration.from_simplices, lambda p: Filtration(*as_arrays(p))):
             with pytest.raises(ValueError, match=r"simplex \(1,\) has non-finite birth"):
                 build(pairs)
+
+    def test_vertices_must_increase(self):
+        # facet keys read vertices in order, so (1, 0) would be a second (0, 1)
+        with pytest.raises(ValueError, match=r"^simplex \(1, 0\) has repeated or unsorted"):
+            Filtration(*as_arrays([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0), ((1, 0), 1.0)]))
+        with pytest.raises(ValueError, match=r"^simplex \(0, 0\) has repeated or unsorted"):
+            Filtration.from_simplices([((0,), 0.0), ((0, 0), 1.0)])
+        # a larger simplex out of order lacks the facet spelled out of order
+        edges = [((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0), ((0, 2), 1.0),
+                 ((1, 2), 1.0)]
+        for verts, face in (((0, 2, 1), r"\(2, 1\)"), ((0, 1, 1), r"\(1, 1\)")):
+            with pytest.raises(ValueError, match=rf"^filtration is missing face {face} of "):
+                Filtration(*as_arrays(edges + [(verts, 2.0)]))
 
     def test_keeps_its_own_arrays(self):
         base, sizes, vertices = as_arrays([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)])
@@ -396,13 +414,13 @@ class TestBarcode:
         assert d.in_dim(0).count((0.0, 1.0)) == 3
 
     def test_missing_face_rejected(self):
-        with pytest.raises(ValueError):
-            barcode(Filtration.from_simplices((((0, 1), 1.0),)))
+        with pytest.raises(ValueError, match=r"^filtration is missing face \(1,\) of \(0, 1\)$"):
+            Filtration.from_simplices((((0, 1), 1.0),))
 
     def test_face_born_late_rejected(self):
-        f = Filtration.from_simplices((((0,), 0.0), ((1,), 2.0), ((0, 1), 1.0)))
-        with pytest.raises(ValueError):
-            barcode(f)
+        with pytest.raises(ValueError, match=r"^face \(1,\) born at 2.0 after "
+                                             r"coface \(0, 1\) at 1.0$"):
+            Filtration.from_simplices((((0,), 0.0), ((1,), 2.0), ((0, 1), 1.0)))
 
     def test_infinite_bars_match_final_betti(self):
         rng = random.Random(19)
@@ -455,7 +473,7 @@ class TestBarcodeOracle:
             max_eps = rng.choice([0.5, 1.0, 1.5, 2.0, 10.0])
             max_dim = rng.choice([0, 1, 2])
             f = vietoris_rips(pts, max_eps, max_dim)
-            assert barcode(f) == oracle_barcode(f)
+            assert barcode(f) == oracle_barcode(f.simplices)
 
     def test_several_components(self):
         rng = random.Random(38)
@@ -464,7 +482,7 @@ class TestBarcodeOracle:
                    for _ in range(12)]
             f = vietoris_rips(pts, max_eps=1.2, max_dim=1)
             d = barcode(f)
-            assert d == oracle_barcode(f)
+            assert d == oracle_barcode(f.simplices)
             assert d.infinite_count(0) >= 2
 
     def test_hand_built_filtrations(self):
@@ -472,27 +490,34 @@ class TestBarcodeOracle:
         rng = random.Random(39)
         for _ in range(400):
             f = Filtration.from_simplices(random_filtration(rng))
-            assert barcode(f) == oracle_barcode(f)
+            assert barcode(f) == oracle_barcode(f.simplices)
 
     def test_broken_filtrations_rejected_alike(self):
+        # construction raises exactly when the oracle does
         rng = random.Random(40)
-        for _ in range(200):
+        rejected = 0
+        for _ in range(300):
             pairs = random_filtration(rng)
             i = rng.randrange(len(pairs))
-            if rng.random() < 0.5:
+            change = rng.random()
+            if change < 1 / 3:
                 del pairs[i]
-            else:
+            elif change < 2 / 3:
                 pairs[i] = (pairs[i][0], pairs[i][1] + 5.0)
+            else:
+                pairs.append((pairs[i][0], pairs[i][1] + rng.randint(0, 2)))
             if not pairs:
                 continue
-            f = Filtration.from_simplices(pairs)
+            pairs.sort(key=lambda p: (p[1], len(p[0]), p[0]))
             try:
-                want = oracle_barcode(f)
+                want = oracle_barcode(pairs)
             except ValueError:
+                rejected += 1
                 with pytest.raises(ValueError):
-                    barcode(f)
+                    Filtration.from_simplices(pairs)
             else:
-                assert barcode(f) == want
+                assert barcode(Filtration.from_simplices(pairs)) == want
+        assert 50 < rejected < 250
 
     def test_wide_simplex(self):
         # a 9-simplex beside 70 isolated vertices: keys overflow int64
@@ -500,7 +525,7 @@ class TestBarcodeOracle:
                  for card in range(1, 11) for sub in combinations(range(10), card)]
         pairs += [((v,), 0.5) for v in range(10, 80)]
         f = Filtration.from_simplices(pairs)
-        assert barcode(f) == oracle_barcode(f)
+        assert barcode(f) == oracle_barcode(f.simplices)
 
     def test_empty_filtration(self):
         assert barcode(Filtration.from_simplices(())) == PersistenceDiagram({})
@@ -529,7 +554,7 @@ class TestMaxDim:
     @given(st.randoms(use_true_random=False), st.integers(0, 3))
     def test_equals_restricted_oracle(self, rnd, max_dim):
         f = Filtration.from_simplices(random_filtration(rnd, card_max=5))
-        assert barcode(f, max_dim) == oracle_barcode(f).restrict(max_dim)
+        assert barcode(f, max_dim) == oracle_barcode(f.simplices).restrict(max_dim)
 
     def test_rips_top_dimension_left_out(self):
         # 8 points in general position, all within max_eps: 56 triangles
@@ -562,7 +587,7 @@ class TestFacetLookup:
         rng = random.Random(41)
         for _ in range(150):
             f = Filtration.from_simplices(random_filtration(rng, card_max=5))
-            assert barcode(f) == oracle_barcode(f)
+            assert barcode(f) == oracle_barcode(f.simplices)
 
     @pytest.mark.parametrize("relabel", [lambda v: -1 - v, lambda v: 10 ** 12 + v],
                              ids=["negative", "beyond-table"])
@@ -570,7 +595,7 @@ class TestFacetLookup:
         rng = random.Random(42)
         for _ in range(100):
             pairs = random_filtration(rng)
-            want = oracle_barcode(Filtration.from_simplices(pairs))
+            want = oracle_barcode(Filtration.from_simplices(pairs).simplices)
             f = Filtration.from_simplices([(tuple(map(relabel, v)), b) for v, b in pairs])
             assert barcode(f) == want
             assert barcode(f, 1) == want.restrict(1)
@@ -581,11 +606,15 @@ class TestFacetLookup:
                  for card in range(1, 11) for sub in combinations(range(10), card)]
         pairs += [((10 ** 12 + v,), 0.5) for v in range(10, 80)]
         f = Filtration.from_simplices(pairs)
-        want = oracle_barcode(f)
+        want = oracle_barcode(f.simplices)
         for max_dim in (0, 4, 9):
             assert barcode(f, max_dim) == want.restrict(max_dim)
+        # a repeat is found among object keys too
+        top = tuple(10 ** 12 + v for v in range(10))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'simplex {top} is listed')}"):
+            Filtration.from_simplices(pairs + [(top, 20.0)])
 
-    # name -> (pairs, message with the face and coface left open, face, coface)
+    # name -> (pairs, message with the simplices left open, the simplices)
     BROKEN = {
         "vertex": ([((0,), 0.0), ((0, 1), 1.0)],
                    "filtration is missing face {} of {}", (1,), (0, 1)),
@@ -599,21 +628,29 @@ class TestFacetLookup:
         "late-edge": ([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0), ((0, 2), 1.0),
                        ((1, 2), 4.0), ((0, 1, 2), 2.0)],
                       "face {} born at 4.0 after coface {} at 2.0", (1, 2), (0, 1, 2)),
+        "repeated-vertex": ([((0,), 0.0), ((1,), 0.0), ((0,), 1.0)],
+                            "simplex {} is listed more than once", (0,)),
+        # two copies used to give a diagram that depended on the copy found
+        "repeated-edge": ([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0),
+                           ((0, 1), 2.0), ((0, 2), 1.0), ((1, 2), 1.0), ((0, 1, 2), 3.0)],
+                          "simplex {} is listed more than once", (0, 1)),
+        "repeated-triangle": ([((0,), 0.0), ((1,), 0.0), ((2,), 0.0), ((0, 1), 1.0),
+                               ((0, 2), 1.0), ((1, 2), 1.0), ((0, 1, 2), 2.0),
+                               ((0, 1, 2), 3.0)],
+                              "simplex {} is listed more than once", (0, 1, 2)),
     }
 
     @pytest.mark.parametrize("shift", [0, 10 ** 12])
     @pytest.mark.parametrize("case", list(BROKEN))
     def test_broken_face_named(self, lookup, shift, case):
-        pairs, message, face, coface = self.BROKEN[case]
+        pairs, message, *named = self.BROKEN[case]
 
         def moved(verts):
             return tuple(u + shift for u in verts)
 
-        f = Filtration.from_simplices([(moved(v), b) for v, b in pairs])
-        message = re.escape(message.format(moved(face), moved(coface)))
-        for max_dim in (None, 0):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                barcode(f, max_dim)
+        message = re.escape(message.format(*map(moved, named)))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Filtration.from_simplices([(moved(v), b) for v, b in pairs])
 
 
 class TestDiagramOps:
@@ -628,35 +665,11 @@ class TestDiagramOps:
         d = PersistenceDiagram({0: ((0.0, 1.0),), 1: ((0.0, 2.0),)})
         assert d.restrict(0).bars == {0: ((0.0, 1.0),)}
 
-    def test_csv_round_trip(self):
-        rng = random.Random(23)
-        for _ in range(20):
-            bars = {}
-            for k in (0, 1):
-                ks = []
-                for _ in range(rng.randint(0, 4)):
-                    b = rng.uniform(0, 3)
-                    death = math.inf if rng.random() < 0.3 else b + rng.uniform(0.01, 2)
-                    ks.append((b, death))
-                if ks:
-                    bars[k] = tuple(sorted(ks))
-            d = PersistenceDiagram(bars)
-            assert diagram_from_csv(diagram_to_csv(d).splitlines()) == d
-
-    def test_csv_header_check(self):
-        with pytest.raises(ValueError):
-            diagram_from_csv(["birth,death", "0,1"])
-        with pytest.raises(ValueError):
-            diagram_from_csv([])
-
-    def test_csv_short_row_names_line(self):
-        with pytest.raises(ValueError, match="^line 3: expected 3 comma-separated fields, got 2$"):
-            diagram_from_csv(["dim,birth,death", "0,0,1", "0,1"])
-
-    def test_csv_bad_field_names_line(self):
-        for row in ("0,x,1", "one,0,1", "0,0,"):
-            with pytest.raises(ValueError, match=f"^line 3: not numeric: '{row}'$"):
-                diagram_from_csv(["dim,birth,death", "0,0,1", row])
+    def test_csv_lines(self):
+        d = PersistenceDiagram({1: ((0.5, 2.0),),
+                                0: ((0.0, math.inf), (0.0, 0.1 + 0.2))})
+        assert diagram_to_csv(d).splitlines() == [
+            "dim,birth,death", "0,0,0.30000000000000004", "0,0,inf", "1,0.5,2"]
 
 
 # ---------------------------------------------------------------- wasserstein
