@@ -36,6 +36,7 @@ from .persistence import (
     Filtration,
     PersistenceDiagram,
     barcode,
+    rips_diagram,
     vietoris_rips,
     wasserstein,
 )

@@ -200,9 +200,6 @@ class Mlp:
             raise ValueError(f"line {extra[0]}: trailing data after model parameters")
         return cls(weights, biases)
 
-    def save(self, path) -> None:
-        Path(path).write_text(self.dumps())
-
     @classmethod
     def load(cls, path) -> "Mlp":
         return cls.loads(Path(path).read_text())

@@ -1,24 +1,37 @@
 """Sliding-baseline anomaly detection over per-window feature vectors.
 
 Each time window is summarized into a fixed-order statistic vector.  A
-baseline is a sliding set of standardized vectors whose persistence diagram is
-cached; a new window is scored by how much adding its vector perturbs that
-diagram (summed Wasserstein distance over homology dimensions).  Scores above
-the calibrated threshold flag the window and leave the baseline untouched;
-otherwise the oldest point rotates out.
+baseline is a sliding set of standardized vectors whose pairwise distances
+and persistence diagram are cached; a new window is scored by how much adding
+its vector perturbs that diagram (summed Wasserstein distance over homology
+dimensions).  Scores above the calibrated threshold flag the window and leave
+the baseline untouched; otherwise the oldest point rotates out.
+
+Every diagram after the first comes from persistence.rips_diagram on the
+cached matrix: a scored or probed cloud borders it with one row, a
+leave-one-out cloud drops one row and column, and a rotation does both.
+init_baseline computes the first diagram through cloud_diagram, the generic
+vietoris_rips + barcode path, and refuses to go on if rips_diagram disagrees.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .flows import TimeWindow
 from .hypergraph import HypergraphStats, build_hypergraph, stats
-from .persistence import PersistenceDiagram, barcode, vietoris_rips, wasserstein
+from .persistence import (
+    PersistenceDiagram,
+    barcode,
+    euclidean_distances,
+    rips_diagram,
+    vietoris_rips,
+    wasserstein,
+)
 from .topology import Ecp, betti, build_ecp, order_complex
 
 FEATURE_NAMES = (
@@ -121,7 +134,9 @@ class Baseline:
 
     Standardization parameters are frozen at initialization so later
     anomalies cannot shift the scale they are judged against.  The cached
-    diagram is always the truncated barcode of the current points.
+    diagram is always the truncated barcode of the current points, and
+    ``distances``, derived from the points by the expression vietoris_rips
+    uses, is their read-only distance matrix.
     """
 
     points: tuple[tuple[float, ...], ...]
@@ -131,6 +146,17 @@ class Baseline:
     max_dim: int
     feature_names: tuple[str, ...]
     diagram: PersistenceDiagram
+    distances: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pts = np.array(self.points, dtype=float).reshape(len(self.points), len(self.mean))
+        dist = euclidean_distances(pts, pts)
+        dist.flags.writeable = False
+        object.__setattr__(self, "distances", dist)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so copies derive read-only distances
+        return Baseline, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     @property
     def capacity(self) -> int:
@@ -144,14 +170,37 @@ class Baseline:
 
 
 def cloud_diagram(points, max_eps: float, max_dim: int) -> PersistenceDiagram:
-    """Truncated diagram of a standardized point cloud, dims 0..max_dim."""
+    """Truncated diagram of a standardized point cloud, dims 0..max_dim.
+
+    The generic path, vietoris_rips + barcode: init_baseline's first diagram
+    and the oracle of every diagram the detector takes from rips_diagram.
+    """
     filtration = vietoris_rips(points, max_eps=max_eps, max_dim=max_dim)
     return barcode(filtration, max_dim).truncate(max_eps)
 
 
+def _matrix_diagram(b: Baseline, dist: np.ndarray) -> PersistenceDiagram:
+    """cloud_diagram of the cloud whose distance matrix is dist."""
+    return rips_diagram(dist, b.max_eps, b.max_dim).truncate(b.max_eps)
+
+
+def _bordered(b: Baseline, z: tuple[float, ...]) -> np.ndarray:
+    """Distance matrix of b.points + (z,): b.distances and one more row."""
+    n = len(b.points)
+    row = euclidean_distances(np.array(b.points), np.array([z]))[:, 0]
+    dist = np.zeros((n + 1, n + 1))
+    dist[:n, :n] = b.distances
+    dist[:n, n] = dist[n, :n] = row
+    return dist
+
+
 def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,
                   features=FEATURE_NAMES) -> Baseline:
-    """Fit standardization on anomaly-free vectors and cache their diagram."""
+    """Fit standardization on anomaly-free vectors and cache their diagram.
+
+    Raises RuntimeError if rips_diagram on the cached distances, which
+    serves every later diagram, differs from this first, generic one.
+    """
     vectors = list(vectors)
     if capacity < 3:
         raise ValueError("baseline capacity must be >= 3")
@@ -166,9 +215,13 @@ def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,
     std[std == 0.0] = 1.0
     points = tuple(tuple(row) for row in (raw - mean) / std)
     diagram = cloud_diagram(points, max_eps, max_dim)
-    return Baseline(points=points, mean=tuple(mean), std=tuple(std),
-                    max_eps=max_eps, max_dim=max_dim,
-                    feature_names=tuple(features), diagram=diagram)
+    b = Baseline(points=points, mean=tuple(mean), std=tuple(std),
+                 max_eps=max_eps, max_dim=max_dim,
+                 feature_names=tuple(features), diagram=diagram)
+    if _matrix_diagram(b, b.distances) != diagram:
+        raise RuntimeError("rips_diagram on the baseline's distances differs from "
+                           "vietoris_rips + barcode on its points")
+    return b
 
 
 def _distance(diag_a: PersistenceDiagram, diag_b: PersistenceDiagram,
@@ -178,8 +231,7 @@ def _distance(diag_a: PersistenceDiagram, diag_b: PersistenceDiagram,
 
 
 def _score_standardized(b: Baseline, z: tuple[float, ...]) -> float:
-    with_z = cloud_diagram(b.points + (z,), b.max_eps, b.max_dim)
-    return _distance(with_z, b.diagram, b.max_dim)
+    return _distance(_matrix_diagram(b, _bordered(b, z)), b.diagram, b.max_dim)
 
 
 def score_window(b: Baseline, v: FeatureVector) -> float:
@@ -197,8 +249,8 @@ def calibrate_threshold(b: Baseline, quantile: float = 0.99) -> float:
         raise ValueError("quantile must be in (0, 1]")
     scores = []
     for i in range(len(b.points)):
-        reduced = b.points[:i] + b.points[i + 1:]
-        reduced_diagram = cloud_diagram(reduced, b.max_eps, b.max_dim)
+        rest = np.arange(len(b.points)) != i
+        reduced_diagram = _matrix_diagram(b, b.distances[np.ix_(rest, rest)])
         scores.append(_distance(b.diagram, reduced_diagram, b.max_dim))
     return THRESHOLD_SLACK * float(np.quantile(scores, quantile))
 
@@ -229,19 +281,20 @@ def step(b: Baseline, v: FeatureVector, threshold: float) -> tuple[AnomalyReport
 
     Anomalous windows are reported with an attribution and the baseline is
     returned unchanged; normal windows replace the oldest point and the
-    cached diagram is recomputed.
+    cached diagram is recomputed from the scored cloud's distances without
+    the oldest point's row and column.
     """
     z = b.standardize(v)
-    score = _score_standardized(b, z)
+    scored = _bordered(b, z)
+    score = _distance(_matrix_diagram(b, scored), b.diagram, b.max_dim)
     anomalous = score > threshold
     if anomalous:
         report = AnomalyReport(window_start=v.window_start, score=score,
                                threshold=threshold, anomalous=True,
                                attribution=attribute(b, v))
         return report, b
-    new_points = b.points[1:] + (z,)
-    new_baseline = replace(b, points=new_points,
-                           diagram=cloud_diagram(new_points, b.max_eps, b.max_dim))
+    new_baseline = replace(b, points=b.points[1:] + (z,),
+                           diagram=_matrix_diagram(b, scored[1:, 1:]))
     report = AnomalyReport(window_start=v.window_start, score=score,
                            threshold=threshold, anomalous=False, attribution=None)
     return report, new_baseline

@@ -16,6 +16,14 @@ vertex label or simplex key while it stays within DENSE_PER_SIMPLEX
 entries per simplex, and by sorting and binary search beyond it.
 barcode(f, max_dim) computes no dimension above max_dim, so a Rips
 filtration's top dimension costs no infinite bars.
+Two paths lead to a Rips diagram.  vietoris_rips builds and checks a
+Filtration of the cliques within max_eps, and barcode reduces it: this
+serves `ph` and is the oracle.  rips_diagram takes a distance matrix,
+reuses the cached facets of the complete complex on as many vertices and
+only gathers, masks and sorts births before the same reduction: this serves
+the detector, whose clouds are small and nearly complete and share their
+distances from one call to the next.  Both refuse to build more than
+MAX_LAYER simplices of one dimension.
 Diagram distance is a minimal-cost matching (Hungarian assignment) with
 L-infinity ground metric and diagonal projections.
 """
@@ -25,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
@@ -37,6 +45,9 @@ from .flows import fmt, union
 DIAGRAM_HEADER = "dim,birth,death"
 # dense lookup tables may hold this many entries per simplex of the filtration
 DENSE_PER_SIMPLEX = 8
+# the most simplices of one dimension a Rips complex may have; a full
+# 2-skeleton of that size peaks near 0.7 GB in vietoris_rips + barcode
+MAX_LAYER = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +139,14 @@ class Filtration:
                 and np.array_equal(self.births, other.births))
 
 
+def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between the rows of a and the rows of b: the one expression
+    every Rips birth comes from, so a row computed alone equals its row of
+    the full matrix bit for bit."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
     """Rips filtration of a point cloud under Euclidean distance.
 
@@ -135,7 +154,9 @@ def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
     a higher simplex is born at the largest pairwise distance among its
     vertices.  Simplices up to dimension max_dim + 1 are generated so that
     deaths in dimension max_dim are correct.  Non-finite coordinates are
-    rejected.
+    rejected, and so is a cloud with more than MAX_LAYER pairs or whose
+    complex would have more than MAX_LAYER simplices of one dimension,
+    before that dimension is built.
     """
     if not max_eps > 0:
         raise ValueError(f"max_eps must be > 0, got {max_eps}")
@@ -152,8 +173,10 @@ def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         raise ValueError(f"point {int(bad[0])} has a non-finite coordinate")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    if n * (n - 1) // 2 > MAX_LAYER:
+        raise ValueError(f"{n} points have {n * (n - 1) // 2} pairs, more than "
+                         f"the limit of {MAX_LAYER} simplices per dimension")
+    dist = euclidean_distances(pts, pts)
 
     # upper[u, w]: the edge {u, w} is in the complex and u < w.  A simplex
     # extends by each w above all its vertices that is adjacent to all of
@@ -163,11 +186,8 @@ def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
     layer = np.arange(n)[:, None]
     births = np.zeros(n)
     layers, layer_births = [layer], [births]
-    for _ in range(max_dim + 1):
-        extends = upper[layer[:, 0]]
-        for col in layer.T[1:]:
-            extends &= upper[col]
-        rows, new = np.nonzero(extends)
+    for dim in range(1, max_dim + 2):
+        rows, new = _extensions(upper, layer, dim)
         if rows.size == 0:
             break
         layer = layer[rows]
@@ -193,6 +213,35 @@ def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
         row += len(lay)
     padded = padded[order]
     return Filtration(all_births[order], sizes[order], padded[padded >= 0])
+
+
+def _extensions(upper: np.ndarray, layer: np.ndarray, dim: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(row, w) for each layer row and each vertex w that extends it to a
+    dim-simplex, in row-major order.
+
+    The extension mask is built for a chunk of rows at a time, no larger
+    than the layer or the adjacency matrix, and counted first: more than
+    MAX_LAYER simplices raise ValueError before any is built.
+    """
+    chunk = max(layer.nbytes, upper.nbytes) // len(upper)
+    found, count = [], 0
+    for lo in range(0, len(layer), chunk):
+        part = layer[lo:lo + chunk]
+        extends = upper[part[:, 0]]
+        for col in part.T[1:]:
+            extends &= upper[col]
+        count += int(np.count_nonzero(extends))
+        if count <= MAX_LAYER:
+            rows, new = np.nonzero(extends)
+            found.append((rows + lo, new))
+    if count > MAX_LAYER:
+        raise ValueError(f"the Rips complex has {count} {dim}-simplices, more than "
+                         f"the limit of {MAX_LAYER} simplices per dimension")
+    if len(found) == 1:
+        return found[0]
+    return (np.concatenate([rows for rows, _ in found]),
+            np.concatenate([new for _, new in found]))
 
 
 @dataclass(frozen=True)
@@ -266,10 +315,18 @@ def _facet_rows(filtration: Filtration, positions: tuple[np.ndarray, ...]
                 verts, _ = filtration.simplices[pos[np.argmax(rows[:, 0] >= rows[:, 1])]]
                 raise ValueError(f"simplex {verts} has repeated or unsorted vertices")
             # facet_keys[:, d] is the key of the facet without the d-th vertex,
-            # in which vertex c < d is digit k - 1 - c and vertex c > d digit k - c
-            facet_keys = rows @ np.array(
-                [[0 if c == d else base ** (k - c - (c < d)) for d in range(k + 1)]
-                 for c in range(k + 1)], dtype=key_type)
+            # in which vertex c < d is digit k - 1 - c and vertex c > d digit
+            # k - c: the sum of a prefix and a suffix, each built by one
+            # multiply-add per column of rows (numpy has no BLAS for integer
+            # matrix products, and rows @ digits costs k + 1 times as many)
+            facet_keys = np.zeros((k + 1, len(rows)), dtype=key_type)
+            for d in range(1, k + 1):
+                facet_keys[d] = facet_keys[d - 1] + rows[:, d - 1] * base ** (k - d)
+            suffix = 0
+            for d in range(k - 1, -1, -1):
+                suffix = suffix + rows[:, d + 1] * base ** (k - d - 1)
+                facet_keys[d] += suffix
+            facet_keys = facet_keys.T
             # face_rows is -1 where no facet has the key
             if table is not None:
                 face_rows = table[facet_keys]
@@ -292,7 +349,7 @@ def _facet_rows(filtration: Filtration, positions: tuple[np.ndarray, ...]
                 coface, coface_birth = filtration.simplices[pos[row]]
                 raise ValueError(f"face {face} born at {face_birth} after "
                                  f"coface {coface} at {coface_birth}")
-            facets.append(face_rows)
+            facets.append(np.ascontiguousarray(face_rows))
             # the facet without the last vertex holds the leading digits
             keys = facet_keys[:, k] * base + rows[:, k]
         # rows by key, in the smallest type that holds -1 and every row, for the
@@ -312,21 +369,22 @@ def _facet_rows(filtration: Filtration, positions: tuple[np.ndarray, ...]
     return tuple(facets)
 
 
-def _cohomology(births: np.ndarray, pos: np.ndarray, copos: np.ndarray,
+def _cohomology(births: np.ndarray, coface_births: np.ndarray,
                 coface_facets: np.ndarray, cleared: np.ndarray):
-    """Bars of the simplices at filtration positions pos (one dimension).
+    """Bars of the simplices of one dimension, with births in filtration order.
 
-    copos holds the positions of the simplices one dimension up, and
-    coface_facets their facets as rows of pos.  cleared marks the rows of pos
+    coface_births holds the births of the simplices one dimension up, and
+    coface_facets their facets as rows of births.  cleared marks the rows
     that died one dimension down.  Returns the bars, sorted, and a mask of
-    the rows of copos that these pairs kill.
+    the coface rows that these pairs kill.
     """
+    n = len(births)
     flat = coface_facets.ravel()
     # coface rows grouped by facet, ascending within each group (the
     # smallest unsigned type lets numpy radix-sort the rows)
-    cofaces = np.argsort(flat.astype(np.min_scalar_type(len(pos))),
+    cofaces = np.argsort(flat.astype(np.min_scalar_type(n)),
                          kind="stable") // coface_facets.shape[1]
-    counts = np.bincount(flat, minlength=len(pos))
+    counts = np.bincount(flat, minlength=n)
     ends = np.cumsum(counts)
     bounds = ends - counts
     live = ~cleared & (counts > 0)
@@ -335,7 +393,7 @@ def _cohomology(births: np.ndarray, pos: np.ndarray, copos: np.ndarray,
     # Only columns of simplices later than s are reduced before s's, and none
     # of them holds t, so s pairs with t without a column addition.
     latest = reduce(np.maximum, coface_facets.T)
-    apparent = live & (latest[first] == np.arange(len(pos)))
+    apparent = live & (latest[first] == np.arange(n))
     # simplices with no coface never die
     free = np.flatnonzero(~cleared & (counts == 0))
 
@@ -379,18 +437,109 @@ def _cohomology(births: np.ndarray, pos: np.ndarray, copos: np.ndarray,
     born = np.concatenate((np.flatnonzero(apparent), np.array(late_born, dtype=np.intp)))
     died = np.concatenate((first[apparent], np.array(killed, dtype=np.intp)))
     infinite = np.concatenate((free, np.array(essential, dtype=np.intp)))
-    birth = births[pos[np.concatenate((born, infinite))]]
-    death = np.concatenate((births[copos[died]], np.full(len(infinite), math.inf)))
+    birth = births[np.concatenate((born, infinite))]
+    death = np.concatenate((coface_births[died], np.full(len(infinite), math.inf)))
     keep = death > birth
     birth, death = birth[keep], death[keep]
     order = np.lexsort((death, birth))
-    killed_mask = np.zeros(len(copos), dtype=bool)
+    killed_mask = np.zeros(len(coface_births), dtype=bool)
     killed_mask[died] = True
     return tuple(zip(birth[order].tolist(), death[order].tolist())), killed_mask
 
 
 def barcode(filtration: Filtration, max_dim: int | None = None) -> PersistenceDiagram:
     """Persistence diagram of a filtration, which its constructor has checked.
+
+    With max_dim, no dimension above it is computed: the result equals
+    barcode(filtration).restrict(max_dim), but a Rips filtration built to
+    max_dim costs no infinite bars for its top dimension, whose killing
+    cofaces were never built.  The reduction is _reduce's.
+    """
+    if max_dim is not None and max_dim < 0:
+        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
+    births = tuple(filtration.births[pos] for pos in filtration.positions)
+    return _reduce(births, filtration.facets, max_dim)
+
+
+@lru_cache(maxsize=8)
+def _complete_facets(n: int, max_dim: int) -> tuple[np.ndarray, ...]:
+    """Facet rows of the complete complex on n vertices, up to dimension
+    max_dim + 1, each dimension in lexicographic order.
+
+    They are those of vietoris_rips on n equal points, where every birth is
+    0, so its constructor has checked them and MAX_LAYER bounds them.
+    """
+    return vietoris_rips(np.zeros((n, 1)), 1.0, max_dim).facets
+
+
+def rips_diagram(dist, max_eps: float, max_dim: int) -> PersistenceDiagram:
+    """barcode(vietoris_rips(points, max_eps, max_dim), max_dim), bit for bit,
+    from the points' distance matrix ``euclidean_distances(points, points)``.
+
+    The simplices and their facets are the complete complex's, cached per
+    (len(dist), max_dim).  Each call ranks the distinct edge lengths in
+    dist; a higher simplex's rank is the largest of its facets', so its
+    birth is the largest of its edges', the float vietoris_rips takes the
+    max of.  Simplices born after max_eps are dropped and each dimension is
+    sorted stably by rank, which keeps vietoris_rips's lexicographic order
+    among ties.  The complete complex is built whatever max_eps leaves of
+    it, so this suits small, nearly complete clouds.  dist must be square,
+    finite, >= 0, symmetric and zero on its diagonal; anything else raises
+    ValueError.
+    """
+    if not max_eps > 0:
+        raise ValueError(f"max_eps must be > 0, got {max_eps}")
+    if max_dim < 0:
+        raise ValueError("max_dim must be >= 0")
+    dist = np.asarray(dist, dtype=float)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or dist.size == 0:
+        raise ValueError(f"distance matrix must be square and nonempty, got shape {dist.shape}")
+    bad = ~(np.isfinite(dist) & (dist >= 0))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"distance ({i}, {j}) is {dist[i, j]}, not finite and >= 0")
+    bad = dist != dist.T
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"distance ({i}, {j}) is {dist[i, j]} but ({j}, {i}) is "
+                         f"{dist[j, i]}; the matrix must be symmetric")
+    bad = np.flatnonzero(np.diagonal(dist))
+    if bad.size:
+        raise ValueError(f"distance ({bad[0]}, {bad[0]}) is {dist[bad[0], bad[0]]}, not 0")
+
+    complete = _complete_facets(len(dist), max_dim)
+    births, facets = [np.zeros(len(dist))], [complete[0]]
+    if len(complete) > 1:
+        # facet 1 of edge (u, w) is vertex u, facet 0 is w.  A simplex is
+        # born at values[rank]; ranks are small unsigned integers, which
+        # numpy sorts stably by radix.
+        values, rank = np.unique(dist[complete[1][:, 1], complete[1][:, 0]],
+                                 return_inverse=True)
+        rank = rank.astype(np.min_scalar_type(len(values)))
+        within = np.searchsorted(values, max_eps, side="right")
+    # row_of[i]: the row, among the kept simplices of the dimension below in
+    # birth order, of its i-th simplex in lexicographic order.  A kept
+    # simplex's facets are born no later, so they are kept too.
+    row_of = np.arange(len(dist))
+    for k in range(1, len(complete)):
+        # (np.take gathers rows faster than fancy indexing)
+        if k > 1:
+            rank = reduce(np.maximum, np.take(rank, complete[k]).T)
+        kept = np.flatnonzero(rank < within)
+        if not kept.size:
+            break
+        order = kept[np.argsort(rank[kept], kind="stable")]
+        births.append(values[rank[order]])
+        facets.append(np.take(row_of, np.take(complete[k], order, axis=0)))
+        row_of = np.empty(len(rank), dtype=np.intp)
+        row_of[order] = np.arange(len(order))
+    return _reduce(births, facets, max_dim)
+
+
+def _reduce(births: Sequence[np.ndarray], facets: Sequence[np.ndarray],
+            max_dim: int | None) -> PersistenceDiagram:
+    """Persistence diagram from each dimension's births, in filtration order,
+    and facets, as rows of the dimension below (facets[0] is unused).
 
     H0 comes from union-find over the edges in filtration order, which stops
     once the edges span every component: an edge joining two components
@@ -405,31 +554,23 @@ def barcode(filtration: Filtration, max_dim: int | None = None) -> PersistenceDi
     These pairs are exactly those of the boundary-matrix reduction.  A
     pairing (i, j) gives the bar [birth_i, birth_j) in dimension dim(i);
     unpaired simplices, including those of the top dimension, give
-    [birth, inf).
-
-    With max_dim, no dimension above it is computed: the result equals
-    barcode(filtration).restrict(max_dim), but a Rips filtration built to
-    max_dim costs no infinite bars for its top dimension, whose killing
-    cofaces were never built.
+    [birth, inf).  No dimension above max_dim (if given) is computed.
     """
-    if max_dim is not None and max_dim < 0:
-        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
-    if len(filtration) == 0:
+    if not births:
         return PersistenceDiagram({})
-    births, by_dim, facets = filtration.births, filtration.positions, filtration.facets
-    top = len(by_dim) - 1
+    top = len(births) - 1
     last = top if max_dim is None else min(max_dim, top)
     diagram: dict[int, tuple[tuple[float, float], ...]] = {}
 
     # H0: union-find over vertex rows with the elder rule; union returns the
     # younger root.  After n_vertices - 1 merges no edge can kill a component.
-    vertex_births = births[by_dim[0]].tolist()
+    vertex_births = births[0].tolist()
     root = list(range(len(vertex_births)))
     to_merge = len(root) - 1
     bars: list[tuple[float, float]] = []
     killers: list[int] = []
     if top and to_merge:
-        edge_births = births[by_dim[1]].tolist()
+        edge_births = births[1].tolist()
         for edge, (a, b) in enumerate(facets[1].tolist()):
             younger = union(root, a, b)
             if younger is not None:
@@ -441,20 +582,19 @@ def barcode(filtration: Filtration, max_dim: int | None = None) -> PersistenceDi
                     break
     bars += [(vertex_births[v], math.inf) for v, r in enumerate(root) if r == v]
     diagram[0] = tuple(sorted(bars))
-    cleared = np.zeros(len(by_dim[1]) if top else 0, dtype=bool)
+    cleared = np.zeros(len(births[1]) if top else 0, dtype=bool)
     cleared[killers] = True
 
     # dims >= 1 below the top: cohomology with clearing
     for k in range(1, min(last, top - 1) + 1):
-        bars_k, cleared = _cohomology(births, by_dim[k], by_dim[k + 1],
-                                      facets[k + 1], cleared)
+        bars_k, cleared = _cohomology(births[k], births[k + 1], facets[k + 1], cleared)
         if bars_k:
             diagram[k] = bars_k
 
     # the top dimension has no cofaces: what is left unpaired never dies.
     # Its births are in filtration order, so already sorted.
     if 0 < top == last:
-        essential = births[by_dim[top][~cleared]].tolist()
+        essential = births[top][~cleared].tolist()
         if essential:
             diagram[top] = tuple(zip(essential, repeat(math.inf)))
     return PersistenceDiagram(diagram)

@@ -127,6 +127,17 @@ class TestPh:
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_dense_cloud_refused_with_one_line(self, tmp_path, capsys):
+        # 231 points within max_eps of each other: 2,027,795 triangles
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("".join(f"{0.001 * i},0\n" for i in range(231)))
+        out = tmp_path / "d.csv"
+        assert run(["ph", "--in", cloud, "--out", out, "--max-dim", 1]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "2027795 2-simplices, more than the limit of 2000000" in err
+        assert not out.exists()
+
 
 class TestAutoencoderCommands:
     def test_train_and_denoise(self, tmp_path, small_flow_csv):

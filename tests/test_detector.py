@@ -1,11 +1,15 @@
+import copy
 import json
 import math
+import pickle
 import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from flowtopo import detector
 from flowtopo.detector import (
     DEFAULTS,
     FEATURE_NAMES,
@@ -23,7 +27,14 @@ from flowtopo.detector import (
     window_statistics,
 )
 from flowtopo.flows import SessionRecord, TimeWindow
-from flowtopo.persistence import Filtration, barcode, vietoris_rips
+from flowtopo.persistence import (
+    Filtration,
+    PersistenceDiagram,
+    barcode,
+    rips_diagram,
+    vietoris_rips,
+    wasserstein,
+)
 
 # ---------------------------------------------------------------- features
 
@@ -161,6 +172,47 @@ class TestBaseline:
         assert b.diagram.bars == {0: ((0.0, 2.0),)}
 
 
+def recomputed_distances(points):
+    """The distance matrix by vietoris_rips's expression, recomputed from the points."""
+    pts = np.array(points, dtype=float)
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+class TestDistances:
+    def test_read_only_and_in_step_with_points(self):
+        rng = np.random.default_rng(21)
+        vecs = [fv(row) for row in rng.normal(size=(40, 10))]
+        b = init_baseline(vecs[:20], 20, max_eps=20.0, max_dim=1, features=FEATURE_NAMES)
+        for v in vecs[20:]:
+            assert not b.distances.flags.writeable
+            with pytest.raises(ValueError):
+                b.distances[0, 1] = 1.0
+            assert b.distances.tobytes() == recomputed_distances(b.points).tobytes()
+            report, b = step(b, v, threshold=1e9)
+            assert not report.anomalous
+        assert b.points[-1] == b.standardize(vecs[-1])
+        assert b.distances.tobytes() == recomputed_distances(b.points).tobytes()
+
+    def test_copies_derive_their_own(self):
+        b, _ = jitter_baseline(random.Random(23))
+        for twin in (copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+            assert twin == b
+            assert np.array_equal(twin.distances, b.distances)
+            assert not twin.distances.flags.writeable
+
+    def test_engine_disagreement_raises(self, monkeypatch):
+        # a rips_diagram that drops one H0 bar must stop the run at init
+        def corrupted(dist, max_eps, max_dim):
+            bars = dict(rips_diagram(dist, max_eps, max_dim).bars)
+            bars[0] = bars[0][1:]
+            return PersistenceDiagram(bars)
+
+        monkeypatch.setattr(detector, "rips_diagram", corrupted)
+        with pytest.raises(RuntimeError, match="differs from vietoris_rips"):
+            jitter_baseline(random.Random(24))
+
+
 class TestCloudDiagram:
     def test_equals_tuple_filtration_oracle(self):
         # detector-sized clouds (a 20-point baseline plus one window, 10
@@ -186,6 +238,21 @@ class TestCloudDiagram:
 
 
 class TestScore:
+    def test_equals_generic_path(self):
+        # detector-sized clouds: each score equals the one computed through
+        # cloud_diagram on the points with the window appended
+        rng = np.random.default_rng(25)
+        for trial in range(6):
+            raw = rng.normal(size=(30, 10))
+            if trial % 2:
+                raw = np.round(raw)
+            vecs = [fv(row) for row in raw]
+            b = init_baseline(vecs[:20], 20, max_eps=4.0, max_dim=1, features=FEATURE_NAMES)
+            for v in vecs[20:]:
+                generic = cloud_diagram(b.points + (b.standardize(v),), b.max_eps, b.max_dim)
+                want = math.fsum(wasserstein(generic, b.diagram, k) for k in (0, 1))
+                assert score_window(b, v) == want
+
     def test_duplicate_vector_scores_zero(self):
         b, vecs = jitter_baseline(random.Random(3))
         assert score_window(b, vecs[-1]) == 0.0

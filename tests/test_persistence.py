@@ -13,10 +13,13 @@ from scipy.optimize import linear_sum_assignment
 
 from flowtopo import persistence
 from flowtopo.persistence import (
+    MAX_LAYER,
     Filtration,
     PersistenceDiagram,
     barcode,
     diagram_to_csv,
+    euclidean_distances,
+    rips_diagram,
     vietoris_rips,
     wasserstein,
 )
@@ -569,6 +572,132 @@ class TestMaxDim:
         f = Filtration.from_simplices([((0,), 0.0)])
         with pytest.raises(ValueError, match=f"^max_dim must be >= 0, got {bad}$"):
             barcode(f, bad)
+
+
+class TestRipsDiagram:
+    """rips_diagram on a cloud's distance matrix is barcode(vietoris_rips(...))."""
+
+    @staticmethod
+    def both(pts, max_eps, max_dim):
+        pts = np.asarray(pts, dtype=float)
+        return (rips_diagram(euclidean_distances(pts, pts), max_eps, max_dim),
+                barcode(vietoris_rips(pts, max_eps, max_dim), max_dim))
+
+    def test_seeded_clouds(self):
+        # ties (integer grids), duplicate points, 1-23 points, 1-10 coordinates
+        rng = np.random.default_rng(61)
+        for trial in range(300):
+            n, d = int(rng.integers(1, 24)), int(rng.integers(1, 11))
+            pts = rng.normal(size=(n, d))
+            if trial % 3 == 0:
+                pts = np.round(pts)
+            if trial % 4 == 0 and n > 2:
+                pts[-1] = pts[0]
+            max_eps = float(rng.choice([0.5, 1.0, 2.0, 4.0, 20.0, math.inf]))
+            max_dim = int(rng.integers(0, 3 if n <= 15 else 2))
+            got, want = self.both(pts, max_eps, max_dim)
+            assert got == want
+
+    def test_several_components(self):
+        rng = random.Random(62)
+        for _ in range(30):
+            pts = [(rng.uniform(0, 1) + 10 * rng.randint(0, 3), rng.uniform(0, 1))
+                   for _ in range(14)]
+            for max_dim in (0, 1, 2):
+                got, want = self.both(pts, 1.2, max_dim)
+                assert got == want
+                assert got.infinite_count(0) >= 2
+
+    def test_no_edges_and_single_point(self):
+        for pts in ([(0.0, 0.0)], [(0.0,), (5.0,), (11.0,)]):
+            for max_dim in (0, 1, 2):
+                got, want = self.both(pts, 1.0, max_dim)
+                assert got == want and got.in_dim(0) == ((0.0, math.inf),) * len(pts)
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)),
+                    min_size=1, max_size=10),
+           st.sampled_from([0.5, 1.0, 1.5, 2.5, 6.0]),
+           st.integers(0, 2))
+    def test_property(self, pts, max_eps, max_dim):
+        got, want = self.both(pts, max_eps, max_dim)
+        assert got == want
+
+    def test_complete_complex_tables(self):
+        # the cached facets are those of every k-subset of n vertices, in
+        # lexicographic order, each facet found by dropping one vertex
+        for n, max_dim in ((1, 1), (4, 2), (7, 1), (6, 3)):
+            facets = persistence._complete_facets(n, max_dim)
+            assert len(facets) == min(n, max_dim + 2)
+            for k in range(1, len(facets)):
+                subsets = list(combinations(range(n), k + 1))
+                index = {v: i for i, v in enumerate(combinations(range(n), k))}
+                want = [[index[v[:d] + v[d + 1:]] for d in range(k + 1)] for v in subsets]
+                assert facets[k].tolist() == want
+                assert not facets[k].flags.writeable
+
+    @pytest.mark.parametrize("dist, message", [
+        (np.zeros((2, 3)), "distance matrix must be square and nonempty, got shape (2, 3)"),
+        (np.zeros(3), "distance matrix must be square and nonempty, got shape (3,)"),
+        (np.zeros((0, 0)), "distance matrix must be square and nonempty, got shape (0, 0)"),
+        ([[0.0, math.nan], [math.nan, 0.0]], "distance (0, 1) is nan, not finite and >= 0"),
+        ([[0.0, 1.0], [math.inf, 0.0]], "distance (1, 0) is inf, not finite and >= 0"),
+        ([[0.0, -1.0], [-1.0, 0.0]], "distance (0, 1) is -1.0, not finite and >= 0"),
+        ([[0.0, 1.0], [2.0, 0.0]],
+         "distance (0, 1) is 1.0 but (1, 0) is 2.0; the matrix must be symmetric"),
+        ([[0.0, 1.0], [1.0, 0.5]], "distance (1, 1) is 0.5, not 0"),
+    ], ids=["non-square", "1-D", "empty", "nan", "inf", "negative", "asymmetric",
+            "diagonal"])
+    def test_bad_matrix_rejected(self, dist, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rips_diagram(dist, 1.0, 1)
+
+    def test_bad_settings_rejected(self):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="max_eps must be > 0"):
+                rips_diagram(np.zeros((2, 2)), bad, 1)
+        with pytest.raises(ValueError, match="max_dim must be >= 0"):
+            rips_diagram(np.zeros((2, 2)), 1.0, -1)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_appended_row_bit_identical(self, d):
+        # a point's distances computed alone equal its row and column of
+        # the full matrix, bit for bit, whatever the number of coordinates
+        rng = np.random.default_rng(100 + d)
+        for _ in range(20):
+            pts = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(21, d))
+            full = euclidean_distances(pts, pts)
+            row = euclidean_distances(pts[:-1], pts[-1:])[:, 0]
+            assert full[:-1, -1].tobytes() == row.tobytes()
+            assert full[-1, :-1].tobytes() == row.tobytes()
+
+
+class TestSizeBound:
+    """vietoris_rips and rips_diagram refuse a layer of more than MAX_LAYER
+    simplices before they build it, with one line."""
+
+    def test_dense_cloud_refused(self):
+        # 231 close points: 26,565 edges and C(231, 3) = 2,027,795 triangles
+        pts = [(0.001 * i,) for i in range(231)]
+        message = (f"the Rips complex has 2027795 2-simplices, more than the limit "
+                   f"of {MAX_LAYER} simplices per dimension")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            vietoris_rips(pts, max_eps=1.0, max_dim=1)
+        # without triangles it is built
+        assert len(vietoris_rips(pts, max_eps=1.0, max_dim=0)) == 231 + 26565
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rips_diagram(np.zeros((231, 231)), 1.0, 1)
+
+    def test_too_many_pairs_refused(self):
+        message = (f"2001 points have 2001000 pairs, more than the limit of "
+                   f"{MAX_LAYER} simplices per dimension")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            vietoris_rips(np.zeros((2001, 1)), max_eps=1.0, max_dim=0)
+
+    def test_limit_leaves_room_for_the_benchmark_clouds(self):
+        # an 80-point cloud, complete up to its 82,160 triangles, is built
+        pts = np.random.default_rng(5).normal(size=(80, 3))
+        assert len(vietoris_rips(pts, max_eps=100.0, max_dim=1)) == 80 + 3160 + 82160
 
 
 @pytest.fixture(params=["dense", "sorted"])
