@@ -1,15 +1,16 @@
 """Sliding-baseline anomaly detection over per-window feature vectors.
 
 Each time window is summarized into a fixed-order statistic vector.  A
-baseline is a sliding set of standardized vectors whose pairwise distances
-and persistence diagram are cached; a new window is scored by how much adding
-its vector perturbs that diagram (summed Wasserstein distance over homology
-dimensions).  Scores above the calibrated threshold flag the window and leave
-the baseline untouched; otherwise the oldest point rotates out.
+baseline is a sliding set of standardized vectors whose persistence diagram
+is cached; a new window is scored by how much adding its vector perturbs
+that diagram (summed Wasserstein distance over homology dimensions).  Scores
+above the calibrated threshold flag the window and leave the baseline
+untouched; otherwise the oldest point rotates out.
 
 Every diagram after the first comes from persistence.rips_diagram on the
-cached matrix: a scored or probed cloud borders it with one row, a
-leave-one-out cloud drops one row and column, and a rotation does both.
+distance matrix of the cloud it describes: the baseline plus a scored or
+probed vector, the baseline without one point for leave-one-out, and for a
+rotation the scored cloud's matrix without its first row and column.
 init_baseline computes the first diagram through cloud_diagram, the generic
 vietoris_rips + barcode path, and refuses to go on if rips_diagram disagrees.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -134,9 +135,7 @@ class Baseline:
 
     Standardization parameters are frozen at initialization so later
     anomalies cannot shift the scale they are judged against.  The cached
-    diagram is always the truncated barcode of the current points, and
-    ``distances``, derived from the points by the expression vietoris_rips
-    uses, is their read-only distance matrix.
+    diagram is always the truncated barcode of the current points.
     """
 
     points: tuple[tuple[float, ...], ...]
@@ -146,21 +145,6 @@ class Baseline:
     max_dim: int
     feature_names: tuple[str, ...]
     diagram: PersistenceDiagram
-    distances: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float).reshape(len(self.points), len(self.mean))
-        dist = euclidean_distances(pts, pts)
-        dist.flags.writeable = False
-        object.__setattr__(self, "distances", dist)
-
-    def __reduce__(self):
-        # rebuilt through the constructor, so copies derive read-only distances
-        return Baseline, tuple(getattr(self, f.name) for f in fields(self) if f.init)
-
-    @property
-    def capacity(self) -> int:
-        return len(self.points)
 
     def standardize(self, v: FeatureVector) -> tuple[float, ...]:
         if len(v.values) != len(self.mean):
@@ -184,22 +168,19 @@ def _matrix_diagram(b: Baseline, dist: np.ndarray) -> PersistenceDiagram:
     return rips_diagram(dist, b.max_eps, b.max_dim).truncate(b.max_eps)
 
 
-def _bordered(b: Baseline, z: tuple[float, ...]) -> np.ndarray:
-    """Distance matrix of b.points + (z,): b.distances and one more row."""
-    n = len(b.points)
-    row = euclidean_distances(np.array(b.points), np.array([z]))[:, 0]
-    dist = np.zeros((n + 1, n + 1))
-    dist[:n, :n] = b.distances
-    dist[:n, n] = dist[n, :n] = row
-    return dist
+def _cloud_distances(points) -> np.ndarray:
+    """Distance matrix of a cloud; dropping a point's row and column gives
+    the matrix of the cloud without it, bit for bit."""
+    pts = np.array(points, dtype=float)
+    return euclidean_distances(pts, pts)
 
 
 def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,
                   features=FEATURE_NAMES) -> Baseline:
     """Fit standardization on anomaly-free vectors and cache their diagram.
 
-    Raises RuntimeError if rips_diagram on the cached distances, which
-    serves every later diagram, differs from this first, generic one.
+    Raises RuntimeError if rips_diagram on the points' distance matrix, the
+    engine of every later diagram, differs from this first, generic one.
     """
     vectors = list(vectors)
     if capacity < 3:
@@ -218,7 +199,7 @@ def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,
     b = Baseline(points=points, mean=tuple(mean), std=tuple(std),
                  max_eps=max_eps, max_dim=max_dim,
                  feature_names=tuple(features), diagram=diagram)
-    if _matrix_diagram(b, b.distances) != diagram:
+    if _matrix_diagram(b, _cloud_distances(points)) != diagram:
         raise RuntimeError("rips_diagram on the baseline's distances differs from "
                            "vietoris_rips + barcode on its points")
     return b
@@ -231,7 +212,8 @@ def _distance(diag_a: PersistenceDiagram, diag_b: PersistenceDiagram,
 
 
 def _score_standardized(b: Baseline, z: tuple[float, ...]) -> float:
-    return _distance(_matrix_diagram(b, _bordered(b, z)), b.diagram, b.max_dim)
+    return _distance(_matrix_diagram(b, _cloud_distances(b.points + (z,))),
+                     b.diagram, b.max_dim)
 
 
 def score_window(b: Baseline, v: FeatureVector) -> float:
@@ -247,10 +229,11 @@ def calibrate_threshold(b: Baseline, quantile: float = 0.99) -> float:
     """
     if not 0.0 < quantile <= 1.0:
         raise ValueError("quantile must be in (0, 1]")
+    dist = _cloud_distances(b.points)
     scores = []
     for i in range(len(b.points)):
         rest = np.arange(len(b.points)) != i
-        reduced_diagram = _matrix_diagram(b, b.distances[np.ix_(rest, rest)])
+        reduced_diagram = _matrix_diagram(b, dist[np.ix_(rest, rest)])
         scores.append(_distance(b.diagram, reduced_diagram, b.max_dim))
     return THRESHOLD_SLACK * float(np.quantile(scores, quantile))
 
@@ -264,16 +247,12 @@ def attribute(b: Baseline, v: FeatureVector) -> str:
     """
     z = np.array(b.standardize(v))
     col_means = np.array(b.points).mean(axis=0)
-    best_idx = 0
-    best_score = math.inf
+    scores = []
     for i in range(len(z)):
         probe = z.copy()
         probe[i] = col_means[i]
-        s = _score_standardized(b, tuple(probe))
-        if s < best_score:
-            best_score = s
-            best_idx = i
-    return b.feature_names[best_idx]
+        scores.append(_score_standardized(b, tuple(probe)))
+    return b.feature_names[int(np.argmin(scores))]
 
 
 def step(b: Baseline, v: FeatureVector, threshold: float) -> tuple[AnomalyReport, Baseline]:
@@ -281,11 +260,11 @@ def step(b: Baseline, v: FeatureVector, threshold: float) -> tuple[AnomalyReport
 
     Anomalous windows are reported with an attribution and the baseline is
     returned unchanged; normal windows replace the oldest point and the
-    cached diagram is recomputed from the scored cloud's distances without
-    the oldest point's row and column.
+    cached diagram is recomputed from the scored cloud's distance matrix
+    without the oldest point's row and column.
     """
     z = b.standardize(v)
-    scored = _bordered(b, z)
+    scored = _cloud_distances(b.points + (z,))
     score = _distance(_matrix_diagram(b, scored), b.diagram, b.max_dim)
     anomalous = score > threshold
     if anomalous:

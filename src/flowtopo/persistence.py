@@ -21,9 +21,8 @@ Filtration of the cliques within max_eps, and barcode reduces it: this
 serves `ph` and is the oracle.  rips_diagram takes a distance matrix,
 reuses the cached facets of the complete complex on as many vertices and
 only gathers, masks and sorts births before the same reduction: this serves
-the detector, whose clouds are small and nearly complete and share their
-distances from one call to the next.  Both refuse to build more than
-MAX_LAYER simplices of one dimension.
+the detector, whose clouds are small and nearly complete.  Both refuse to
+build more than MAX_LAYER simplices of one dimension.
 Diagram distance is a minimal-cost matching (Hungarian assignment) with
 L-infinity ground metric and diagonal projections.
 """
@@ -48,6 +47,10 @@ DENSE_PER_SIMPLEX = 8
 # the most simplices of one dimension a Rips complex may have; a full
 # 2-skeleton of that size peaks near 0.7 GB in vietoris_rips + barcode
 MAX_LAYER = 2_000_000
+# the most entries of the rows x columns x coordinates difference array that
+# euclidean_distances holds at once (8 MiB of float64); a detector cloud of
+# 21 points in 10 coordinates is 4,410
+DISTANCE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +144,17 @@ class Filtration:
 
 def euclidean_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances between the rows of a and the rows of b: the one expression
-    every Rips birth comes from, so a row computed alone equals its row of
-    the full matrix bit for bit."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    every Rips birth comes from.  Each entry depends only on its two points,
+    so a row computed alone, a block of rows or a submatrix equals its part
+    of the full matrix bit for bit.  Rows are taken a block at a time, as
+    many as keep the difference array within DISTANCE_BLOCK entries (at
+    least one)."""
+    out = np.empty((len(a), len(b)))
+    rows = max(1, DISTANCE_BLOCK // max(1, b.size))
+    for i in range(0, len(a), rows):
+        diff = a[i:i + rows, None, :] - b[None, :, :]
+        out[i:i + rows] = np.sqrt((diff * diff).sum(axis=-1))
+    return out
 
 
 def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:

@@ -7,6 +7,7 @@ import pytest
 
 from flowtopo.cli import main
 from flowtopo.detector import FEATURE_NAMES
+from flowtopo.flows import FLOW_HEADER, MAX_WINDOWS
 
 
 def run(args):
@@ -317,6 +318,13 @@ def stage_inputs(tmp_path_factory):
             parts[column] = value
         paths[f"sessions_{name}"] = d / f"sessions_{name}.csv"
         paths[f"sessions_{name}"].write_text("\n".join([header, ",".join(parts), *rest]) + "\n")
+    # two records 3e8 seconds apart: a million 300-second windows
+    paths["flows_far"] = d / "flows_far.csv"
+    paths["flows_far"].write_text(f"{FLOW_HEADER}\n0,1,10.0.0.1,10.1.0.1,40000,80,S\n"
+                                  "3e8,3e8,10.0.0.1,10.1.0.1,40000,80,S\n")
+    paths["sessions_far"] = d / "sessions_far.csv"
+    paths["sessions_far"].write_text(f"{header}\n0,10.0.0.1,10.1.0.1,40000,80,0,1,1\n"
+                                     "3e8,10.0.0.1,10.1.0.1,40000,80,3e8,3e8,1\n")
     lines = paths["features"].read_text().splitlines()
     lines[2] = lines[2][:lines[2].rindex(",")]
     paths["features_ragged"] = d / "features_ragged.csv"
@@ -404,6 +412,16 @@ class TestMalformedRows:
     ])
     def test_ragged_row_rejected(self, args, message, stage_inputs, tmp_path, capsys):
         assert_one_line_failure(args, message, stage_inputs, tmp_path, capsys)
+
+
+class TestLongTimeline:
+    @pytest.mark.parametrize("cmd, name", [("ingest", "flows_far"),
+                                           ("features", "sessions_far"),
+                                           ("topo", "sessions_far")])
+    def test_refused_with_one_line(self, cmd, name, stage_inputs, tmp_path, capsys):
+        assert_one_line_failure(
+            [cmd, "--in", f"@{name}"], f"the timeline spans 1000001 windows of 300.0 "
+            f"seconds, more than the limit of {MAX_WINDOWS}", stage_inputs, tmp_path, capsys)
 
 
 class TestDetectFeatures:

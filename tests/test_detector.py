@@ -172,34 +172,21 @@ class TestBaseline:
         assert b.diagram.bars == {0: ((0.0, 2.0),)}
 
 
-def recomputed_distances(points):
-    """The distance matrix by vietoris_rips's expression, recomputed from the points."""
-    pts = np.array(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
-
-
 class TestDistances:
-    def test_read_only_and_in_step_with_points(self):
+    def test_rotations_keep_the_generic_diagram(self):
         rng = np.random.default_rng(21)
         vecs = [fv(row) for row in rng.normal(size=(40, 10))]
         b = init_baseline(vecs[:20], 20, max_eps=20.0, max_dim=1, features=FEATURE_NAMES)
         for v in vecs[20:]:
-            assert not b.distances.flags.writeable
-            with pytest.raises(ValueError):
-                b.distances[0, 1] = 1.0
-            assert b.distances.tobytes() == recomputed_distances(b.points).tobytes()
             report, b = step(b, v, threshold=1e9)
             assert not report.anomalous
+            assert b.diagram == cloud_diagram(b.points, b.max_eps, b.max_dim)
         assert b.points[-1] == b.standardize(vecs[-1])
-        assert b.distances.tobytes() == recomputed_distances(b.points).tobytes()
 
-    def test_copies_derive_their_own(self):
+    def test_copies_equal(self):
         b, _ = jitter_baseline(random.Random(23))
         for twin in (copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
             assert twin == b
-            assert np.array_equal(twin.distances, b.distances)
-            assert not twin.distances.flags.writeable
 
     def test_engine_disagreement_raises(self, monkeypatch):
         # a rips_diagram that drops one H0 bar must stop the run at init
@@ -318,6 +305,43 @@ class TestAttribute:
         assert attribute(b, spiked) == "alpha"
         spiked_other = fv([3.0, -1.0 + 50.0])
         assert attribute(b, spiked_other) == "beta"
+
+    def test_equals_generic_path(self):
+        # flagged detector-sized vectors: the named coordinate is the first one
+        # whose probe scores lowest when each probe's diagram comes from
+        # cloud_diagram.  Spikes in one coordinate, in two of nearly equal
+        # size, and in two far enough out that every probe saturates and ties
+        rng = np.random.default_rng(27)
+        flagged = 0
+        for trial in range(6):
+            raw = rng.normal(size=(26, 10))
+            if trial % 2:
+                raw = np.round(raw)
+            b = init_baseline([fv(row) for row in raw[:20]], 20, max_eps=20.0, max_dim=1,
+                              features=FEATURE_NAMES)
+            threshold = calibrate_threshold(b)
+            for k, row in enumerate(raw[20:]):
+                cols = rng.choice(10, size=2, replace=False)
+                if k % 3 == 0:
+                    row[cols[0]] += rng.uniform(5.0, 9.0)
+                elif k % 3 == 1:
+                    row[cols] += rng.uniform(5.0, 9.0) + np.array([0.0, rng.uniform(0.0, 0.3)])
+                else:
+                    row[cols] += 60.0
+                v = fv(row)
+                if score_window(b, v) <= threshold:
+                    continue
+                flagged += 1
+                z = b.standardize(v)
+                col_means = np.array(b.points).mean(axis=0)
+                scores = []
+                for i in range(len(z)):
+                    probe = z[:i] + (col_means[i],) + z[i + 1:]
+                    generic = cloud_diagram(b.points + (probe,), b.max_eps, b.max_dim)
+                    scores.append(math.fsum(wasserstein(generic, b.diagram, dim)
+                                            for dim in (0, 1)))
+                assert attribute(b, v) == FEATURE_NAMES[scores.index(min(scores))]
+        assert flagged >= 20
 
     def test_tie_goes_to_first_index(self):
         # baseline symmetric under coordinate swap, vector equally bad in both

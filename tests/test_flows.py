@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from flowtopo.flows import (
     FLOW_HEADER,
+    MAX_WINDOWS,
+    SESSION_HEADER,
     FlowFormatError,
     FlowRecord,
     SessionRecord,
@@ -406,6 +408,24 @@ class TestWindow:
 
     def test_empty_input(self):
         assert window([], width=300.0) == []
+
+    def test_timeline_limit(self):
+        # a year of 300-second windows fits; records 3e8 s apart, or a day
+        # in epoch milliseconds, are refused before a window is built
+        assert 365 * 288 <= MAX_WINDOWS
+        last = (MAX_WINDOWS - 1) * 300.0
+        assert len(window([sess(0.0), sess(last)], width=300.0)) == MAX_WINDOWS
+        for starts, count in (((0.0, last + 300.0), MAX_WINDOWS + 1),
+                              ((0.0, 3e8), 1000001),
+                              ((1.7e12, 1.7e12 + 86_400_000.0), 288001)):
+            message = (f"the timeline spans {count} windows of 300.0 seconds, "
+                       f"more than the limit of {MAX_WINDOWS}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                window([sess(t) for t in starts], width=300.0)
+            lines = [SESSION_HEADER] + [
+                f"{t},10.0.0.1,10.0.0.2,51515,80,{t},{t + 1},1" for t in starts]
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                parse_windowed_sessions(lines, width=300.0)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(SESSIONS, st.floats(10.0, 5000.0), st.floats(-1e4, 1e4))

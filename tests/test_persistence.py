@@ -1,8 +1,11 @@
 import copy
+import json
 import math
 import pickle
 import random
 import re
+import subprocess
+import sys
 from itertools import combinations, permutations
 
 import numpy as np
@@ -13,6 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from flowtopo import persistence
 from flowtopo.persistence import (
+    DISTANCE_BLOCK,
     MAX_LAYER,
     Filtration,
     PersistenceDiagram,
@@ -670,6 +674,49 @@ class TestRipsDiagram:
             row = euclidean_distances(pts[:-1], pts[-1:])[:, 0]
             assert full[:-1, -1].tobytes() == row.tobytes()
             assert full[-1, :-1].tobytes() == row.tobytes()
+
+
+SPAWN_BARE = ("import subprocess, sys; "
+              "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
+BLOCKED_DISTANCES_CHILD = """
+import json, resource
+import numpy as np
+from flowtopo.persistence import vietoris_rips
+f = vietoris_rips(np.random.default_rng(0).normal(size=(600, 50)), max_eps=1.0, max_dim=1)
+print(json.dumps({"simplices": len(f),
+                  "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+class TestEuclideanDistances:
+    """The matrix is computed a block of rows at a time; each entry depends
+    only on its two points, so the blocks change no float."""
+
+    @pytest.mark.parametrize("n, d", [(300, 50), (120, 1000), (2000, 3)])
+    def test_blocks_equal_rows(self, n, d):
+        rng = np.random.default_rng(n + d)
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+        assert n * pts.size > DISTANCE_BLOCK  # more than one block
+        full = euclidean_distances(pts, pts)
+        rows = np.array([euclidean_distances(pts[i:i + 1], pts)[0] for i in range(n)])
+        assert full.tobytes() == rows.tobytes()
+
+    def test_detector_cloud_is_one_block(self):
+        assert 21 * 21 * 10 <= DISTANCE_BLOCK
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in KiB only on Linux")
+    def test_bounded_memory(self):
+        # 600 points in 50 coordinates: whole, the two 600 x 600 x 50
+        # temporaries took the process from about 78 to 355 MiB.  A spawned
+        # process starts from its spawner's peak RSS, so the child is spawned
+        # by a bare interpreter rather than by this one
+        proc = subprocess.run([sys.executable, "-c", SPAWN_BARE, BLOCKED_DISTANCES_CHILD],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["simplices"] == 600  # vertices only: no edge within max_eps
+        assert out["maxrss_kib"] < 200 * 1024
 
 
 class TestSizeBound:
