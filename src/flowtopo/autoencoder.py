@@ -5,6 +5,13 @@ where an architecture is chosen (Mlp.random), leaky rectifier hidden units,
 identity output.  Training is mini-batch gradient descent with momentum on
 mean squared reconstruction error, fully deterministic under the
 configured seed.
+
+A mini-batch makes a few dozen numpy calls on small arrays, so per-call
+overhead, not arithmetic, sets the cost of training.  ``train`` therefore
+keeps the parameters, the gradients and the velocities in one flat buffer
+each, with every layer's weights and biases as views into them, and makes
+the momentum step four whole-buffer operations.  Being elementwise, they
+round each float exactly as the per-layer update does.
 """
 
 from __future__ import annotations
@@ -20,12 +27,41 @@ LEAKY_SLOPE = 0.01
 MODEL_FORMAT = "mlp-v1"
 
 
-def _leaky(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, z, LEAKY_SLOPE * z)
+def _forward(weights, biases, x: np.ndarray):
+    """Per-layer activations of a batch x (n, d) and the rectifier slopes.
+
+    A hidden unit's output is z * g with g = 1 where z > 0, else
+    LEAKY_SLOPE; the same g is the rectifier's derivative, so the backward
+    pass reuses it.  z * 1.0 == z and z * LEAKY_SLOPE == LEAKY_SLOPE * z
+    exactly, for signed zeros, infinities and NaN too.
+    """
+    acts, slopes = [x], []
+    last = len(weights) - 1
+    a = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        a = a @ w.T
+        a += b
+        if i != last:
+            g = np.where(a > 0, 1.0, LEAKY_SLOPE)
+            a *= g
+            slopes.append(g)
+        acts.append(a)
+    return acts, slopes
 
 
-def _leaky_grad(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, 1.0, LEAKY_SLOPE)
+def _backward(weights, acts, slopes, dz: np.ndarray, grads) -> None:
+    """Writes the gradient of every weight and bias into grads.
+
+    dz is the gradient at the output layer, acts and slopes are _forward's,
+    and grads holds one (dw, db) pair of arrays per layer.
+    """
+    for i in range(len(weights) - 1, -1, -1):
+        dw, db = grads[i]
+        np.matmul(dz.T, acts[i], out=dw)
+        np.add.reduce(dz, axis=0, out=db)
+        if i > 0:
+            dz = dz @ weights[i]
+            dz *= slopes[i - 1]
 
 
 @dataclass
@@ -94,25 +130,13 @@ class Mlp:
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
 
-    def _forward_batch(self, x: np.ndarray):
-        """Returns pre-activations and activations per layer; x is (n, d)."""
-        pre, acts = [], [x]
-        a = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            pre.append(z)
-            a = z if i == last else _leaky(z)
-            acts.append(a)
-        return pre, acts
-
     def _activations(self, x) -> list[np.ndarray]:
         """Per-layer activations of a single input vector, shape-checked."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.layer_sizes[0],):
             raise ValueError(
                 f"input has shape {x.shape}, expected ({self.layer_sizes[0]},)")
-        _, acts = self._forward_batch(x[None, :])
+        acts, _ = _forward(self.weights, self.biases, x[None, :])
         return [a[0] for a in acts]
 
     def forward(self, x) -> np.ndarray:
@@ -140,20 +164,13 @@ class Mlp:
     def loss_and_gradients(self, batch: np.ndarray):
         """MSE loss over the batch and gradients for every weight and bias."""
         x = np.asarray(batch, dtype=float)
-        pre, acts = self._forward_batch(x)
+        acts, slopes = _forward(self.weights, self.biases, x)
         n, d = x.shape
         diff = acts[-1] - x
         loss = float(np.mean(diff ** 2))
-        grad_out = 2.0 * diff / (n * d)
-        grads = [None] * len(self.weights)
-        last = len(self.weights) - 1
-        dz = grad_out
-        for i in range(last, -1, -1):
-            if i != last:
-                dz = dz * _leaky_grad(pre[i])
-            grads[i] = (dz.T @ acts[i], dz.sum(axis=0))
-            if i > 0:
-                dz = dz @ self.weights[i]
+        grads = [(np.empty_like(w), np.empty_like(b))
+                 for w, b in zip(self.weights, self.biases)]
+        _backward(self.weights, acts, slopes, 2.0 * diff / (n * d), grads)
         return loss, grads
 
     def dumps(self) -> str:
@@ -213,6 +230,15 @@ def train(m: Mlp, data, cfg: TrainConfig) -> list[float]:
 
     Returns the full-data loss after each epoch.  Identical seeds give
     identical histories.  A loss that is not finite raises ValueError.
+
+    Parameters, gradients and velocities each live in one flat buffer for
+    the duration of the call.  The update ``velocity *= momentum``,
+    ``step = grad * lr``, ``velocity -= step``, ``params += velocity``
+    rounds each element exactly as ``momentum * v - lr * g`` then
+    ``w + v`` does layer by layer, since IEEE multiplication commutes and
+    every operation is elementwise.  Whether it returns or raises, train
+    leaves m holding copies out of the buffer; the arrays m held before
+    are never written.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim == 1:
@@ -223,28 +249,45 @@ def train(m: Mlp, data, cfg: TrainConfig) -> list[float]:
         raise ValueError(
             f"training vectors have width {x.shape[1]}, model expects {m.layer_sizes[0]}")
     rng = np.random.default_rng(cfg.seed)
-    velocity = [(np.zeros_like(w), np.zeros_like(b))
-                for w, b in zip(m.weights, m.biases)]
+    arrays = [a for pair in zip(m.weights, m.biases) for a in pair]
+    ends = np.cumsum([a.size for a in arrays])
+    params = np.concatenate([a.ravel() for a in arrays])
+    grad, step = np.empty_like(params), np.empty_like(params)
+    velocity = np.zeros_like(params)
+
+    def views(buf):
+        parts = [buf[end - a.size:end].reshape(a.shape) for end, a in zip(ends, arrays)]
+        return parts[0::2], parts[1::2]
+
+    weights, biases = views(params)
+    grads = list(zip(*views(grad)))
     history = []
-    n = len(x)
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = x[order[start:start + cfg.batch_size]]
-            _, grads = m.loss_and_gradients(batch)
-            for i, (dw, db) in enumerate(grads):
-                vw, vb = velocity[i]
-                vw = cfg.momentum * vw - cfg.learning_rate * dw
-                vb = cfg.momentum * vb - cfg.learning_rate * db
-                velocity[i] = (vw, vb)
-                m.weights[i] = m.weights[i] + vw
-                m.biases[i] = m.biases[i] + vb
-        # the loss expression of loss_and_gradients, without its backward pass
-        _, acts = m._forward_batch(x)
-        loss = float(np.mean((acts[-1] - x) ** 2))
-        if not np.isfinite(loss):
-            raise ValueError(f"training diverged: the loss after epoch {epoch} is {loss}")
-        history.append(loss)
+    n, d = x.shape
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            shuffled = x[rng.permutation(n)]
+            for start in range(0, n, cfg.batch_size):
+                batch = shuffled[start:start + cfg.batch_size]
+                acts, slopes = _forward(weights, biases, batch)
+                # 2.0 * (output - batch) / (rows * d), in the output's array
+                dz = acts[-1]
+                dz -= batch
+                dz *= 2.0
+                dz /= len(batch) * d
+                _backward(weights, acts, slopes, dz, grads)
+                velocity *= cfg.momentum
+                np.multiply(grad, cfg.learning_rate, out=step)
+                velocity -= step
+                params += velocity
+            # the loss expression of loss_and_gradients, without its backward pass
+            acts, _ = _forward(weights, biases, x)
+            loss = float(np.mean((acts[-1] - x) ** 2))
+            if not np.isfinite(loss):
+                raise ValueError(f"training diverged: the loss after epoch {epoch} is {loss}")
+            history.append(loss)
+    finally:
+        m.weights = [w.copy() for w in weights]
+        m.biases = [b.copy() for b in biases]
     return history
 
 

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtopo.autoencoder import (
     LEAKY_SLOPE,
@@ -25,6 +27,88 @@ def identity_net(d=3):
     ws = [np.eye(d)] * 4
     bs = [np.zeros(d)] * 4
     return Mlp(ws, bs)
+
+
+# ------------------------------------------------------------------ oracle
+# The per-layer forward, backward and momentum loop that `train` and
+# `loss_and_gradients` replaced, kept verbatim: the flat-buffer loop must
+# give the same floats, bit for bit.
+
+
+def oracle_forward(m, x):
+    """Pre-activations and activations per layer; x is (n, d)."""
+    pre, acts = [], [x]
+    a = x
+    last = len(m.weights) - 1
+    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+        z = a @ w.T + b
+        pre.append(z)
+        a = z if i == last else np.where(z > 0, z, LEAKY_SLOPE * z)
+        acts.append(a)
+    return pre, acts
+
+
+def oracle_loss_and_gradients(m, batch):
+    x = np.asarray(batch, dtype=float)
+    pre, acts = oracle_forward(m, x)
+    n, d = x.shape
+    diff = acts[-1] - x
+    loss = float(np.mean(diff ** 2))
+    grad_out = 2.0 * diff / (n * d)
+    grads = [None] * len(m.weights)
+    last = len(m.weights) - 1
+    dz = grad_out
+    for i in range(last, -1, -1):
+        if i != last:
+            dz = dz * np.where(pre[i] > 0, 1.0, LEAKY_SLOPE)
+        grads[i] = (dz.T @ acts[i], dz.sum(axis=0))
+        if i > 0:
+            dz = dz @ m.weights[i]
+    return loss, grads
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def oracle_train(m, data, cfg):
+    x = np.asarray(data, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    rng = np.random.default_rng(cfg.seed)
+    velocity = [(np.zeros_like(w), np.zeros_like(b))
+                for w, b in zip(m.weights, m.biases)]
+    history = []
+    n = len(x)
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = x[order[start:start + cfg.batch_size]]
+            _, grads = oracle_loss_and_gradients(m, batch)
+            for i, (dw, db) in enumerate(grads):
+                vw, vb = velocity[i]
+                vw = cfg.momentum * vw - cfg.learning_rate * dw
+                vb = cfg.momentum * vb - cfg.learning_rate * db
+                velocity[i] = (vw, vb)
+                m.weights[i] = m.weights[i] + vw
+                m.biases[i] = m.biases[i] + vb
+        _, acts = oracle_forward(m, x)
+        loss = float(np.mean((acts[-1] - x) ** 2))
+        if not np.isfinite(loss):
+            raise ValueError(f"training diverged: the loss after epoch {epoch} is {loss}")
+        history.append(loss)
+    return history
+
+
+def trained_both(sizes, data, cfg, seed=0):
+    """(history or error message, dumps) of a seeded net after train and
+    after oracle_train."""
+    out = []
+    for fit in (train, oracle_train):
+        m = Mlp.random(sizes, seed=seed)
+        try:
+            result = fit(m, data, cfg)
+        except ValueError as exc:
+            result = str(exc)
+        out.append((result, m.dumps()))
+    return out
 
 
 class TestForward:
@@ -204,6 +288,122 @@ class TestTraining:
         m = Mlp.random([3, 4, 2, 4, 3], seed=0)
         with pytest.raises(ValueError):
             train(m, np.zeros((0, 3)), TrainConfig())
+
+
+class TestTrainingOracle:
+    CASES = {
+        "batch_not_dividing_n": ((3, 5, 2, 5, 3), (37, 3),
+                                 dict(batch_size=5, momentum=0.0, epochs=8)),
+        "batch_at_least_n": ((3, 5, 2, 5, 3), (8, 3), dict(batch_size=16, epochs=8)),
+        "batch_1": ((3, 5, 2, 5, 3), (9, 3), dict(batch_size=1, epochs=4)),
+        "momentum_0": ((4, 6, 1, 6, 4), (40, 4), dict(batch_size=8, momentum=0.0, epochs=6)),
+        "momentum_half": ((3, 5, 2, 5, 3), (100, 3), dict(batch_size=32, momentum=0.5, epochs=6)),
+        "learning_rate_0": ((3, 5, 2, 5, 3), (20, 3),
+                            dict(learning_rate=0.0, batch_size=6, epochs=3)),
+        "one_data_vector": ((3, 5, 2, 5, 3), (3,), dict(batch_size=4, epochs=5)),
+        "one_epoch": ((5, 8, 2, 8, 5), (50, 5), dict(batch_size=7, epochs=1)),
+        # the train-ae defaults on a day's 288 windows of 10 features
+        "day_shaped": ((10, 20, 5, 20, 10), (288, 10),
+                       dict(learning_rate=0.01, momentum=0.9, batch_size=32, epochs=300)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_oracle(self, case):
+        sizes, shape, kwargs = self.CASES[case]
+        data = np.random.default_rng(len(case)).normal(size=shape)
+        got, want = trained_both(sizes, data, TrainConfig(seed=3, **kwargs), seed=7)
+        assert isinstance(got[0], list)
+        assert got == want
+
+    def test_divergence_equals_oracle(self):
+        data = np.random.default_rng(1).normal(size=(16, 3))
+        cfg = TrainConfig(learning_rate=1e6, epochs=50, batch_size=4)
+        got, want = trained_both([3, 4, 2, 4, 3], data, cfg)
+        assert got[0].startswith("training diverged: the loss after epoch ")
+        assert got == want
+
+    def test_zero_preactivations_equal_oracle(self):
+        # a zero first layer makes every first pre-activation exactly 0, where
+        # the rectifier's slope is LEAKY_SLOPE, not 1
+        data = np.random.default_rng(6).normal(size=(12, 3))
+        cfg = TrainConfig(epochs=3, batch_size=4)
+        results = []
+        for fit in (train, oracle_train):
+            m = Mlp.random([3, 4, 2, 4, 3], seed=8)
+            m.weights[0][:] = 0.0
+            results.append((fit(m, data, cfg), m.dumps()))
+        assert results[0] == results[1]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data(), st.integers(2, 6), st.integers(1, 7), st.integers(1, 30),
+           st.integers(1, 35), st.integers(1, 4),
+           st.sampled_from([0.0, 0.01, 0.1, 1.0, 30.0]), st.sampled_from([0.0, 0.5, 0.9]),
+           st.integers(0, 2 ** 16))
+    def test_property(self, draw, d, hidden, n, batch_size, epochs, lr, momentum, seed):
+        bottleneck = draw.draw(st.integers(1, d - 1))
+        data = np.random.default_rng(seed).normal(size=(n, d))
+        cfg = TrainConfig(learning_rate=lr, momentum=momentum, batch_size=batch_size,
+                          epochs=epochs, seed=seed)
+        got, want = trained_both([d, hidden, bottleneck, hidden, d], data, cfg, seed=seed + 1)
+        assert got == want
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 32])
+    def test_loss_and_gradients_equal_oracle(self, rows):
+        rng = np.random.default_rng(rows)
+        for seed in range(3):
+            m = Mlp.random([4, 6, 2, 6, 4], seed=seed)
+            batch = rng.normal(size=(rows, 4))
+            loss, grads = m.loss_and_gradients(batch)
+            want_loss, want_grads = oracle_loss_and_gradients(m, batch)
+            assert loss == want_loss
+            assert [(dw.tobytes(), db.tobytes()) for dw, db in grads] == \
+                [(dw.tobytes(), db.tobytes()) for dw, db in want_grads]
+
+
+class TestTrainingOwnsItsBuffers:
+    """train keeps its parameters in a flat buffer of its own; arrays a
+    caller handed to Mlp are never written, and the model ends up holding
+    arrays of its own."""
+
+    def caller_model(self):
+        src = Mlp.random([3, 5, 2, 5, 3], seed=4)
+        weights = [w.copy() for w in src.weights]
+        biases = [b.copy() for b in src.biases]
+        m = Mlp(weights, biases)
+        assert m.weights[0] is weights[0]  # Mlp keeps a float64 array as given
+        return m, weights + biases, [a.copy() for a in weights + biases]
+
+    def assert_owned(self, m, given):
+        for a in m.weights + m.biases:
+            assert a.flags.owndata
+            assert all(a is not g for g in given)
+
+    def test_caller_arrays_kept(self):
+        m, given, kept = self.caller_model()
+        data = np.random.default_rng(2).normal(size=(20, 3))
+        train(m, data, TrainConfig(epochs=5, batch_size=6))
+        assert [a.tobytes() for a in given] == [a.tobytes() for a in kept]
+        self.assert_owned(m, given)
+        text = m.dumps()
+        back = Mlp.loads(text)
+        assert back.dumps() == text
+        for a, b in zip(m.weights + m.biases, back.weights + back.biases):
+            assert a.tobytes() == b.tobytes()
+        # a second call writes none of the arrays the first one left
+        first = [a.copy() for a in m.weights + m.biases]
+        held = m.weights + m.biases
+        train(m, data, TrainConfig(epochs=2, batch_size=6))
+        assert [a.tobytes() for a in held] == [a.tobytes() for a in first]
+        assert m.dumps() != text
+
+    def test_caller_arrays_kept_on_divergence(self):
+        m, given, kept = self.caller_model()
+        data = np.random.default_rng(1).normal(size=(16, 3))
+        with pytest.raises(ValueError, match="training diverged"):
+            train(m, data, TrainConfig(learning_rate=1e6, epochs=50, batch_size=4))
+        assert [a.tobytes() for a in given] == [a.tobytes() for a in kept]
+        self.assert_owned(m, given)
+        assert not all(np.isfinite(a).all() for a in m.weights + m.biases)
 
 
 class TestSerialization:

@@ -3,7 +3,6 @@ import json
 import math
 import pickle
 import random
-import subprocess
 import sys
 
 import numpy as np
@@ -120,17 +119,14 @@ class TestSummarize:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="ru_maxrss is in KiB only on Linux")
-    def test_full_port_scan_window_bounded_memory(self):
+    def test_full_port_scan_window_bounded_memory(self, run_bare_child):
         # all 65535 ports scanned in one window: 262,124 order-complex edges,
         # whose boundary columns must be reduced as they are generated;
         # holding them all at once takes about 1.3 GiB
-        proc = subprocess.run([sys.executable, "-c", FULL_SCAN_CHILD],
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout)
+        out = run_bare_child(FULL_SCAN_CHILD)
         assert out["values"] == [65579.0, 13.0, 65535.0, 9.0, 1.0004425116350042,
                                  65531.0, 4.0, 1.0, 196590.0, 65531.0]
-        assert out["maxrss_kib"] < 800 * 1024
+        assert out["maxrss_kib"] < 800 * 1024, f"child peak {out['maxrss_kib']} KiB"
 
 
 # ---------------------------------------------------------------- baseline

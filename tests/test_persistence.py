@@ -1,10 +1,8 @@
 import copy
-import json
 import math
 import pickle
 import random
 import re
-import subprocess
 import sys
 from itertools import combinations, permutations
 
@@ -676,8 +674,6 @@ class TestRipsDiagram:
             assert full[-1, :-1].tobytes() == row.tobytes()
 
 
-SPAWN_BARE = ("import subprocess, sys; "
-              "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
 BLOCKED_DISTANCES_CHILD = """
 import json, resource
 import numpy as np
@@ -706,17 +702,12 @@ class TestEuclideanDistances:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="ru_maxrss is in KiB only on Linux")
-    def test_bounded_memory(self):
+    def test_bounded_memory(self, run_bare_child):
         # 600 points in 50 coordinates: whole, the two 600 x 600 x 50
-        # temporaries took the process from about 78 to 355 MiB.  A spawned
-        # process starts from its spawner's peak RSS, so the child is spawned
-        # by a bare interpreter rather than by this one
-        proc = subprocess.run([sys.executable, "-c", SPAWN_BARE, BLOCKED_DISTANCES_CHILD],
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout)
+        # temporaries took the process from about 78 to 355 MiB
+        out = run_bare_child(BLOCKED_DISTANCES_CHILD)
         assert out["simplices"] == 600  # vertices only: no edge within max_eps
-        assert out["maxrss_kib"] < 200 * 1024
+        assert out["maxrss_kib"] < 200 * 1024, f"child peak {out['maxrss_kib']} KiB"
 
 
 class TestSizeBound:
