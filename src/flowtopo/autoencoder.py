@@ -64,6 +64,19 @@ def _backward(weights, acts, slopes, dz: np.ndarray, grads) -> None:
             dz *= slopes[i - 1]
 
 
+def _training_rows(m: "Mlp", data) -> np.ndarray:
+    """data as a nonempty float batch of m's input width; a vector is one row."""
+    x = np.asarray(data, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.size == 0:
+        raise ValueError("training data must be nonempty")
+    if x.shape[1] != m.layer_sizes[0]:
+        raise ValueError(
+            f"training vectors have width {x.shape[1]}, model expects {m.layer_sizes[0]}")
+    return x
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.02
@@ -162,8 +175,10 @@ class Mlp:
         return self.forward(x)
 
     def loss_and_gradients(self, batch: np.ndarray):
-        """MSE loss over the batch and gradients for every weight and bias."""
-        x = np.asarray(batch, dtype=float)
+        """MSE loss over the batch and gradients for every weight and bias.
+
+        Checks the batch as train checks its data."""
+        x = _training_rows(self, batch)
         acts, slopes = _forward(self.weights, self.biases, x)
         n, d = x.shape
         diff = acts[-1] - x
@@ -240,14 +255,7 @@ def train(m: Mlp, data, cfg: TrainConfig) -> list[float]:
     leaves m holding copies out of the buffer; the arrays m held before
     are never written.
     """
-    x = np.asarray(data, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.size == 0:
-        raise ValueError("training data must be nonempty")
-    if x.shape[1] != m.layer_sizes[0]:
-        raise ValueError(
-            f"training vectors have width {x.shape[1]}, model expects {m.layer_sizes[0]}")
+    x = _training_rows(m, data)
     rng = np.random.default_rng(cfg.seed)
     arrays = [a for pair in zip(m.weights, m.biases) for a in pair]
     ends = np.cumsum([a.size for a in arrays])

@@ -4,6 +4,12 @@ Input logs are unidirectional flow records.  A client request and the server's
 response show up as two separate records with mirrored endpoints; downstream
 analysis wants one session per communication, so overlapping mirrored records
 are merged and the originating side is designated the client.
+
+Ingest is the first step of every pipeline, so its per-record path is kept
+short: a row converts all its fields in one try and a record passes one
+straight-line validity test.  Only a row or record that fails goes through
+the slower loops that name the offending field, in a fixed order, so the
+errors do not depend on which path ran.
 """
 
 from __future__ import annotations
@@ -12,7 +18,10 @@ import functools
 import heapq
 import ipaddress
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import groupby, islice
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 FLOW_HEADER = "sTime,eTime,sIP,dIP,sPort,dPort,flags"
@@ -56,8 +65,23 @@ def _is_ipv4(text: str) -> bool:
 
 def _check_record(names: tuple[str, ...], values: tuple) -> None:
     """Check one record's (address, address, port, port, start, end) values,
-    named as its format names them: IPv4, 0-65535, finite with end >= start."""
+    named as its format names them: IPv4, integers 0-65535 but not bools,
+    finite with end >= start.
+
+    One chained test accepts a valid record; the chained time comparison is
+    false for NaN, for +-inf and for end < start.  Only a record that fails
+    it runs the named checks, ports then addresses then times, which raise
+    FlowFormatError naming the first bad field.
+    """
+    ip_a, ip_b, port_a, port_b, start, end = values
+    if (type(port_a) is int and type(port_b) is int
+            and 0 <= port_a <= 65535 and 0 <= port_b <= 65535
+            and _is_ipv4(ip_a) and _is_ipv4(ip_b)
+            and -math.inf < start <= end < math.inf):
+        return
     for field, port in zip(names[2:4], values[2:4]):
+        if isinstance(port, bool) or not isinstance(port, numbers.Integral):
+            raise FlowFormatError(f"{field} {port!r} is not an integer", field=field)
         if not 0 <= port <= 65535:
             raise FlowFormatError(f"{field} {port} out of range 0-65535", field=field)
     for field, ip in zip(names[:2], values[:2]):
@@ -120,8 +144,8 @@ class TimeWindow:
     sessions: tuple[SessionRecord, ...]
 
 
-def _session_order(s: SessionRecord) -> tuple:
-    return (s.start, s.client_ip, s.server_ip, s.client_port, s.server_port)
+_session_order = attrgetter("start", "client_ip", "server_ip", "client_port",
+                            "server_port")
 
 
 def _check_width(width: float) -> None:
@@ -159,23 +183,35 @@ def csv_rows(lines: Iterable[str], header: str | None = None
 
 
 def _record(cls, table, fields: list[str], lineno: int):
-    """Convert fields by the (name, type) table and build cls from them."""
-    values = []
-    for (name, kind), raw in zip(table, fields):
-        try:
-            values.append(kind(raw.strip()))
-        except ValueError:
-            raise FlowFormatError(
-                f"line {lineno}: field {name} has unparseable value {raw.strip()!r}",
-                lineno, name) from None
+    """Convert fields by the (name, converter) table and build cls from them.
+
+    All fields convert in one try, without stripping the numeric ones:
+    float and int skip the same padding as str.strip, except U+001C-U+001F,
+    which they refuse.  Only after a ValueError does the named loop run,
+    stripping each field first; it accepts such padding and otherwise
+    names the first field that does not convert.
+    """
+    try:
+        values = [kind(raw) for (_, kind), raw in zip(table, fields)]
+    except ValueError:
+        values = []
+        for (name, kind), raw in zip(table, fields):
+            try:
+                values.append(kind(raw.strip()))
+            except ValueError:
+                raise FlowFormatError(
+                    f"line {lineno}: field {name} has unparseable value {raw.strip()!r}",
+                    lineno, name) from None
     try:
         return cls(*values)
     except FlowFormatError as exc:
         raise FlowFormatError(f"line {lineno}: {exc}", lineno, exc.field) from None
 
 
-_FLOW_FIELDS = (("sTime", float), ("eTime", float), ("sIP", str), ("dIP", str),
-                ("sPort", int), ("dPort", int), ("flags", str))
+# text fields convert with str.strip; numeric ones strip only on the slow path
+_FLOW_FIELDS = (("sTime", float), ("eTime", float), ("sIP", str.strip),
+                ("dIP", str.strip), ("sPort", int), ("dPort", int),
+                ("flags", str.strip))
 
 
 def parse_flows(lines: Iterable[str]) -> list[FlowRecord]:
@@ -198,31 +234,41 @@ def serialize_flows(records: Iterable[FlowRecord]) -> str:
     return "\n".join(out) + "\n"
 
 
+_end_time = attrgetter("e_time")
+_record_order = attrgetter("s_time", "e_time", "s_ip", "d_ip", "s_port", "d_port",
+                           "flags")
+
+
 def _component_session(members: list[FlowRecord]) -> SessionRecord:
-    t0 = min(r.s_time for r in members)
-    earliest_sources = {(r.s_ip, r.s_port) for r in members if r.s_time == t0}
-    if len(earliest_sources) == 1:
-        client = earliest_sources.pop()
-    else:
-        # both directions start simultaneously: ephemeral-port side is the
-        # client, and as a last resort the lexicographically smaller IP
-        a, b = sorted(earliest_sources)
-        if (a[1] >= 1024) != (b[1] >= 1024):
-            client = a if a[1] >= 1024 else b
-        elif a[0] != b[0]:
-            client = a if a[0] < b[0] else b
-        else:
-            client = a
-    probe = members[0]
-    if (probe.s_ip, probe.s_port) == client:
-        server = (probe.d_ip, probe.d_port)
-    else:
-        server = (probe.s_ip, probe.s_port)
-    return SessionRecord(
-        client_ip=client[0], server_ip=server[0],
-        client_port=client[1], server_port=server[1],
-        start=t0, end=max(r.e_time for r in members),
-        constituent_count=len(members))
+    """The session of one pairing component.
+
+    members must be in record order (by start time first), as
+    pair_bidirectional collects them, and share one unordered endpoint
+    pair: the first member has the earliest start, the members that share
+    it lead, and their sources are the first member's source or its
+    destination.  The client is that source; when both endpoints send at
+    the earliest start, the rule below picks it.  The server is the other
+    endpoint.
+    """
+    first = members[0]
+    t0 = first.s_time
+    client, server = (first.s_ip, first.s_port), (first.d_ip, first.d_port)
+    for r in islice(members, 1, None):
+        if r.s_time != t0:
+            break
+        if (r.s_ip, r.s_port) != client:
+            # both directions start simultaneously: ephemeral-port side is the
+            # client, and as a last resort the lexicographically smaller IP
+            a, b = sorted((client, server))
+            if (a[1] >= 1024) != (b[1] >= 1024):
+                client, server = (a, b) if a[1] >= 1024 else (b, a)
+            elif a[0] != b[0]:
+                client, server = (a, b) if a[0] < b[0] else (b, a)
+            else:
+                client, server = a, b
+            break
+    return SessionRecord(client[0], server[0], client[1], server[1], t0,
+                         max(map(_end_time, members)), len(members))
 
 
 def find(root, a: int) -> int:
@@ -270,15 +316,18 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
     follows the number of overlapping mirrored pairs, not the square of the
     group size.
     """
-    recs = sorted(records, key=lambda r: (r.s_time, r.e_time, r.s_ip, r.d_ip,
-                                          r.s_port, r.d_port, r.flags))
+    recs = sorted(records, key=_record_order)
     n = len(recs)
     parent = list(range(n))
-    groups: dict[tuple, list[int]] = {}
-    for i, r in enumerate(recs):
-        key = tuple(sorted([(r.s_ip, r.s_port), (r.d_ip, r.d_port)]))
-        groups.setdefault(key, []).append(i)
-    for (low, high), idxs in groups.items():
+    # one group number per record, not one index list per group: lists that
+    # outlive a garbage collection make the next full collection come sooner
+    groups: dict[tuple, int] = {}
+    group = []
+    for r in recs:
+        a, b = (r.s_ip, r.s_port), (r.d_ip, r.d_port)
+        group.append(groups.setdefault((a, b) if a <= b else (b, a), len(groups)))
+    runs = groupby(sorted(range(n), key=group.__getitem__), group.__getitem__)
+    for (low, high), (_, idxs) in zip(groups, runs):
         heaps = ([], [])  # (e_time, index) of records sent from low, from high
         for j in idxs:
             r = recs[j]
@@ -291,10 +340,12 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
                 union(parent, i, j)
             heapq.heappush(own, (r.e_time, j))
 
-    components: dict[int, list[FlowRecord]] = {}
-    for i in range(n):
-        components.setdefault(find(parent, i), []).append(recs[i])
-    sessions = [_component_session(members) for members in components.values()]
+    # a component's root is its first record, so sorting by root keeps the
+    # components in order of first record and each one's members in record order
+    roots = [find(parent, i) for i in range(n)]
+    sessions = [_component_session([recs[i] for i in members])
+                for _, members in groupby(sorted(range(n), key=roots.__getitem__),
+                                          roots.__getitem__)]
     sessions.sort(key=_session_order)
     return sessions
 
@@ -341,9 +392,9 @@ def serialize_windowed_sessions(windows: Iterable[TimeWindow]) -> str:
     return "\n".join(out) + "\n"
 
 
-_SESSION_FIELDS = (("window_start", float), ("client_ip", str), ("server_ip", str),
-                   ("client_port", int), ("server_port", int), ("start", float),
-                   ("end", float), ("constituent_count", int))
+_SESSION_FIELDS = (("window_start", float), ("client_ip", str.strip),
+                   ("server_ip", str.strip), ("client_port", int), ("server_port", int),
+                   ("start", float), ("end", float), ("constituent_count", int))
 
 
 def _windowed_session(window_start: float, *fields) -> tuple[float, SessionRecord]:

@@ -231,6 +231,26 @@ class TestGradients:
         loss, _ = m.loss_and_gradients(batch)
         assert loss == pytest.approx(np.mean(batch ** 2))
 
+    def test_vector_is_one_row(self):
+        m = Mlp.random([3, 4, 2, 4, 3], seed=0)
+        row = np.array([0.5, -1.0, 2.0])
+        loss, grads = m.loss_and_gradients(row)
+        want_loss, want_grads = m.loss_and_gradients(row[None, :])
+        assert loss == want_loss
+        for (w, b), (want_w, want_b) in zip(grads, want_grads):
+            assert np.array_equal(w, want_w) and np.array_equal(b, want_b)
+
+    @pytest.mark.parametrize("batch, message", [
+        (np.zeros((0, 3)), "training data must be nonempty"),
+        (np.zeros((2, 5)), "training vectors have width 5, model expects 3"),
+    ])
+    def test_bad_batch_refused_like_train(self, batch, message):
+        m = Mlp.random([3, 4, 2, 4, 3], seed=0)
+        with pytest.raises(ValueError, match=message):
+            m.loss_and_gradients(batch)
+        with pytest.raises(ValueError, match=message):
+            train(m, batch, TrainConfig())
+
 
 class TestTraining:
     def test_rank_one_data_converges(self):

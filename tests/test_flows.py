@@ -2,6 +2,7 @@ import ipaddress
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,12 @@ from flowtopo.flows import (
     FlowFormatError,
     FlowRecord,
     SessionRecord,
-    _component_session,
+    _check_record,
+    _check_width,
     _is_ipv4,
     _session_order,
+    _timeline,
+    csv_rows,
     pair_bidirectional,
     parse_flows,
     parse_windowed_sessions,
@@ -27,6 +31,149 @@ from flowtopo.flows import (
 
 def rec(s, e, sip, dip, sp, dp, flags="S"):
     return FlowRecord(s, e, sip, dip, sp, dp, flags)
+
+
+# ------------------------------------------------------------------ oracle
+# The row conversion and record check that the one-try conversion and the
+# one-test record check replaced, kept verbatim: parsing must return the
+# same records and raise the same errors (message, line and field).
+
+def oracle_check_record(names: tuple[str, ...], values: tuple) -> None:
+    """Check one record's (address, address, port, port, start, end) values,
+    named as its format names them: IPv4, 0-65535, finite with end >= start."""
+    for field, port in zip(names[2:4], values[2:4]):
+        if not 0 <= port <= 65535:
+            raise FlowFormatError(f"{field} {port} out of range 0-65535", field=field)
+    for field, ip in zip(names[:2], values[:2]):
+        if not _is_ipv4(ip):
+            raise FlowFormatError(f"{field} {ip!r} is not a dotted-quad IPv4 address",
+                                  field=field)
+    for field, t in zip(names[4:], values[4:]):
+        if not math.isfinite(t):
+            raise FlowFormatError(f"{field} {t} is not finite", field=field)
+    if values[5] < values[4]:
+        raise FlowFormatError(f"{names[5]} {values[5]} precedes {names[4]} {values[4]}",
+                              field=names[5])
+
+
+def oracle_record(cls, table, fields: list[str], lineno: int):
+    """Convert fields by the (name, type) table and build cls from them."""
+    values = []
+    for (name, kind), raw in zip(table, fields):
+        try:
+            values.append(kind(raw.strip()))
+        except ValueError:
+            raise FlowFormatError(
+                f"line {lineno}: field {name} has unparseable value {raw.strip()!r}",
+                lineno, name) from None
+    try:
+        return cls(*values)
+    except FlowFormatError as exc:
+        raise FlowFormatError(f"line {lineno}: {exc}", lineno, exc.field) from None
+
+
+_FLOW_FIELDS = (("sTime", float), ("eTime", float), ("sIP", str), ("dIP", str),
+                ("sPort", int), ("dPort", int), ("flags", str))
+_SESSION_FIELDS = (("window_start", float), ("client_ip", str), ("server_ip", str),
+                   ("client_port", int), ("server_port", int), ("start", float),
+                   ("end", float), ("constituent_count", int))
+FLOW_NAMES = ("sIP", "dIP", "sPort", "dPort", "sTime", "eTime")
+SESSION_NAMES = ("client_ip", "server_ip", "client_port", "server_port", "start", "end")
+
+
+def oracle_flow_record(s_time, e_time, s_ip, d_ip, s_port, d_port, flags):
+    oracle_check_record(FLOW_NAMES, (s_ip, d_ip, s_port, d_port, s_time, e_time))
+    return FlowRecord(s_time, e_time, s_ip, d_ip, s_port, d_port, flags)
+
+
+def oracle_windowed_session(window_start, client_ip, server_ip, client_port,
+                            server_port, start, end, constituent_count):
+    if not math.isfinite(window_start):
+        raise FlowFormatError(f"window_start '{window_start}' is not finite",
+                              field="window_start")
+    oracle_check_record(SESSION_NAMES, (client_ip, server_ip, client_port,
+                                        server_port, start, end))
+    if constituent_count < 1:
+        raise FlowFormatError("constituent_count must be >= 1", field="constituent_count")
+    return window_start, SessionRecord(client_ip, server_ip, client_port, server_port,
+                                       start, end, constituent_count)
+
+
+def oracle_parse_flows(lines):
+    return [oracle_record(oracle_flow_record, _FLOW_FIELDS, fields, lineno)
+            for lineno, fields in csv_rows(lines, FLOW_HEADER)]
+
+
+def oracle_parse_windowed_sessions(lines, width):
+    _check_width(width)
+    rows = {}
+    first_line = {}
+    for lineno, fields in csv_rows(lines, SESSION_HEADER):
+        ws, session = oracle_record(oracle_windowed_session, _SESSION_FIELDS, fields,
+                                    lineno)
+        rows.setdefault(ws, []).append(session)
+        first_line.setdefault(ws, lineno)
+    if not rows:
+        return []
+    first = min(rows)
+    by_index = {}
+    for ws, sessions in rows.items():
+        idx = round((ws - first) / width)
+        if abs(first + idx * width - ws) > width * 1e-9:
+            raise FlowFormatError(
+                f"line {first_line[ws]}: window_start {ws} is not on the "
+                f"{width}-second grid from {first}", first_line[ws], "window_start")
+        by_index.setdefault(idx, []).extend(sessions)
+    return _timeline(by_index, first, width)
+
+
+def outcome(parse, *args):
+    """What parse returns, or the type, message, line and field it raises."""
+    try:
+        return parse(*args)
+    except (FlowFormatError, ValueError) as exc:
+        return (type(exc), str(exc), getattr(exc, "line_number", None),
+                getattr(exc, "field", None))
+
+
+# padding that str.strip removes; float and int refuse U+001C-U+001F
+PADDING = st.text(alphabet=" \t\xa0\u3000\x1c\x1d\x1e\x1f", max_size=2)
+# valid values, with '_', a leading '+' and non-ASCII digits; every start
+# precedes every end
+START_TEXT = st.sampled_from(["0", "1", "-0.0", "+1", "1_0", "\u0663", "\uff17", "2.5"])
+END_TEXT = st.sampled_from(["10", "1e3", "2_0", "+12", "\u0661\u0662.5", "1E2"])
+IP_TEXT = st.sampled_from(["10.0.0.1", "10.0.0.2", "192.168.1.1"])
+PORT_TEXT = st.one_of(st.integers(0, 65535).map(str),
+                      st.sampled_from(["+80", "8_0", "\u0668\u0660", "0", "65535"]))
+# values that break a row: non-numbers, non-finite or early times, bad
+# addresses, ports out of range or not integers
+BAD_TEXT = st.sampled_from([
+    "x", "", "1__0", "0x10", "5.0.0", "nan", "-inf", "inf", "1e309", "-5",
+    "999.0.0.1", "10.0.0", "010.0.0.1", "a.b.c.d", "\u0661.0.0.1",
+    "-1", "65536", "70000", "80.5", "1e3", "+-1"])
+LINE_END = st.sampled_from(["", "\n", "\r\n"])
+
+
+def csv_lines(header, fields):
+    """Lines under header: rows of padded fields, now and then one field
+    bad or the row ragged, with blank lines and every line ending between."""
+    def build(draw):
+        values, fault, pads, extra = draw
+        values = list(values)
+        if fault is not None:
+            values[fault[0] % len(values)] = fault[1]
+        values = [f"{p}{v}{q}" for v, (p, q) in zip(values, pads)]
+        return ",".join(values[:extra] if extra < 0 else values + ["x"] * extra)
+    row = st.tuples(
+        st.tuples(*fields),
+        st.one_of(st.none(), st.none(), st.none(),
+                  st.tuples(st.integers(0, len(fields) - 1), BAD_TEXT)),
+        st.lists(st.tuples(PADDING, PADDING), min_size=len(fields),
+                 max_size=len(fields)),
+        st.sampled_from([0] * 14 + [-1, 1])).map(build)
+    line = st.one_of(row, row, row, st.sampled_from(["", "  ", "\t"]))
+    return st.lists(st.tuples(line, LINE_END).map("".join), max_size=6).map(
+        lambda body: [header + "\r\n"] + body)
 
 
 class TestParse:
@@ -99,6 +246,84 @@ class TestParse:
         assert serialize_flows(parse_flows(text.splitlines())) == text
 
 
+class TestParseEqualsOracle:
+    @settings(max_examples=250, deadline=None)
+    @given(csv_lines(FLOW_HEADER, (START_TEXT, END_TEXT, IP_TEXT, IP_TEXT, PORT_TEXT,
+                                   PORT_TEXT, st.sampled_from(["S", "FSPA", ""]))))
+    def test_parse_flows(self, lines):
+        assert outcome(parse_flows, lines) == outcome(oracle_parse_flows, lines)
+
+    @settings(max_examples=250, deadline=None)
+    @given(csv_lines(SESSION_HEADER,
+                     (st.sampled_from(["0", "300", "600", "150", "+300", "3_00", "-0.0"]),
+                      IP_TEXT, IP_TEXT, PORT_TEXT, PORT_TEXT, START_TEXT, END_TEXT,
+                      st.sampled_from(["1", "2", "+3", "\u0662", "0"]))))
+    def test_parse_windowed_sessions(self, lines):
+        assert outcome(parse_windowed_sessions, lines, 300.0) \
+            == outcome(oracle_parse_windowed_sessions, lines, 300.0)
+
+    @pytest.mark.parametrize("pad", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_padding_is_stripped(self, pad):
+        # float and int refuse these, so the row takes the named loop
+        line = ",".join(pad + f + pad for f in "1 2 10.0.0.1 10.0.0.2 80 443 S".split())
+        assert parse_flows([FLOW_HEADER, line]) == [
+            FlowRecord(1.0, 2.0, "10.0.0.1", "10.0.0.2", 80, 443, "S")]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(*[st.sampled_from(["10.0.0.1", "999.0.0.1", "10.0.0"])] * 2,
+                     st.sampled_from([-1, 0, 80, 65535, 65536]),
+                     st.sampled_from([-1, 0, 80, 65535, 65536]),
+                     *[st.sampled_from([math.nan, -math.inf, math.inf, -0.0, 0.0, 1.0,
+                                        -1.0, 1e308])] * 2))
+    def test_record_check_raises_as_oracle(self, values):
+        def check(fn):
+            try:
+                fn(FLOW_NAMES, values)
+            except FlowFormatError as exc:
+                return str(exc), exc.field
+        assert check(_check_record) == check(oracle_check_record)
+
+
+class TestPortType:
+    @pytest.mark.parametrize("port", [True, False, 80.5, 80.0, math.nan, "80"])
+    @pytest.mark.parametrize("field, position", [("sPort", 4), ("dPort", 5)])
+    def test_port_must_be_an_integer(self, port, field, position):
+        values = [1.0, 2.0, "10.0.0.1", "10.0.0.2", 80, 443, "S"]
+        values[position] = port
+        with pytest.raises(FlowFormatError) as err:
+            FlowRecord(*values)
+        assert str(err.value) == f"{field} {port!r} is not an integer"
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("port", [True, 80.5])
+    def test_session_port_must_be_an_integer(self, port):
+        with pytest.raises(FlowFormatError) as err:
+            SessionRecord("10.0.0.1", "10.0.0.2", 40000, port, 1.0, 2.0, 1)
+        assert err.value.field == "server_port"
+
+    def test_numpy_integer_port_round_trips(self):
+        r = FlowRecord(1.0, 2.0, "10.0.0.1", "10.0.0.2", np.int64(40000), 80, "S")
+        assert parse_flows(serialize_flows([r]).splitlines()) == [r]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats(), st.floats(),
+        st.one_of(st.sampled_from(["10.0.0.1", "192.168.0.9", "999.0.0.1"]),
+                  st.text(alphabet="0123456789.", max_size=15)),
+        st.sampled_from(["10.0.0.2", "x"]),
+        st.one_of(st.integers(-5, 70000), st.booleans(), st.floats(-5, 70000)),
+        st.one_of(st.integers(-5, 70000), st.booleans()),
+        st.sampled_from(["S", "FSPA", ""])), max_size=5))
+    def test_accepted_records_round_trip(self, rows):
+        records = []
+        for row in rows:
+            try:
+                records.append(FlowRecord(*row))
+            except FlowFormatError:
+                pass
+        assert parse_flows(serialize_flows(records).splitlines()) == records
+
+
 FLOW_KWARGS = dict(s_time=1.0, e_time=2.0, s_ip="10.0.0.1", d_ip="10.1.0.1",
                    s_port=40000, d_port=80, flags="S")
 SESSION_KWARGS = dict(start=1.0, end=2.0, client_ip="10.0.0.1", server_ip="10.1.0.1",
@@ -150,6 +375,35 @@ def _overlaps(a, b):
     return max(a.s_time, b.s_time) <= min(a.e_time, b.e_time)
 
 
+def oracle_component_session(members: list[FlowRecord]) -> SessionRecord:
+    # the session rule before it relied on members arriving in record order,
+    # kept verbatim so the oracle does not check the code with itself
+    t0 = min(r.s_time for r in members)
+    earliest_sources = {(r.s_ip, r.s_port) for r in members if r.s_time == t0}
+    if len(earliest_sources) == 1:
+        client = earliest_sources.pop()
+    else:
+        # both directions start simultaneously: ephemeral-port side is the
+        # client, and as a last resort the lexicographically smaller IP
+        a, b = sorted(earliest_sources)
+        if (a[1] >= 1024) != (b[1] >= 1024):
+            client = a if a[1] >= 1024 else b
+        elif a[0] != b[0]:
+            client = a if a[0] < b[0] else b
+        else:
+            client = a
+    probe = members[0]
+    if (probe.s_ip, probe.s_port) == client:
+        server = (probe.d_ip, probe.d_port)
+    else:
+        server = (probe.s_ip, probe.s_port)
+    return SessionRecord(
+        client_ip=client[0], server_ip=server[0],
+        client_port=client[1], server_port=server[1],
+        start=t0, end=max(r.e_time for r in members),
+        constituent_count=len(members))
+
+
 def oracle_pair_bidirectional(records):
     """Quadratic pairing: test every record pair inside an endpoint group."""
     recs = sorted(records, key=lambda r: (r.s_time, r.e_time, r.s_ip, r.d_ip,
@@ -182,7 +436,7 @@ def oracle_pair_bidirectional(records):
     components = {}
     for i in range(n):
         components.setdefault(find(i), []).append(recs[i])
-    sessions = [_component_session(members) for members in components.values()]
+    sessions = [oracle_component_session(members) for members in components.values()]
     sessions.sort(key=lambda s: (s.start, s.client_ip, s.server_ip,
                                  s.client_port, s.server_port))
     return sessions
@@ -312,6 +566,44 @@ class TestPairing:
         b = rec(100.0, 101.0, "10.0.0.2", "10.0.0.9", 3000, 2000)
         (s,) = pair_bidirectional([a, b])
         assert s.client_ip == "10.0.0.2"
+
+    # simultaneous starts: the client comes from the leading members only
+    @pytest.mark.parametrize("records, client, server", [
+        # ephemeral-port rule, the later record's end sets the session end
+        ([("10.0.0.2", 80, "10.0.0.9", 51515, 5.0), ("10.0.0.9", 51515, "10.0.0.2", 80, 2.0)],
+         ("10.0.0.9", 51515), ("10.0.0.2", 80)),
+        # IP rule: both ports below 1024
+        ([("10.0.0.9", 22, "10.0.0.2", 80, 1.0), ("10.0.0.2", 80, "10.0.0.9", 22, 1.0)],
+         ("10.0.0.2", 80), ("10.0.0.9", 22)),
+        # self-mirrored records: both ends are one endpoint
+        ([("10.0.0.3", 80, "10.0.0.3", 80, 1.0), ("10.0.0.3", 80, "10.0.0.3", 80, 3.0)],
+         ("10.0.0.3", 80), ("10.0.0.3", 80)),
+        # same address both ways, both ports ephemeral: the smaller endpoint
+        ([("10.0.0.3", 50000, "10.0.0.3", 40000, 1.0),
+          ("10.0.0.3", 40000, "10.0.0.3", 50000, 1.0)],
+         ("10.0.0.3", 40000), ("10.0.0.3", 50000)),
+        # three members with the same start, two of them from the server
+        ([("10.0.0.2", 443, "10.0.0.1", 40000, 1.0), ("10.0.0.1", 40000, "10.0.0.2", 443, 1.0),
+          ("10.0.0.2", 443, "10.0.0.1", 40000, 4.0)],
+         ("10.0.0.1", 40000), ("10.0.0.2", 443)),
+    ])
+    def test_simultaneous_start_rules(self, records, client, server):
+        recs = [rec(0.0, duration, sip, dip, sp, dp)
+                for sip, sp, dip, dp, duration in records]
+        (s,) = pair_bidirectional(recs)
+        assert ((s.client_ip, s.client_port), (s.server_ip, s.server_port)) \
+            == (client, server)
+        assert (s.start, s.end, s.constituent_count) \
+            == (0.0, max(r.e_time for r in recs), len(recs))
+        assert [s] == oracle_pair_bidirectional(recs)
+
+    def test_only_leading_members_choose_the_client(self):
+        # a later record from the server side does not count as a source
+        a = rec(1.0, 5.0, "10.0.0.2", "10.0.0.9", 80, 81)
+        b = rec(2.0, 3.0, "10.0.0.9", "10.0.0.2", 81, 80)
+        (s,) = pair_bidirectional([b, a])
+        assert (s.client_ip, s.client_port, s.start) == ("10.0.0.2", 80, 1.0)
+        assert [s] == oracle_pair_bidirectional([a, b])
 
     def test_non_overlapping_do_not_merge(self):
         a = rec(100.0, 101.0, "10.0.0.1", "10.0.0.2", 51515, 80)
