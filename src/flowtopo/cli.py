@@ -79,8 +79,8 @@ def _cmd_topo(args) -> str:
     lines = [",".join(["window_start", *stat_names, "max_ecp_in_degree",
                        "max_ecp_out_degree", "rbs_beta0", "rbs_beta1"])]
     for w in windows:
-        st, ecp, betti = detector._window_topology(w)
-        values = (w.start, *astuple(st), ecp.max_in_degree(), ecp.max_out_degree(), *betti)
+        st, degrees, betti = detector._window_topology(w)
+        values = (w.start, *astuple(st), *degrees, *betti)
         lines.append(",".join(map(fmt, values)))
     return "\n".join(lines) + "\n"
 

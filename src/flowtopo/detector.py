@@ -13,18 +13,30 @@ probed vector, the baseline without one point for leave-one-out, and for a
 rotation the scored cloud's matrix without its first row and column.
 init_baseline computes the first diagram through cloud_diagram, the generic
 vietoris_rips + barcode path, and refuses to go on if rips_diagram disagrees.
+
+A window's containment features (max_ecp_in_degree, max_ecp_out_degree,
+rbs_beta0, rbs_beta1) are those of its port hyperedges, computed on the
+order of its distinct supports.  Ports that share a support are twins, and
+each class of m twins is added back by the twin rule (Quillen, Adv. Math.
+1978; Wachs, "Poset topology", 2007; derived in topology): beta0 gains m - 1
+for a class comparable to nothing, beta1 gains (m - 1) * (components above - 1)
+for a minimal class and (m - 1) * (components below - 1) for a maximal one, and
+a degree is the sum of the multiplicities below or above.  A 4000-port scan
+is then one node, not 4000.  build_ecp -> order_complex -> betti on the port
+hypergraph itself stays the oracle the tests hold these numbers to.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .flows import TimeWindow
-from .hypergraph import HypergraphStats, build_hypergraph, stats
+from .hypergraph import Hypergraph, HypergraphStats, build_hypergraph, stats
 from .persistence import (
     PersistenceDiagram,
     barcode,
@@ -33,7 +45,7 @@ from .persistence import (
     vietoris_rips,
     wasserstein,
 )
-from .topology import Ecp, betti, build_ecp, order_complex
+from .topology import betti, build_ecp, order_complex, twin_betti, twin_degrees
 
 FEATURE_NAMES = (
     "n_records",
@@ -94,25 +106,42 @@ class AnomalyReport:
         return json.dumps(asdict(self))
 
 
-def _window_topology(w: TimeWindow) -> tuple[HypergraphStats, Ecp, tuple[int, int]]:
-    """Hypergraph stats, containment order and order-complex (beta0, beta1)."""
+def _window_topology(w: TimeWindow
+                     ) -> tuple[HypergraphStats, tuple[int, int], tuple[int, int]]:
+    """Hypergraph stats, then _containment_features of the window's hypergraph."""
     h = build_hypergraph(w)
-    st = stats(h)
-    ecp = build_ecp(h)
-    return st, ecp, betti(order_complex(ecp, max_dim=2), 1)
+    return (stats(h), *_containment_features(h))
+
+
+def _containment_features(h: Hypergraph) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The largest in- and out-degree of h's containment order and its order
+    complex's (beta0, beta1), at the level of h's edges.
+
+    Edges that share a support are twins, so the order is built once per
+    distinct support and the edge-level numbers follow from each support's
+    multiplicity (topology.twin_degrees and twin_betti).  With no arcs every
+    edge is an isolated point: beta = (edges, 0) and both degrees are 0.
+    """
+    multiplicity = Counter(h.edges.values())
+    q = build_ecp(Hypergraph(h.vertices, dict(enumerate(multiplicity))))
+    if not q.arcs:
+        return (0, 0), (h.n_edges, 0)
+    m = dict(enumerate(multiplicity.values()))
+    b = betti(order_complex(q, max_dim=2), 1)
+    return twin_degrees(q, m), twin_betti(q, m, b)
 
 
 def window_statistics(w: TimeWindow) -> dict[str, float]:
     """All supported per-window statistics, keyed by feature name."""
-    st, ecp, (b0, b1) = _window_topology(w)
+    st, (in_deg, out_deg), (b0, b1) = _window_topology(w)
     return {
         "n_records": float(len(w.sessions)),
         "n_unique_sIP": float(st.n_vertices),
         "n_unique_dPort": float(st.n_edges),
         "max_edge_size": float(st.max_edge_size),
         "mean_edge_size": float(st.mean_edge_size),
-        "max_ecp_in_degree": float(ecp.max_in_degree()),
-        "max_ecp_out_degree": float(ecp.max_out_degree()),
+        "max_ecp_in_degree": float(in_deg),
+        "max_ecp_out_degree": float(out_deg),
         "rbs_beta0": float(b0),
         "rbs_beta1": float(b1),
         "max_support_multiplicity": float(st.max_support_multiplicity),

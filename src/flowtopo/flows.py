@@ -55,12 +55,25 @@ class FlowFormatError(ValueError):
 @functools.lru_cache(maxsize=4096)
 def _is_ipv4(text: str) -> bool:
     # memoized: a day's records repeat a few hundred addresses, and the
-    # address parser is the most expensive part of a record check
+    # address parser is the most expensive part of a record check.  Only a
+    # str is an address: IPv4Address also takes an int or 4 packed bytes,
+    # which serialize as something no reader takes back
+    if type(text) is not str:
+        return False
     try:
         ipaddress.IPv4Address(text)
     except ipaddress.AddressValueError:
         return False
     return True
+
+
+@functools.lru_cache(maxsize=256)
+def _is_flags(text: str) -> bool:
+    # memoized like _is_ipv4: records repeat a handful of flag strings.  A
+    # CSV field survives a write and a read only without a comma, a line
+    # break (what str.splitlines splits on) or padding, which reading strips
+    return (type(text) is str and "," not in text and text == text.strip()
+            and len(text.splitlines()) < 2)
 
 
 def _check_record(names: tuple[str, ...], values: tuple) -> None:
@@ -112,6 +125,10 @@ class FlowRecord:
         _check_record(("sIP", "dIP", "sPort", "dPort", "sTime", "eTime"),
                       (self.s_ip, self.d_ip, self.s_port, self.d_port,
                        self.s_time, self.e_time))
+        if not _is_flags(self.flags):
+            raise FlowFormatError(f"flags {self.flags!r} is not a string without a "
+                                  "comma, a line break or surrounding whitespace",
+                                  field="flags")
 
 
 @dataclass(frozen=True)

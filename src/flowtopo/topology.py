@@ -12,6 +12,32 @@ used as a topological window summary) is built layer by layer, extending each
 chain by the nodes above its top.  Betti numbers are computed over GF(2) by
 boundary-rank elimination, reducing each boundary column as it is generated;
 Hodge Laplacians use the standard signed real boundary matrices.
+
+Edges with one support are twins: incomparable, with the same edges below
+and above.  A scan window has thousands of them, and the order complex of the
+edges multiplies them (k nested supports of m twins each give C(k, 3) m^3
+triangles).  twin_degrees and twin_betti recover the edge-level degrees and
+Betti numbers from the order of the distinct supports alone, one node per
+support class, and each class's multiplicity.  A degree is a sum of
+multiplicities.  For the Betti numbers, write D(P) for the order complex of
+P and L = D(P<x) * D(P>x), the join of the parts below and above x, which is
+the link of x in D(P) (Wachs, "Poset topology: tools and applications",
+2007).  A new twin x' of x adds the cone x' * L, glued along L, and L is
+already the base of the cone x * L inside D(P); so D(P) gains a wedge
+summand, the suspension of L, whose reduced homology in degree k is that of
+L in degree k - 1 (Quillen, "Homotopy properties of the poset of nontrivial
+p-subgroups of a group", Adv. Math. 1978; Milnor, "Construction of universal
+bundles II", Ann. Math. 1956, for the homology of a join).  Only three cases
+reach beta0 and beta1:
+
+- x comparable to nothing: L is empty, its suspension two points, and beta0
+  gains 1;
+- x minimal, not maximal: L = D(P>x), and beta1 gains components(P>x) - 1;
+- x maximal, not minimal: L = D(P<x), and beta1 gains components(P<x) - 1.
+
+A join of two non-empty complexes is connected, so a twin of any other x
+changes neither.  The edge-level path, build_ecp -> order_complex -> betti on
+the hypergraph itself, stays the oracle of this rule in the tests.
 """
 
 from __future__ import annotations
@@ -22,8 +48,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .flows import union
+from .flows import find, union
 from .hypergraph import Hypergraph
+from .persistence import MAX_LAYER
 
 BettiVector = tuple[int, ...]
 
@@ -74,8 +101,9 @@ def build_ecp(h: Hypergraph) -> Ecp:
     hold every vertex of S, in particular the one with the fewest postings,
     so only that vertex's postings are candidates; the proper supersets of S
     among them give arcs, expanded to the cross product of the two label
-    lists.  A scan window whose thousands of ports share one support costs a
-    single probe instead of a quadratic sweep over ports.
+    lists, so the output holds every edge-level arc.  The detector calls it on
+    a hypergraph with one edge per distinct support and recovers the
+    edge-level features with twin_degrees and twin_betti.
     """
     labels_by_support: dict[frozenset[str], list[int]] = {}
     for label, support in h.edges.items():
@@ -91,6 +119,75 @@ def build_ecp(h: Hypergraph) -> Ecp:
             if support < candidate:
                 arcs.update(product(lower, labels_by_support[candidate]))
     return Ecp(supports=dict(h.edges), arcs=frozenset(arcs))
+
+
+def twin_degrees(q: Ecp, multiplicity: dict[int, int]) -> tuple[int, int]:
+    """Largest in- and out-degree of the edge-level order whose distinct
+    supports form q, where multiplicity[x] edges share the support of x.
+
+    An edge with support S lies above every edge whose support is a proper
+    subset of S, so its in-degree is the sum of multiplicity[t] over the
+    nodes t below S in q, and its out-degree the same sum over the nodes
+    above.  Equal to max_in_degree and max_out_degree of build_ecp on the
+    edges themselves.
+    """
+    in_deg = dict.fromkeys(q.supports, 0)
+    out_deg = dict.fromkeys(q.supports, 0)
+    for t, s in q.arcs:
+        in_deg[s] += multiplicity[t]
+        out_deg[t] += multiplicity[s]
+    return max(in_deg.values(), default=0), max(out_deg.values(), default=0)
+
+
+def twin_betti(q: Ecp, multiplicity: dict[int, int],
+               b: tuple[int, int]) -> tuple[int, int]:
+    """(beta0, beta1) of the edge-level order complex, given b, the same
+    numbers for q's order complex, where q is the order of the distinct
+    supports and multiplicity[x] edges share the support of x.
+
+    The classes are expanded to their multiplicity one at a time, in label
+    order, by the twin rule in the module docstring: m - 1 new twins of a
+    class comparable to nothing add m - 1 to beta0, and those of a minimal
+    (maximal) class add (m - 1) * (components - 1) to beta1, counting the
+    components of the classes above (below) it as they stand.  A class
+    comparable to no other class of that sub-order is a component per twin
+    it already has; one comparable to some other is in that one's
+    component with all its twins.
+    """
+    above: dict[int, list[int]] = {x: [] for x in q.supports}
+    below: dict[int, list[int]] = {x: [] for x in q.supports}
+    for e, f in q.arcs:
+        above[e].append(f)
+        below[f].append(e)
+    b0, b1 = b
+    copies = dict.fromkeys(q.supports, 1)
+    for x in sorted(q.supports):
+        m = multiplicity[x]
+        if m > 1:
+            if not above[x] and not below[x]:
+                b0 += m - 1
+            elif not below[x]:
+                b1 += (m - 1) * (_components(above[x], above, copies) - 1)
+            elif not above[x]:
+                b1 += (m - 1) * (_components(below[x], below, copies) - 1)
+        copies[x] = m
+    return b0, b1
+
+
+def _components(members: list[int], nbrs: dict[int, list[int]],
+                copies: dict[int, int]) -> int:
+    """Components of the sub-order on members, an up-set (nbrs = above) or a
+    down-set (nbrs = below) of a transitively closed order, so every
+    comparability inside it is a pair (a, c) with a in members and c in
+    nbrs[a].  A member comparable to no other counts copies[member]."""
+    root = {y: y for y in members}
+    linked = set()
+    for a in members:
+        for c in nbrs[a]:
+            union(root, a, c)
+            linked.add(a)
+            linked.add(c)
+    return sum(1 if y in linked else copies[y] for y in members if find(root, y) == y)
 
 
 def hasse(ecp: Ecp) -> Ecp:
@@ -157,7 +254,9 @@ def order_complex(ecp: Ecp, max_dim: int | None = None) -> SimplicialComplex:
     is a path along arcs: the k-chains are the (k-1)-chains extended by each
     node above their top element, built one layer at a time.  ``max_dim`` caps
     the simplex dimension.  Vertex indices follow sorted edge-label order; the
-    labels ride along.
+    labels ride along.  Each layer is counted before it is built, and one of
+    more than MAX_LAYER simplices raises ValueError: a chain of L nested
+    supports alone has C(L, 3) triangles.
     """
     nodes = ecp.nodes()
     index = {lab: i for i, lab in enumerate(nodes)}
@@ -171,6 +270,10 @@ def order_complex(ecp: Ecp, max_dim: int | None = None) -> SimplicialComplex:
         by_dim[k] = layer
         if max_dim is not None and k >= max_dim:
             break
+        count = sum(len(above[chain[-1]]) for chain in layer)
+        if count > MAX_LAYER:
+            raise ValueError(f"the order complex has {count} {k + 1}-simplices, more "
+                             f"than the limit of {MAX_LAYER} simplices per dimension")
         layer = [chain + (j,) for chain in layer for j in above[chain[-1]]]
     simplices = {k: tuple(sorted(tuple(sorted(chain)) for chain in chains))
                  for k, chains in by_dim.items()}

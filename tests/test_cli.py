@@ -7,7 +7,14 @@ import pytest
 
 from flowtopo.cli import main
 from flowtopo.detector import FEATURE_NAMES
-from flowtopo.flows import FLOW_HEADER, MAX_WINDOWS
+from flowtopo.flows import (
+    FLOW_HEADER,
+    MAX_WINDOWS,
+    SessionRecord,
+    TimeWindow,
+    serialize_windowed_sessions,
+)
+from flowtopo.persistence import MAX_LAYER
 
 
 def run(args):
@@ -422,6 +429,20 @@ class TestLongTimeline:
         assert_one_line_failure(
             [cmd, "--in", f"@{name}"], f"the timeline spans 1000001 windows of 300.0 "
             f"seconds, more than the limit of {MAX_WINDOWS}", stage_inputs, tmp_path, capsys)
+
+
+class TestLongNestedChain:
+    @pytest.mark.parametrize("cmd", ["features", "topo"])
+    def test_refused_with_one_line(self, cmd, tmp_path, capsys):
+        # scanner j scans ports 1..j for j = 1..231: 231 nested supports,
+        # whose order complex has C(231, 3) triangles
+        sessions = tmp_path / "chain.csv"
+        sessions.write_text(serialize_windowed_sessions([TimeWindow(0.0, 300.0, tuple(
+            SessionRecord(f"10.9.0.{j}", "10.1.0.1", 40000, port, 1.0, 2.0, 1)
+            for j in range(1, 232) for port in range(1, j + 1)))]))
+        assert_one_line_failure(
+            [cmd, "--in", sessions], "the order complex has 2027795 2-simplices, more "
+            f"than the limit of {MAX_LAYER} simplices per dimension", {}, tmp_path, capsys)
 
 
 class TestDetectFeatures:

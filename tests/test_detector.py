@@ -65,6 +65,41 @@ print(json.dumps({"values": values,
 """
 
 
+# k = 4 scanners, scanner j scanning ports 1..100 j: 4 nested supports of 100
+# twin ports each, 1,000 records
+NESTED_WINDOW_CHILD = """
+import json, resource, time
+from flowtopo import SessionRecord, TimeWindow
+from flowtopo.detector import summarize_window
+w = TimeWindow(0.0, 300.0, tuple(
+    SessionRecord(f"10.9.9.{j}", "10.1.0.1", 40000 + j, p, 1.0, 2.0, 1)
+    for j in range(1, 5) for p in range(1, 100 * j + 1)))
+t = time.perf_counter()
+values = summarize_window(w).values
+seconds = time.perf_counter() - t
+print(json.dumps({"values": values, "seconds": seconds,
+                  "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+# 50 scanners over 50,000 ports, scanner j scanning ports 1..1000 j, and
+# twelve clients on a port each: as a window this would be 1,275,000 sessions
+NESTED_HYPERGRAPH_CHILD = """
+import json, resource, time
+from flowtopo import Hypergraph
+from flowtopo.detector import _containment_features
+scanners = [f"10.9.0.{j}" for j in range(1, 51)]
+chain = [frozenset(scanners[i:]) for i in range(50)]
+edges = {p: chain[(p - 1) // 1000] for p in range(1, 50001)}
+edges.update({60000 + i: frozenset([f"10.0.0.{i}"]) for i in range(1, 13)})
+h = Hypergraph.from_edges(edges)
+t = time.perf_counter()
+features = _containment_features(h)
+seconds = time.perf_counter() - t
+print(json.dumps({"features": features, "seconds": seconds,
+                  "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
 def fv(values, start=0.0):
     return FeatureVector(window_start=start, values=tuple(float(x) for x in values))
 
@@ -127,6 +162,25 @@ class TestSummarize:
         assert out["values"] == [65579.0, 13.0, 65535.0, 9.0, 1.0004425116350042,
                                  65531.0, 4.0, 1.0, 196590.0, 65531.0]
         assert out["maxrss_kib"] < 800 * 1024, f"child peak {out['maxrss_kib']} KiB"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in KiB only on Linux")
+    def test_nested_scan_window_fast(self, run_bare_child):
+        # the edge-level order complex of this window has 4 * 100**3 triangles
+        out = run_bare_child(NESTED_WINDOW_CHILD)
+        assert out["values"] == [1000.0, 4.0, 400.0, 4.0, 2.5, 300.0, 300.0,
+                                 1.0, 0.0, 100.0]
+        assert out["seconds"] < 0.05, f"summarize_window took {out['seconds']:.3f} s"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in KiB only on Linux")
+    def test_nested_scan_hypergraph_bounded(self, run_bare_child):
+        out = run_bare_child(NESTED_HYPERGRAPH_CHILD)
+        # the largest support sits over 49 classes of 1,000 ports; the chain is
+        # one component and each client's port another
+        assert out["features"] == [[49000, 49000], [13, 0]]
+        assert out["seconds"] < 1.0, f"took {out['seconds']:.3f} s"
+        assert out["maxrss_kib"] < 300 * 1024, f"child peak {out['maxrss_kib']} KiB"
 
 
 # ---------------------------------------------------------------- baseline

@@ -324,6 +324,62 @@ class TestPortType:
         assert parse_flows(serialize_flows(records).splitlines()) == records
 
 
+class TestAddressType:
+    # IPv4Address takes these too, but they serialize as rows no reader takes
+    @pytest.mark.parametrize("address", [167772161, b"\n\x00\x00\x01",
+                                         ipaddress.IPv4Address("10.0.0.1")])
+    @pytest.mark.parametrize("field, position", [("sIP", 2), ("dIP", 3)])
+    def test_flow_address_must_be_a_string(self, address, field, position):
+        values = [1.0, 2.0, "10.0.0.1", "10.0.0.2", 80, 443, "S"]
+        values[position] = address
+        with pytest.raises(FlowFormatError) as err:
+            FlowRecord(*values)
+        assert str(err.value) == f"{field} {address!r} is not a dotted-quad IPv4 address"
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("address", [167772161, b"\n\x00\x00\x01"])
+    def test_session_address_must_be_a_string(self, address):
+        with pytest.raises(FlowFormatError) as err:
+            SessionRecord("10.0.0.1", address, 40000, 80, 1.0, 2.0, 1)
+        assert err.value.field == "server_ip"
+        assert not _is_ipv4(address)
+
+
+class TestFlags:
+    @pytest.mark.parametrize("flags", [" S", "S ", "a,b", "S\n", "a\nb", "S\r\n",
+                                       "a\x0bb", "a\x1cb", "a\u2028b", 5, None, b"S"])
+    def test_refused(self, flags):
+        with pytest.raises(FlowFormatError) as err:
+            FlowRecord(1.0, 2.0, "10.0.0.1", "10.0.0.2", 80, 443, flags)
+        assert str(err.value) == (f"flags {flags!r} is not a string without a comma, "
+                                  "a line break or surrounding whitespace")
+        assert err.value.field == "flags"
+
+    def test_line_break_in_parsed_field_names_line(self):
+        # a reader that splits only on "\n" can hand parse_flows such a field
+        with pytest.raises(FlowFormatError) as err:
+            parse_flows([FLOW_HEADER, "1,2,10.0.0.1,10.0.0.2,80,443,a\x0bb"])
+        assert str(err.value).startswith("line 2: flags 'a\\x0bb' is not a string")
+        assert (err.value.line_number, err.value.field) == (2, "flags")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats(-1e9, 1e9), st.floats(0.0, 1e6),
+        st.ip_addresses(v=4).map(str), st.ip_addresses(v=4).map(str),
+        st.integers(0, 65535), st.integers(0, 65535),
+        st.one_of(st.text(), st.text(alphabet=" ,\t\n\r\x0b\x1c\x1fSAFPR\x85",
+                                     max_size=4))), max_size=5))
+    def test_valid_records_round_trip(self, rows):
+        records = []
+        for start, duration, s_ip, d_ip, s_port, d_port, flags in rows:
+            try:
+                records.append(FlowRecord(start, start + duration, s_ip, d_ip, s_port,
+                                          d_port, flags))
+            except FlowFormatError as exc:
+                assert exc.field == "flags"
+        assert parse_flows(serialize_flows(records).splitlines()) == records
+
+
 FLOW_KWARGS = dict(s_time=1.0, e_time=2.0, s_ip="10.0.0.1", d_ip="10.1.0.1",
                    s_port=40000, d_port=80, flags="S")
 SESSION_KWARGS = dict(start=1.0, end=2.0, client_ip="10.0.0.1", server_ip="10.1.0.1",

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtopo.hypergraph import Hypergraph
+from flowtopo.detector import _containment_features, window_statistics
+from flowtopo.flows import SessionRecord, TimeWindow
+from flowtopo.hypergraph import Hypergraph, build_hypergraph
+from flowtopo.persistence import MAX_LAYER
 from flowtopo.topology import (
     Ecp,
     SimplicialComplex,
@@ -21,6 +24,8 @@ from flowtopo.topology import (
     hodge,
     order_complex,
     spectrum,
+    twin_betti,
+    twin_degrees,
 )
 
 # ---------------------------------------------------------------- helpers
@@ -77,6 +82,35 @@ def scan_supports(rng):
     for p in rng.sample(range(30000, 30100), rng.randint(0, 3)):
         supports[p] = set(rng.sample(clients, rng.randint(1, 5)))
     return supports
+
+
+def nested_twin_supports(rng, max_scanners=5, max_step=6):
+    """Nested scans: scanner j of k scans ports 1..j*step, so the ports form
+    k nested supports of step twins each, beside a few ordinary clients'
+    ports, some of them sharing a support and some touched by a scanner."""
+    k = rng.randint(1, max_scanners)
+    step = rng.randint(1, max_step)
+    scanners = [f"10.9.9.{j}" for j in range(1, k + 1)]
+    supports = {p: set(scanners[(p - 1) // step:]) for p in range(1, k * step + 1)}
+    clients = [f"10.0.0.{i}" for i in range(1, 6)]
+    for p in rng.sample(range(20000, 20100), rng.randint(0, 6)):
+        supports[p] = set(rng.sample(clients, rng.randint(1, 3)))
+        if rng.random() < 0.3:
+            supports[p].add(rng.choice(scanners))
+    return supports
+
+
+GENERATORS = (random_supports, random_layered_supports, scan_supports,
+              nested_twin_supports)
+
+
+def edge_level_oracle(h):
+    """(max in-degree, max out-degree), (beta0, beta1) from the order on h's
+    edges themselves: the path the twin rule replaces."""
+    ecp = build_ecp(h)
+    degrees = (max(ecp.in_degrees().values(), default=0),
+               max(ecp.out_degrees().values(), default=0))
+    return degrees, betti(order_complex(ecp, max_dim=2), 1)
 
 
 def oracle_order_complex(ecp, max_dim=None):
@@ -383,6 +417,84 @@ class TestOrderComplex:
         assert_same_complex(K, oracle_order_complex(ecp, max_dim=cap))
         d = max(K.dim, 0)
         assert betti(K, d) == oracle_betti(K, d)
+
+    def test_long_chain_refused(self):
+        # 240 nested supports: C(240, 3) = 2,275,280 chains of three
+        h = hg({p: {f"10.9.0.{j}" for j in range(p)} for p in range(1, 241)})
+        ecp = build_ecp(h)
+        with pytest.raises(ValueError) as err:
+            order_complex(ecp, max_dim=2)
+        assert str(err.value) == ("the order complex has 2275280 2-simplices, more "
+                                  f"than the limit of {MAX_LAYER} simplices per dimension")
+        assert order_complex(ecp, max_dim=1).count(1) == 240 * 239 // 2
+
+
+# ---------------------------------------------------------------- twin rule
+
+
+def session_window(supports):
+    """A window holding one session per (vertex, port) incidence."""
+    return TimeWindow(0.0, 300.0, tuple(
+        SessionRecord(ip, "10.1.0.1", 51515, port, 10.0, 11.0, 1)
+        for port, ips in sorted(supports.items()) for ip in sorted(ips)))
+
+
+def distinct_order(supports):
+    """The order of the distinct supports, labelled 0.., and multiplicities."""
+    classes = sorted({frozenset(s) for s in supports.values()}, key=sorted)
+    mult = {i: sum(frozenset(s) == c for s in supports.values())
+            for i, c in enumerate(classes)}
+    return build_ecp(hg(dict(enumerate(classes)))), mult
+
+
+class TestTwinRule:
+    @pytest.mark.parametrize("supports, beta", [
+        # two minimal twins under two maximal twins: a 4-cycle
+        ({1: {"a"}, 2: {"a"}, 3: {"a", "b"}, 4: {"a", "b"}}, (1, 1)),
+        # three isolated twins, and one more port
+        ({1: {"a"}, 2: {"a"}, 3: {"a"}, 4: {"b"}}, (4, 0)),
+        # a maximal class of 3 over two incomparable classes: 2 independent cycles
+        ({1: {"a"}, 2: {"b"}, 3: {"a", "b"}, 4: {"a", "b"}, 5: {"a", "b"}}, (1, 2)),
+        # {a} is expanded first, so the term of {a, b} counts its 3 twins
+        ({1: {"a", "b"}, 2: {"a", "b"}, 3: {"a"}, 4: {"a"}, 5: {"a"}}, (1, 2)),
+        # three nested classes of two twins: a join of three 2-point sets, a 2-sphere
+        ({p: set("abc"[:(p + 1) // 2]) for p in range(1, 7)}, (1, 0)),
+    ])
+    def test_small_cases(self, supports, beta):
+        q, mult = distinct_order(supports)
+        b = betti(order_complex(q, max_dim=2), 1)
+        assert twin_betti(q, mult, b) == beta
+        assert edge_level_oracle(hg(supports))[1] == beta
+
+    def test_degrees_are_multiplicity_sums(self):
+        supports = {p: {"s"} for p in range(1, 6)}
+        supports.update({80: {"s", "a"}, 443: {"s", "a"}, 22: {"s", "a", "b"}})
+        q, mult = distinct_order(supports)
+        # port 22 sits over 5 + 2 ports, each singleton port under 3
+        assert twin_degrees(q, mult) == (7, 3)
+        assert twin_degrees(q, mult) == edge_level_oracle(hg(supports))[0]
+
+    def test_equals_edge_level_oracle(self):
+        rng = random.Random(16)
+        for gen in GENERATORS:
+            for _ in range(150):
+                h = hg(gen(rng))
+                assert _containment_features(h) == edge_level_oracle(h), gen.__name__
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(GENERATORS))
+    def test_window_statistics_equal_edge_level_oracle(self, seed, gen):
+        supports = gen(random.Random(seed))
+        w = session_window(supports)
+        (in_deg, out_deg), (b0, b1) = edge_level_oracle(build_hypergraph(w))
+        stats = window_statistics(w)
+        assert (stats["max_ecp_in_degree"], stats["max_ecp_out_degree"],
+                stats["rbs_beta0"], stats["rbs_beta1"]) == (in_deg, out_deg, b0, b1)
+
+    def test_no_arcs(self):
+        assert _containment_features(hg({1: {"a"}, 2: {"a"}, 3: {"b"}})) == \
+            ((0, 0), (3, 0))
+        assert _containment_features(Hypergraph.from_edges({})) == ((0, 0), (0, 0))
 
 
 # ---------------------------------------------------------------- homology
