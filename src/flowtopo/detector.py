@@ -240,14 +240,10 @@ def _distance(diag_a: PersistenceDiagram, diag_b: PersistenceDiagram,
                      for k in range(max_dim + 1))
 
 
-def _score_standardized(b: Baseline, z: tuple[float, ...]) -> float:
-    return _distance(_matrix_diagram(b, _cloud_distances(b.points + (z,))),
-                     b.diagram, b.max_dim)
-
-
 def score_window(b: Baseline, v: FeatureVector) -> float:
     """Wasserstein perturbation of the baseline diagram when v is added."""
-    return _score_standardized(b, b.standardize(v))
+    return _distance(_matrix_diagram(b, _cloud_distances(b.points + (b.standardize(v),))),
+                     b.diagram, b.max_dim)
 
 
 def calibrate_threshold(b: Baseline, quantile: float = 0.99) -> float:
@@ -275,13 +271,29 @@ def attribute(b: Baseline, v: FeatureVector) -> str:
     going to the lowest index.
     """
     z = np.array(b.standardize(v))
-    col_means = np.array(b.points).mean(axis=0)
-    scores = []
-    for i in range(len(z)):
-        probe = z.copy()
-        probe[i] = col_means[i]
-        scores.append(_score_standardized(b, tuple(probe)))
+    probes = np.tile(z, (len(z), 1))
+    np.fill_diagonal(probes, np.array(b.points).mean(axis=0))
+    scores = [_distance(_matrix_diagram(b, dist), b.diagram, b.max_dim)
+              for dist in _probe_distances(b, probes)]
     return b.feature_names[int(np.argmin(scores))]
+
+
+def _probe_distances(b: Baseline, probes: np.ndarray):
+    """For each probe in turn, the distance matrix of the baseline's points
+    plus that probe: one array, overwritten for each probe.
+
+    The baseline's block is computed once and every probe's row in one
+    euclidean_distances call; each entry depends only on its two points,
+    so each matrix equals _cloud_distances(b.points + (tuple(probe),)) bit
+    for bit.
+    """
+    pts = np.array(b.points, dtype=float)
+    n = len(pts)
+    dist = np.zeros((n + 1, n + 1))
+    dist[:n, :n] = euclidean_distances(pts, pts)
+    for row in euclidean_distances(probes, pts):
+        dist[n, :n] = dist[:n, n] = row
+        yield dist
 
 
 def step(b: Baseline, v: FeatureVector, threshold: float) -> tuple[AnomalyReport, Baseline]:

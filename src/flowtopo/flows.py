@@ -55,9 +55,11 @@ class FlowFormatError(ValueError):
 @functools.lru_cache(maxsize=4096)
 def _is_ipv4(text: str) -> bool:
     # memoized: a day's records repeat a few hundred addresses, and the
-    # address parser is the most expensive part of a record check.  Only a
-    # str is an address: IPv4Address also takes an int or 4 packed bytes,
-    # which serialize as something no reader takes back
+    # address parser is the most expensive part of a record check.  The
+    # cache hashes its argument, so a record tests `type(x) is str` first
+    # and an unhashable field never gets here.  Only a str is an address:
+    # IPv4Address also takes an int or 4 packed bytes, which serialize as
+    # something no reader takes back
     if type(text) is not str:
         return False
     try:
@@ -69,11 +71,11 @@ def _is_ipv4(text: str) -> bool:
 
 @functools.lru_cache(maxsize=256)
 def _is_flags(text: str) -> bool:
-    # memoized like _is_ipv4: records repeat a handful of flag strings.  A
-    # CSV field survives a write and a read only without a comma, a line
-    # break (what str.splitlines splits on) or padding, which reading strips
-    return (type(text) is str and "," not in text and text == text.strip()
-            and len(text.splitlines()) < 2)
+    # memoized like _is_ipv4, and called on a str only: records repeat a
+    # handful of flag strings.  A CSV field survives a write and a read
+    # only without a comma, a line break (what str.splitlines splits on) or
+    # padding, which reading strips
+    return "," not in text and text == text.strip() and len(text.splitlines()) < 2
 
 
 def _check_record(names: tuple[str, ...], values: tuple) -> None:
@@ -89,6 +91,7 @@ def _check_record(names: tuple[str, ...], values: tuple) -> None:
     ip_a, ip_b, port_a, port_b, start, end = values
     if (type(port_a) is int and type(port_b) is int
             and 0 <= port_a <= 65535 and 0 <= port_b <= 65535
+            and type(ip_a) is str and type(ip_b) is str
             and _is_ipv4(ip_a) and _is_ipv4(ip_b)
             and -math.inf < start <= end < math.inf):
         return
@@ -98,7 +101,7 @@ def _check_record(names: tuple[str, ...], values: tuple) -> None:
         if not 0 <= port <= 65535:
             raise FlowFormatError(f"{field} {port} out of range 0-65535", field=field)
     for field, ip in zip(names[:2], values[:2]):
-        if not _is_ipv4(ip):
+        if not (type(ip) is str and _is_ipv4(ip)):
             raise FlowFormatError(f"{field} {ip!r} is not a dotted-quad IPv4 address",
                                   field=field)
     for field, t in zip(names[4:], values[4:]):
@@ -125,7 +128,7 @@ class FlowRecord:
         _check_record(("sIP", "dIP", "sPort", "dPort", "sTime", "eTime"),
                       (self.s_ip, self.d_ip, self.s_port, self.d_port,
                        self.s_time, self.e_time))
-        if not _is_flags(self.flags):
+        if not (type(self.flags) is str and _is_flags(self.flags)):
             raise FlowFormatError(f"flags {self.flags!r} is not a string without a "
                                   "comma, a line break or surrounding whitespace",
                                   field="flags")

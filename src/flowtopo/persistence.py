@@ -18,11 +18,15 @@ barcode(f, max_dim) computes no dimension above max_dim, so a Rips
 filtration's top dimension costs no infinite bars.
 Two paths lead to a Rips diagram.  vietoris_rips builds and checks a
 Filtration of the cliques within max_eps, and barcode reduces it: this
-serves `ph` and is the oracle.  rips_diagram takes a distance matrix,
-reuses the cached facets of the complete complex on as many vertices and
-only gathers, masks and sorts births before the same reduction: this serves
-the detector, whose clouds are small and nearly complete.  Both refuse to
-build more than MAX_LAYER simplices of one dimension.
+serves `ph` and is the oracle.  rips_diagram takes a distance matrix: for
+max_dim >= 2 it builds the same cliques from it, and for max_dim <= 1, the
+detector's case, it builds no triangle at all (_flag_diagram).  H0 is then
+Kruskal's algorithm over the relative-neighbourhood graph, which holds the
+minimum spanning forest, and H1 reduces the coboundaries of the other edges,
+each coface named by a key computed from the matrix, so that apparent pairs
+and earliest cofaces are array reductions.  Both paths refuse to build
+more than MAX_LAYER simplices of one dimension, and the triangle-free one
+refuses as many triangles as the other would build.
 Diagram distance is a minimal-cost matching (Hungarian assignment) with
 L-infinity ground metric and diagonal projections.
 """
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
@@ -51,6 +55,9 @@ MAX_LAYER = 2_000_000
 # euclidean_distances holds at once (8 MiB of float64); a detector cloud of
 # 21 points in 10 coordinates is 4,410
 DISTANCE_BLOCK = 1 << 20
+# the most triangle keys rips_diagram computes at once (at most 512 KiB per
+# array of a block), few enough for a block's arrays to stay in cache
+KEY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,11 +190,19 @@ def vietoris_rips(points, max_eps: float, max_dim: int) -> Filtration:
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         raise ValueError(f"point {int(bad[0])} has a non-finite coordinate")
+    _check_pairs(n)
+    return _clique_filtration(euclidean_distances(pts, pts), max_eps, max_dim)
+
+
+def _check_pairs(n: int) -> None:
     if n * (n - 1) // 2 > MAX_LAYER:
         raise ValueError(f"{n} points have {n * (n - 1) // 2} pairs, more than "
                          f"the limit of {MAX_LAYER} simplices per dimension")
-    dist = euclidean_distances(pts, pts)
 
+
+def _clique_filtration(dist: np.ndarray, max_eps: float, max_dim: int) -> Filtration:
+    """vietoris_rips of the points whose distance matrix is dist."""
+    n = len(dist)
     # upper[u, w]: the edge {u, w} is in the complex and u < w.  A simplex
     # extends by each w above all its vertices that is adjacent to all of
     # them; walking the rows of a lexicographically sorted layer keeps the
@@ -379,6 +394,77 @@ def _facet_rows(filtration: Filtration, positions: tuple[np.ndarray, ...]
     return tuple(facets)
 
 
+def _spanning_forest(vertex_births: list[float], edges, edge_births: list[float]
+                     ) -> tuple[tuple[tuple[float, float], ...], list[int]]:
+    """H0 bars, sorted, and the indices of the edges that kill a component.
+
+    Kruskal's algorithm: union-find over edges, (vertex row, vertex row)
+    pairs in filtration order, with the elder rule: union returns the
+    younger root, the later row, which dies.  After len(vertex_births) - 1
+    merges no edge can kill a component, so the walk stops there.
+    """
+    root = list(range(len(vertex_births)))
+    to_merge = len(root) - 1
+    bars: list[tuple[float, float]] = []
+    killers: list[int] = []
+    for i, ((a, b), birth) in enumerate(zip(edges, edge_births)):
+        if not to_merge:
+            break
+        younger = union(root, a, b)
+        if younger is not None:
+            killers.append(i)
+            if birth > vertex_births[younger]:
+                bars.append((vertex_births[younger], birth))
+            to_merge -= 1
+    bars += [(vertex_births[v], math.inf) for v, r in enumerate(root) if r == v]
+    return tuple(sorted(bars)), killers
+
+
+def _reduce_columns(cells: list[int], pivots: list[int], column, lowest, apparent
+                    ) -> tuple[list[tuple[int, int]], list[int]]:
+    """Persistent cohomology's column reduction, one cell at a time.
+
+    cells come in reverse filtration order and pivots[i] is the earliest
+    coface of cells[i].  column(cell) builds a cell's column, a bitmask or a
+    set of its cofaces' ids, which increase along the filtration, and
+    lowest(column) gives its earliest coface.  apparent(t) is the cell that
+    forms an apparent pair with t, or None: those cells pair without a
+    reduction, and their columns are built only when another column
+    reaches their pivot.  A column whose pivot is taken adds the owner's
+    column until its pivot is new or it is empty.  Returns the (cell, pivot)
+    pairs and the cells whose column reduces to zero.
+    """
+    owner: dict[int, int] = {}  # pivot -> the cell it pairs with
+    built: dict = {}  # cell -> its column, reduced, once it is needed
+    pairs: list[tuple[int, int]] = []
+    essential: list[int] = []
+    for s, pivot in zip(cells, pivots):
+        col = None
+        while True:
+            cell = owner.get(pivot)
+            if cell is None:
+                cell = apparent(pivot)
+                if cell is None:
+                    break
+            other = built.get(cell)
+            if other is None:
+                other = built[cell] = column(cell)
+            if col is None:
+                col = column(s)
+            col ^= other
+            if not col:
+                break
+            pivot = lowest(col)
+        if col is None or col:
+            owner[pivot] = s
+            if col is not None:
+                built[s] = col
+            pairs.append((s, pivot))
+        else:
+            essential.append(s)
+    return pairs, essential
+
+
 def _cohomology(births: np.ndarray, coface_births: np.ndarray,
                 coface_facets: np.ndarray, cleared: np.ndarray):
     """Bars of the simplices of one dimension, with births in filtration order.
@@ -407,45 +493,16 @@ def _cohomology(births: np.ndarray, coface_births: np.ndarray,
     # simplices with no coface never die
     free = np.flatnonzero(~cleared & (counts == 0))
 
-    rest = np.flatnonzero(live & ~apparent)
-    late_born: list[int] = []
-    killed: list[int] = []
-    essential: list[int] = []
-    if rest.size:
-        # pivot -> its column: a bitmask over coface rows once reduced, or the
-        # (lo, hi) slice of cofaces while still unreduced
-        owner: dict[int, int | tuple[int, int]] = dict(zip(
-            first[apparent].tolist(), zip(bounds[apparent].tolist(), ends[apparent].tolist())))
+    rest = np.flatnonzero(live & ~apparent)[::-1]
+    pairs, essential = _reduce_columns(
+        rest.tolist(), first[rest].tolist(),
+        lambda s: sum(1 << c for c in cofaces[bounds[s]:ends[s]].tolist()),
+        lambda col: (col & -col).bit_length() - 1,
+        dict(zip(first[apparent].tolist(), np.flatnonzero(apparent).tolist())).get)
 
-        def column(lo: int, hi: int) -> int:
-            return sum(1 << c for c in cofaces[lo:hi].tolist())
-
-        def reduced(pivot: int) -> int:
-            col = owner[pivot]
-            if isinstance(col, tuple):
-                col = owner[pivot] = column(*col)
-            return col
-
-        for s, lo, hi, pivot in zip(reversed(rest.tolist()), reversed(bounds[rest].tolist()),
-                                    reversed(ends[rest].tolist()), reversed(first[rest].tolist())):
-            if pivot not in owner:
-                owner[pivot] = (lo, hi)
-            else:
-                col = column(lo, hi)
-                while col:
-                    pivot = (col & -col).bit_length() - 1
-                    if pivot not in owner:
-                        break
-                    col ^= reduced(pivot)
-                if not col:
-                    essential.append(s)
-                    continue
-                owner[pivot] = col
-            late_born.append(s)
-            killed.append(pivot)
-
-    born = np.concatenate((np.flatnonzero(apparent), np.array(late_born, dtype=np.intp)))
-    died = np.concatenate((first[apparent], np.array(killed, dtype=np.intp)))
+    born = np.concatenate((np.flatnonzero(apparent),
+                           np.array([s for s, _ in pairs], dtype=np.intp)))
+    died = np.concatenate((first[apparent], np.array([t for _, t in pairs], dtype=np.intp)))
     infinite = np.concatenate((free, np.array(essential, dtype=np.intp)))
     birth = births[np.concatenate((born, infinite))]
     death = np.concatenate((coface_births[died], np.full(len(infinite), math.inf)))
@@ -463,39 +520,59 @@ def barcode(filtration: Filtration, max_dim: int | None = None) -> PersistenceDi
     With max_dim, no dimension above it is computed: the result equals
     barcode(filtration).restrict(max_dim), but a Rips filtration built to
     max_dim costs no infinite bars for its top dimension, whose killing
-    cofaces were never built.  The reduction is _reduce's.
+    cofaces were never built.
+
+    H0 comes from _spanning_forest over the edges.  Each dimension k >= 1
+    is reduced as cohomology: the coboundary columns of the k-simplices,
+    taken in reverse filtration order, are reduced left to right with the
+    earliest coface as pivot, so a nonzero column pairs its k-simplex with
+    that pivot.  The k-simplices already paired one dimension down are
+    skipped (clearing); their columns would reduce to zero.  Apparent
+    pairs, and simplices with no coface, are found for a whole dimension at
+    once; only the other columns are reduced one by one.  These pairs are
+    exactly those of the boundary-matrix reduction.  A pairing (i, j) gives
+    the bar [birth_i, birth_j) in dimension dim(i); unpaired simplices,
+    including those of the top dimension, give [birth, inf).
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     births = tuple(filtration.births[pos] for pos in filtration.positions)
-    return _reduce(births, filtration.facets, max_dim)
+    if not births:
+        return PersistenceDiagram({})
+    facets = filtration.facets
+    top = len(births) - 1
+    last = top if max_dim is None else min(max_dim, top)
+    h0, killers = _spanning_forest(births[0].tolist(), facets[1].tolist() if top else (),
+                                   births[1].tolist() if top else ())
+    diagram: dict[int, tuple[tuple[float, float], ...]] = {0: h0}
+    cleared = np.zeros(len(births[1]) if top else 0, dtype=bool)
+    cleared[killers] = True
 
+    # dims >= 1 below the top: cohomology with clearing
+    for k in range(1, min(last, top - 1) + 1):
+        bars_k, cleared = _cohomology(births[k], births[k + 1], facets[k + 1], cleared)
+        if bars_k:
+            diagram[k] = bars_k
 
-@lru_cache(maxsize=8)
-def _complete_facets(n: int, max_dim: int) -> tuple[np.ndarray, ...]:
-    """Facet rows of the complete complex on n vertices, up to dimension
-    max_dim + 1, each dimension in lexicographic order.
-
-    They are those of vietoris_rips on n equal points, where every birth is
-    0, so its constructor has checked them and MAX_LAYER bounds them.
-    """
-    return vietoris_rips(np.zeros((n, 1)), 1.0, max_dim).facets
+    # the top dimension has no cofaces: what is left unpaired never dies.
+    # Its births are in filtration order, so already sorted.
+    if 0 < top == last:
+        essential = births[top][~cleared].tolist()
+        if essential:
+            diagram[top] = tuple(zip(essential, repeat(math.inf)))
+    return PersistenceDiagram(diagram)
 
 
 def rips_diagram(dist, max_eps: float, max_dim: int) -> PersistenceDiagram:
     """barcode(vietoris_rips(points, max_eps, max_dim), max_dim), bit for bit,
     from the points' distance matrix ``euclidean_distances(points, points)``.
 
-    The simplices and their facets are the complete complex's, cached per
-    (len(dist), max_dim).  Each call ranks the distinct edge lengths in
-    dist; a higher simplex's rank is the largest of its facets', so its
-    birth is the largest of its edges', the float vietoris_rips takes the
-    max of.  Simplices born after max_eps are dropped and each dimension is
-    sorted stably by rank, which keeps vietoris_rips's lexicographic order
-    among ties.  The complete complex is built whatever max_eps leaves of
-    it, so this suits small, nearly complete clouds.  dist must be square,
-    finite, >= 0, symmetric and zero on its diagonal; anything else raises
-    ValueError.
+    For max_dim >= 2 the cliques vietoris_rips would build are built from
+    dist and reduced by barcode.  For max_dim 0 and 1, the detector's case,
+    no triangle is built (_flag_diagram).  dist must be square, finite,
+    >= 0, symmetric and zero on its diagonal; anything else raises
+    ValueError.  So does a matrix of more than MAX_LAYER pairs, or a
+    complex of more than MAX_LAYER simplices of a dimension it would build.
     """
     if not max_eps > 0:
         raise ValueError(f"max_eps must be > 0, got {max_eps}")
@@ -516,97 +593,126 @@ def rips_diagram(dist, max_eps: float, max_dim: int) -> PersistenceDiagram:
     bad = np.flatnonzero(np.diagonal(dist))
     if bad.size:
         raise ValueError(f"distance ({bad[0]}, {bad[0]}) is {dist[bad[0], bad[0]]}, not 0")
-
-    complete = _complete_facets(len(dist), max_dim)
-    births, facets = [np.zeros(len(dist))], [complete[0]]
-    if len(complete) > 1:
-        # facet 1 of edge (u, w) is vertex u, facet 0 is w.  A simplex is
-        # born at values[rank]; ranks are small unsigned integers, which
-        # numpy sorts stably by radix.
-        values, rank = np.unique(dist[complete[1][:, 1], complete[1][:, 0]],
-                                 return_inverse=True)
-        rank = rank.astype(np.min_scalar_type(len(values)))
-        within = np.searchsorted(values, max_eps, side="right")
-    # row_of[i]: the row, among the kept simplices of the dimension below in
-    # birth order, of its i-th simplex in lexicographic order.  A kept
-    # simplex's facets are born no later, so they are kept too.
-    row_of = np.arange(len(dist))
-    for k in range(1, len(complete)):
-        # (np.take gathers rows faster than fancy indexing)
-        if k > 1:
-            rank = reduce(np.maximum, np.take(rank, complete[k]).T)
-        kept = np.flatnonzero(rank < within)
-        if not kept.size:
-            break
-        order = kept[np.argsort(rank[kept], kind="stable")]
-        births.append(values[rank[order]])
-        facets.append(np.take(row_of, np.take(complete[k], order, axis=0)))
-        row_of = np.empty(len(rank), dtype=np.intp)
-        row_of[order] = np.arange(len(order))
-    return _reduce(births, facets, max_dim)
+    _check_pairs(len(dist))
+    if max_dim >= 2:
+        return barcode(_clique_filtration(dist, max_eps, max_dim), max_dim)
+    return _flag_diagram(dist, max_eps, max_dim)
 
 
-def _reduce(births: Sequence[np.ndarray], facets: Sequence[np.ndarray],
-            max_dim: int | None) -> PersistenceDiagram:
-    """Persistence diagram from each dimension's births, in filtration order,
-    and facets, as rows of the dimension below (facets[0] is unused).
+def _flag_diagram(dist: np.ndarray, max_eps: float, max_dim: int) -> PersistenceDiagram:
+    """rips_diagram of a checked matrix for max_dim 0 or 1, building no
+    triangle.
 
-    H0 comes from union-find over the edges in filtration order, which stops
-    once the edges span every component: an edge joining two components
-    kills the younger one (elder rule, later position dies).  Each dimension
-    k >= 1 is reduced as cohomology: the coboundary columns of the
-    k-simplices, taken in reverse filtration order, are reduced left to
-    right with the earliest coface as pivot, so a nonzero column pairs its
-    k-simplex with that pivot.  The k-simplices already paired one dimension
-    down are skipped (clearing); their columns would reduce to zero.
-    Apparent pairs, and simplices with no coface, are found for a whole
-    dimension at once; only the other columns are reduced one by one.
-    These pairs are exactly those of the boundary-matrix reduction.  A
-    pairing (i, j) gives the bar [birth_i, birth_j) in dimension dim(i);
-    unpaired simplices, including those of the top dimension, give
-    [birth, inf).  No dimension above max_dim (if given) is computed.
+    Edges come in vietoris_rips's order, a stable sort of the upper-triangle
+    lengths, and pos[x, y] is the position of edge {x, y} in it; the m edges
+    within max_eps come first, and every other pair, and the diagonal, is
+    at m.  A triangle is born with its latest edge, at the length that
+    vietoris_rips takes the max of, and is named by the key
+    latest * n + v, v being the vertex opposite its latest edge.  Each
+    triangle has one key, and the order of keys refines the order of
+    births.  How simplices of equal birth are ordered changes which pairs
+    form but not the diagram, which keeps no zero-length bar.
+
+    H0.  The two earlier edges of a triangle join the ends of its latest
+    edge before that edge comes, so the latest edge closes a cycle and
+    kills no component (the cycle property).  With max_dim 1, Kruskal's
+    algorithm therefore runs only over the edges that are the latest edge
+    of no triangle: the relative-neighbourhood graph (Toussaint, "The
+    relative neighbourhood graph of a finite planar set", Pattern
+    Recognition 1980), with ties broken by position.  It holds the minimum
+    spanning forest, whose edges merge the same components in the same
+    order.  With max_dim 0 no key is computed, and finding that graph would
+    cost more than it saves, so Kruskal runs over every edge.
+
+    H1.  The edges H0 used are cleared.  Each other edge's coboundary is its
+    cofaces' keys, and its earliest coface t the smallest of them.  When
+    the edge is t's latest edge (t // n is its position), the two are an
+    apparent pair: no column reduced before the edge's holds t, so they
+    pair without a column addition; and t is born with that edge, so the
+    pair has zero persistence and gives no bar.  An edge is the latest edge
+    of some triangle exactly when it is that of its earliest coface, so the
+    same test finds the graph H0 runs over.  Only the columns of the
+    other edges are reduced (_reduce_columns).  The keys are computed for
+    a block of edges at a time, at most KEY_BLOCK of them, and only
+    those within max_eps are kept.  Each triangle within max_eps is then
+    kept once per edge, so the triangles are counted, and refused beyond
+    MAX_LAYER, as vietoris_rips counts them.
     """
-    if not births:
-        return PersistenceDiagram({})
-    top = len(births) - 1
-    last = top if max_dim is None else min(max_dim, top)
-    diagram: dict[int, tuple[tuple[float, float], ...]] = {}
+    n = len(dist)
+    r = np.arange(n)
+    # the upper triangle row by row, the lexicographic order of the edges
+    u, w = np.nonzero(np.less.outer(r, r))
+    lengths = dist[u, w]
+    order = np.argsort(lengths, kind="stable")
+    births = lengths[order]
+    m = int(np.searchsorted(births, max_eps, side="right"))
+    births, u, w = births[:m], u[order[:m]], w[order[:m]]
+    if not (max_dim and m):
+        h0, _ = _spanning_forest([0.0] * n, zip(u.tolist(), w.tolist()), births.tolist())
+        return PersistenceDiagram({0: h0})
 
-    # H0: union-find over vertex rows with the elder rule; union returns the
-    # younger root.  After n_vertices - 1 merges no edge can kill a component.
-    vertex_births = births[0].tolist()
-    root = list(range(len(vertex_births)))
-    to_merge = len(root) - 1
-    bars: list[tuple[float, float]] = []
-    killers: list[int] = []
-    if top and to_merge:
-        edge_births = births[1].tolist()
-        for edge, (a, b) in enumerate(facets[1].tolist()):
-            younger = union(root, a, b)
-            if younger is not None:
-                killers.append(edge)
-                if edge_births[edge] > vertex_births[younger]:
-                    bars.append((vertex_births[younger], edge_births[edge]))
-                to_merge -= 1
-                if not to_merge:
-                    break
-    bars += [(vertex_births[v], math.inf) for v, r in enumerate(root) if r == v]
-    diagram[0] = tuple(sorted(bars))
-    cleared = np.zeros(len(births[1]) if top else 0, dtype=bool)
-    cleared[killers] = True
+    # the smallest integer types that hold every position and every key
+    # (a key is below m * n + 3 * n) keep the blocks small
+    edges = np.arange(m)
+    pos = np.full((n, n), m, dtype=np.min_scalar_type(-m - 1))
+    pos[u, w] = pos[w, u] = edges
+    key_type = np.min_scalar_type(-(m + 3) * n)
+    # v = u + w + k minus the ends of the latest edge, so the key of
+    # triangle (u, w, k) is offset[latest] + u + w + k; with latest = m it
+    # is past every key of a triangle within max_eps
+    offset = np.append(edges * n - (u + w), m * n).astype(key_type)
+    ends, r = (u + w).astype(key_type)[:, None], r.astype(key_type)
+    first = np.empty(m, dtype=key_type)
+    counts = np.empty(m, dtype=np.intp)
+    keys: list[np.ndarray] = []
+    kept = 0
+    block = max(1, KEY_BLOCK // n)
+    for lo in range(0, m, block):
+        # latest[i, k]: the latest edge of triangle (u, w, k) for the i-th
+        # edge (u, w) of the block, or m
+        latest = np.take(pos, u[lo:lo + block], axis=0)
+        np.maximum(latest, np.take(pos, w[lo:lo + block], axis=0), out=latest)
+        np.maximum(latest, edges[lo:lo + block, None], out=latest)
+        inside = latest < m
+        key = offset[latest]
+        key += ends[lo:lo + block] + r
+        first[lo:lo + block] = key.min(axis=1)
+        counts[lo:lo + block] = inside.sum(axis=1)
+        # each edge's keys, contiguous, the edges in position order
+        if kept <= 3 * MAX_LAYER:
+            keys.append(key[inside])
+            kept += len(keys[-1])
+    triangles = int(counts.sum()) // 3
+    if triangles > MAX_LAYER:
+        raise ValueError(f"the Rips complex has {triangles} 2-simplices, more than "
+                         f"the limit of {MAX_LAYER} simplices per dimension")
 
-    # dims >= 1 below the top: cohomology with clearing
-    for k in range(1, min(last, top - 1) + 1):
-        bars_k, cleared = _cohomology(births[k], births[k + 1], facets[k + 1], cleared)
-        if bars_k:
-            diagram[k] = bars_k
-
-    # the top dimension has no cofaces: what is left unpaired never dies.
-    # Its births are in filtration order, so already sorted.
-    if 0 < top == last:
-        essential = births[top][~cleared].tolist()
-        if essential:
-            diagram[top] = tuple(zip(essential, repeat(math.inf)))
+    # an edge is the latest edge of a triangle exactly when it is that of
+    # its earliest coface: then the two are an apparent pair
+    closes = first // n == edges
+    span = np.flatnonzero(~closes)
+    h0, killers = _spanning_forest([0.0] * n, zip(u[span].tolist(), w[span].tolist()),
+                                   births[span].tolist())
+    diagram: dict[int, tuple[tuple[float, float], ...]] = {0: h0}
+    # the edges that neither close a triangle nor join two components:
+    # those with no coface never die, and the others' columns are reduced
+    tree = set(killers)
+    others = [e for i, e in enumerate(span.tolist()) if i not in tree]
+    has_coface = (counts[others] > 0).tolist()
+    rest = [e for e, c in zip(others, has_coface) if c][::-1]
+    free = [e for e, c in zip(others, has_coface) if not c]
+    keys_of = np.concatenate(keys)
+    ptr = np.concatenate(([0], np.cumsum(counts))).tolist()
+    first_of = first.tolist()
+    pairs, essential = _reduce_columns(
+        rest, [first_of[e] for e in rest],
+        lambda e: set(keys_of[ptr[e]:ptr[e + 1]].tolist()), min,
+        lambda t: t // n if first_of[t // n] == t else None)
+    length = births.tolist()
+    bars = [(length[s], length[t // n]) for s, t in pairs if length[t // n] > length[s]]
+    bars += [(length[e], math.inf) for e in free + essential]
+    if bars:
+        diagram[1] = tuple(sorted(bars))
     return PersistenceDiagram(diagram)
 
 

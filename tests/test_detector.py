@@ -100,6 +100,25 @@ print(json.dumps({"features": features, "seconds": seconds,
 """
 
 
+def oracle_attribute(b, v):
+    """attribute as a per-probe loop, kept verbatim: each probe's distance
+    matrix is built whole from the baseline's points and the probe."""
+    z = np.array(b.standardize(v))
+    col_means = np.array(b.points).mean(axis=0)
+    scores = []
+    for i in range(len(z)):
+        probe = z.copy()
+        probe[i] = col_means[i]
+        scores.append(_score_standardized(b, tuple(probe)))
+    return b.feature_names[int(np.argmin(scores))]
+
+
+def _score_standardized(b, z):
+    return detector._distance(
+        detector._matrix_diagram(b, detector._cloud_distances(b.points + (z,))),
+        b.diagram, b.max_dim)
+
+
 def fv(values, start=0.0):
     return FeatureVector(window_start=start, values=tuple(float(x) for x in values))
 
@@ -392,6 +411,49 @@ class TestAttribute:
                                             for dim in (0, 1)))
                 assert attribute(b, v) == FEATURE_NAMES[scores.index(min(scores))]
         assert flagged >= 20
+
+    def test_equals_per_probe_oracle(self):
+        # seeded detector-sized baselines, plain and rounded (tied distances),
+        # with one constant coordinate: it standardizes to its column mean,
+        # 0.0, so probing it in a copy of a baseline point gives that point
+        rng = np.random.default_rng(29)
+        for trial in range(8):
+            raw = rng.normal(size=(30, 10))
+            if trial % 2:
+                raw = np.round(raw)
+            raw[:, 3] = 3.0
+            b = init_baseline([fv(row) for row in raw[:20]], 20, max_eps=20.0, max_dim=1,
+                              features=FEATURE_NAMES)
+            col_means = np.array(b.points).mean(axis=0)
+            vectors = [fv(row) for row in raw[20:]]
+            for j in (0, 7):
+                row = raw[j].copy()
+                row[3] = 50.0
+                probe = np.array(b.standardize(fv(row)))
+                probe[3] = col_means[3]
+                assert tuple(probe) == b.points[j]
+                vectors.append(fv(row))
+            for v in vectors:
+                assert attribute(b, v) == oracle_attribute(b, v)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 10, 12])
+    def test_probe_matrices_bit_identical(self, d):
+        # each assembled matrix is the probe's own full matrix, byte for byte
+        rng = np.random.default_rng(30 + d)
+        names = tuple(f"f{i}" for i in range(d))
+        for trial in range(4):
+            raw = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(21, d))
+            if trial % 2:
+                raw = np.round(raw)
+            b = init_baseline([fv(row) for row in raw[:20]], 20, max_eps=20.0, max_dim=1,
+                              features=names)
+            z = np.array(b.standardize(fv(raw[20])))
+            probes = np.tile(z, (d, 1))
+            np.fill_diagonal(probes, np.array(b.points).mean(axis=0))
+            probes[0] = b.points[0]
+            for probe, dist in zip(probes, detector._probe_distances(b, probes)):
+                want = detector._cloud_distances(b.points + (tuple(probe),))
+                assert dist.tobytes() == want.tobytes()
 
     def test_tie_goes_to_first_index(self):
         # baseline symmetric under coordinate swap, vector equally bad in both

@@ -586,10 +586,13 @@ class TestRipsDiagram:
                 barcode(vietoris_rips(pts, max_eps, max_dim), max_dim))
 
     def test_seeded_clouds(self):
-        # ties (integer grids), duplicate points, 1-23 points, 1-10 coordinates
+        # ties (integer grids), duplicate points, 1-23 points, 1-10
+        # coordinates, then 24-90 points, where only max_dim 0 and 1 stay
+        # quick enough for the oracle
         rng = np.random.default_rng(61)
-        for trial in range(300):
-            n, d = int(rng.integers(1, 24)), int(rng.integers(1, 11))
+        for trial in range(360):
+            n = int(rng.integers(1, 24) if trial < 300 else rng.integers(24, 91))
+            d = int(rng.integers(1, 11))
             pts = rng.normal(size=(n, d))
             if trial % 3 == 0:
                 pts = np.round(pts)
@@ -625,18 +628,19 @@ class TestRipsDiagram:
         got, want = self.both(pts, max_eps, max_dim)
         assert got == want
 
-    def test_complete_complex_tables(self):
-        # the cached facets are those of every k-subset of n vertices, in
-        # lexicographic order, each facet found by dropping one vertex
-        for n, max_dim in ((1, 1), (4, 2), (7, 1), (6, 3)):
-            facets = persistence._complete_facets(n, max_dim)
-            assert len(facets) == min(n, max_dim + 2)
-            for k in range(1, len(facets)):
-                subsets = list(combinations(range(n), k + 1))
-                index = {v: i for i, v in enumerate(combinations(range(n), k))}
-                want = [[index[v[:d] + v[d + 1:]] for d in range(k + 1)] for v in subsets]
-                assert facets[k].tolist() == want
-                assert not facets[k].flags.writeable
+    def test_key_blocks_change_nothing(self, monkeypatch):
+        # the triangle keys computed one edge at a time, then a few at a time
+        rng = np.random.default_rng(63)
+        clouds = [(rng.normal(size=(n, 4)), max_eps)
+                  for n in (2, 3, 9, 30) for max_eps in (0.8, 2.0, 20.0)]
+        clouds.append((np.round(rng.normal(size=(25, 3))), 2.0))
+        want = [rips_diagram(euclidean_distances(pts, pts), max_eps, 1)
+                for pts, max_eps in clouds]
+        for block in (1, 64):
+            monkeypatch.setattr(persistence, "KEY_BLOCK", block)
+            got = [rips_diagram(euclidean_distances(pts, pts), max_eps, 1)
+                   for pts, max_eps in clouds]
+            assert got == want
 
     @pytest.mark.parametrize("dist, message", [
         (np.zeros((2, 3)), "distance matrix must be square and nonempty, got shape (2, 3)"),
@@ -684,6 +688,17 @@ print(json.dumps({"simplices": len(f),
 """
 
 
+RIPS_161_CHILD = """
+import json, resource
+import numpy as np
+from flowtopo.persistence import euclidean_distances, rips_diagram
+pts = np.random.default_rng(0).normal(size=(161, 10))
+d = rips_diagram(euclidean_distances(pts, pts), max_eps=20.0, max_dim=1)
+print(json.dumps({"h0": len(d.in_dim(0)), "h1": len(d.in_dim(1)),
+                  "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
 class TestEuclideanDistances:
     """The matrix is computed a block of rows at a time; each entry depends
     only on its two points, so the blocks change no float."""
@@ -710,6 +725,18 @@ class TestEuclideanDistances:
         assert out["maxrss_kib"] < 200 * 1024, f"child peak {out['maxrss_kib']} KiB"
 
 
+class TestRipsMemory:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is in KiB only on Linux")
+    def test_complete_cloud_bounded_memory(self, run_bare_child):
+        # 161 points all within max_eps: 12,880 edges and 682,640 triangles,
+        # none of them built.  Ranking and sorting the triangles took the
+        # process to 299 MiB; about 76 MiB of it is numpy and scipy
+        out = run_bare_child(RIPS_161_CHILD)
+        assert (out["h0"], out["h1"]) == (161, 130)
+        assert out["maxrss_kib"] < 220 * 1024, f"child peak {out['maxrss_kib']} KiB"
+
+
 class TestSizeBound:
     """vietoris_rips and rips_diagram refuse a layer of more than MAX_LAYER
     simplices before they build it, with one line."""
@@ -726,11 +753,23 @@ class TestSizeBound:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             rips_diagram(np.zeros((231, 231)), 1.0, 1)
 
+    def test_only_triangles_within_max_eps_counted(self):
+        # 240 points a unit apart on a line: C(240, 3) = 2,275,280 triangles
+        # in the complete complex, none within max_eps 1.5
+        pts = np.arange(240.0)[:, None]
+        got = rips_diagram(euclidean_distances(pts, pts), 1.5, 1)
+        assert got == barcode(vietoris_rips(pts, 1.5, 1), 1)
+        assert got.bars == {0: ((0.0, 1.0),) * 239 + ((0.0, math.inf),)}
+        # and 231 equal points are refused with max_dim 1, not with max_dim 0
+        assert rips_diagram(np.zeros((231, 231)), 1.0, 0).bars == {0: ((0.0, math.inf),)}
+
     def test_too_many_pairs_refused(self):
         message = (f"2001 points have 2001000 pairs, more than the limit of "
                    f"{MAX_LAYER} simplices per dimension")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             vietoris_rips(np.zeros((2001, 1)), max_eps=1.0, max_dim=0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rips_diagram(np.zeros((2001, 2001)), 1.0, 0)
 
     def test_limit_leaves_room_for_the_benchmark_clouds(self):
         # an 80-point cloud, complete up to its 82,160 triangles, is built
