@@ -8,11 +8,19 @@ above the calibrated threshold flag the window and leave the baseline
 untouched; otherwise the oldest point rotates out.
 
 Every diagram after the first comes from persistence.rips_diagram on the
-distance matrix of the cloud it describes: the baseline plus a scored or
+distance matrix of the cloud it describes (the baseline plus a scored or
 probed vector, the baseline without one point for leave-one-out, and for a
-rotation the scored cloud's matrix without its first row and column.
-init_baseline computes the first diagram through cloud_diagram, the generic
-vietoris_rips + barcode path, and refuses to go on if rips_diagram disagrees.
+rotation the scored cloud's matrix without its first row and column), with
+one exception.  A scored or probed vector farther than max_eps from every
+baseline point is an isolated vertex: it has no edge in the complex, so it
+is its own component at every scale and lies in no other simplex
+(Edelsbrunner & Harer, Computational Topology, 2010).  Every other simplex
+and pair is then the baseline's, and the cloud's diagram is the cached one
+plus one H0 bar [0, inf), truncated to (0, max_eps) (_added_diagram).  Far
+windows, such as scans, and all their attribution probes take this path;
+the probes share one score.  init_baseline computes the first diagram
+through cloud_diagram, the generic vietoris_rips + barcode path, and
+refuses to go on if rips_diagram disagrees.
 
 A window's containment features (max_ecp_in_degree, max_ecp_out_degree,
 rbs_beta0, rbs_beta1) are those of its port hyperedges, computed on the
@@ -30,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -39,6 +46,7 @@ from .flows import TimeWindow
 from .hypergraph import Hypergraph, HypergraphStats, build_hypergraph, stats
 from .persistence import (
     PersistenceDiagram,
+    _check_pairs,
     barcode,
     euclidean_distances,
     rips_diagram,
@@ -122,7 +130,7 @@ def _containment_features(h: Hypergraph) -> tuple[tuple[int, int], tuple[int, in
     multiplicity (topology.twin_degrees and twin_betti).  With no arcs every
     edge is an isolated point: beta = (edges, 0) and both degrees are 0.
     """
-    multiplicity = Counter(h.edges.values())
+    multiplicity = h._multiplicity
     q = build_ecp(Hypergraph(h.vertices, dict(enumerate(multiplicity))))
     if not q.arcs:
         return (0, 0), (h.n_edges, 0)
@@ -176,10 +184,24 @@ class Baseline:
     diagram: PersistenceDiagram
 
     def standardize(self, v: FeatureVector) -> tuple[float, ...]:
+        """v on the baseline's frozen scale.
+
+        Raises ValueError naming the window and the feature if a coordinate
+        overflows that scale: one infinite point would only be refused later,
+        by rips_diagram, as an unnamed distance.
+        """
         if len(v.values) != len(self.mean):
             raise ValueError(
                 f"vector has {len(v.values)} coordinates, baseline expects {len(self.mean)}")
-        return tuple((x - m) / s for x, m, s in zip(v.values, self.mean, self.std))
+        # mean and std are Python floats, so an overflow gives inf, not a
+        # numpy warning
+        z = tuple((x - m) / s for x, m, s in zip(v.values, self.mean, self.std))
+        for i, x in enumerate(z):
+            if not math.isfinite(x):
+                name = self.feature_names[i] if i < len(self.feature_names) else i
+                raise ValueError(f"feature {name} of the window at {v.window_start} is "
+                                 f"{v.values[i]}, which standardizes to {x}, not finite")
+        return z
 
 
 def cloud_diagram(points, max_eps: float, max_dim: int) -> PersistenceDiagram:
@@ -195,6 +217,38 @@ def cloud_diagram(points, max_eps: float, max_dim: int) -> PersistenceDiagram:
 def _matrix_diagram(b: Baseline, dist: np.ndarray) -> PersistenceDiagram:
     """cloud_diagram of the cloud whose distance matrix is dist."""
     return rips_diagram(dist, b.max_eps, b.max_dim).truncate(b.max_eps)
+
+
+def _isolated(b: Baseline, dist: np.ndarray) -> bool:
+    """Whether the point of dist's last row is farther than b.max_eps from
+    every baseline point, each distance finite."""
+    row = dist[-1, :-1]
+    return bool((row > b.max_eps).all() and np.isfinite(row).all())
+
+
+def _added_diagram(b: Baseline, dist: np.ndarray) -> PersistenceDiagram:
+    """_matrix_diagram of the cloud of b's points plus one point, whose
+    distances to them are dist's last row.
+
+    If that point is isolated (_isolated), this is b.diagram with one more
+    H0 bar (0.0, b.max_eps).  The point has no edge within max_eps, so it
+    lies in no simplex but itself (Edelsbrunner & Harer, Computational
+    Topology, 2010): as the last vertex it leaves the edges within max_eps,
+    their stable order, the triangles and their keys, and so every pair,
+    as they are for the baseline alone.  Kruskal never merges it, so it
+    adds one [0, inf) bar, which truncate caps at max_eps.  Every H0 bar is
+    (0.0, d) with d <= max_eps, so the new bar sorts last.  A row that is
+    not finite, or that reaches a point within max_eps (an edge of length
+    max_eps is in the complex), goes to rips_diagram.  The baseline's own
+    distances passed rips_diagram's checks when b.diagram was computed, and
+    an isolated row is finite and positive; of its refusals only that of
+    too many pairs depends on the added point, and it is made here too.
+    """
+    if not _isolated(b, dist):
+        return _matrix_diagram(b, dist)
+    _check_pairs(len(dist))
+    return PersistenceDiagram({**b.diagram.bars,
+                               0: b.diagram.in_dim(0) + ((0.0, b.max_eps),)})
 
 
 def _cloud_distances(points) -> np.ndarray:
@@ -225,7 +279,7 @@ def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,
     std[std == 0.0] = 1.0
     points = tuple(tuple(row) for row in (raw - mean) / std)
     diagram = cloud_diagram(points, max_eps, max_dim)
-    b = Baseline(points=points, mean=tuple(mean), std=tuple(std),
+    b = Baseline(points=points, mean=tuple(mean.tolist()), std=tuple(std.tolist()),
                  max_eps=max_eps, max_dim=max_dim,
                  feature_names=tuple(features), diagram=diagram)
     if _matrix_diagram(b, _cloud_distances(points)) != diagram:
@@ -242,7 +296,7 @@ def _distance(diag_a: PersistenceDiagram, diag_b: PersistenceDiagram,
 
 def score_window(b: Baseline, v: FeatureVector) -> float:
     """Wasserstein perturbation of the baseline diagram when v is added."""
-    return _distance(_matrix_diagram(b, _cloud_distances(b.points + (b.standardize(v),))),
+    return _distance(_added_diagram(b, _cloud_distances(b.points + (b.standardize(v),))),
                      b.diagram, b.max_dim)
 
 
@@ -268,13 +322,21 @@ def attribute(b: Baseline, v: FeatureVector) -> str:
 
     Each coordinate in turn is replaced by the baseline's mean for that
     coordinate and the vector is re-scored; the biggest drop wins, with ties
-    going to the lowest index.
+    going to the lowest index.  Every isolated probe has the same diagram
+    (_added_diagram), so its score is computed once.
     """
     z = np.array(b.standardize(v))
     probes = np.tile(z, (len(z), 1))
     np.fill_diagonal(probes, np.array(b.points).mean(axis=0))
-    scores = [_distance(_matrix_diagram(b, dist), b.diagram, b.max_dim)
-              for dist in _probe_distances(b, probes)]
+    scores = []
+    isolated_score = None
+    for dist in _probe_distances(b, probes):
+        if not _isolated(b, dist):
+            scores.append(_distance(_matrix_diagram(b, dist), b.diagram, b.max_dim))
+            continue
+        if isolated_score is None:
+            isolated_score = _distance(_added_diagram(b, dist), b.diagram, b.max_dim)
+        scores.append(isolated_score)
     return b.feature_names[int(np.argmin(scores))]
 
 
@@ -306,7 +368,7 @@ def step(b: Baseline, v: FeatureVector, threshold: float) -> tuple[AnomalyReport
     """
     z = b.standardize(v)
     scored = _cloud_distances(b.points + (z,))
-    score = _distance(_matrix_diagram(b, scored), b.diagram, b.max_dim)
+    score = _distance(_added_diagram(b, scored), b.diagram, b.max_dim)
     anomalous = score > threshold
     if anomalous:
         report = AnomalyReport(window_start=v.window_start, score=score,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .flows import TimeWindow
 
@@ -35,6 +36,12 @@ class Hypergraph:
         supports = {label: frozenset(supp) for label, supp in edges.items()}
         vertices = frozenset().union(*supports.values()) if supports else frozenset()
         return cls(vertices=vertices, edges=supports)
+
+    @cached_property
+    def _multiplicity(self) -> Counter:
+        """The number of edges on each distinct support, counted once for
+        stats and the detector's containment features."""
+        return Counter(self.edges.values())
 
     @property
     def n_vertices(self) -> int:
@@ -81,14 +88,13 @@ def stats(h: Hypergraph) -> HypergraphStats:
     if not h.edges:
         return HypergraphStats(0, 0, 0, 0, 0.0, 0)
     sizes = [len(s) for s in h.edges.values()]
-    multiplicity = Counter(h.edges.values())
     return HypergraphStats(
         n_vertices=h.n_vertices,
         n_edges=h.n_edges,
         max_vertex_degree=max(h.vertex_degrees().values()),
         max_edge_size=max(sizes),
         mean_edge_size=sum(sizes) / len(sizes),
-        max_support_multiplicity=max(multiplicity.values()),
+        max_support_multiplicity=max(h._multiplicity.values()),
     )
 
 

@@ -455,6 +455,15 @@ class TestDetectFeatures:
             f"config features n_records,rbs_beta1 differ from the feature CSV "
             f"columns {columns}", stage_inputs, tmp_path, capsys)
 
+    def test_overflowing_window_refused_with_one_line(self, tmp_path, capsys):
+        # five baseline rows on a scale of 1e-150, then a window at 1e200
+        feats = tmp_path / "features.csv"
+        feats.write_text("window_start,a\n" + "".join(
+            f"{300 * i},{i}e-150\n" for i in range(5)) + "1500,1e200\n")
+        assert_one_line_failure(
+            ["detect", "--in", feats, "--capacity", 5], "feature a of the window at "
+            "1500.0 is 1e+200, which standardizes to inf, not finite", {}, tmp_path, capsys)
+
     def test_matching_config_features_same_output(self, stage_inputs, tmp_path):
         cfg = tmp_path / "all.cfg"
         cfg.write_text("features = " + ",".join(FEATURE_NAMES) + "\n")

@@ -3,12 +3,15 @@ import json
 import math
 import pickle
 import random
+import re
 import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from flowtopo import detector
+from flowtopo import detector, persistence
 from flowtopo.detector import (
     DEFAULTS,
     FEATURE_NAMES,
@@ -234,6 +237,20 @@ class TestBaseline:
     def test_cached_diagram_matches_points(self):
         b, _ = jitter_baseline(random.Random(2))
         assert b.diagram == cloud_diagram(b.points, b.max_eps, b.max_dim)
+
+    def test_overflowing_coordinate_named(self):
+        # a window far beyond a tiny frozen scale: refused by name, with no
+        # numpy warning on the way
+        vecs = [fv([i * 1e-150, i % 2], 300.0 * i) for i in range(5)]
+        b = init_baseline(vecs, 5, max_eps=20.0, max_dim=1, features=("a", "b"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values, name, x, z in (([1e200, 0.0], "a", "1e+200", "inf"),
+                                       ([0.0, -1.7e308], "b", "-1.7e+308", "-inf")):
+                with pytest.raises(ValueError, match=rf"^feature {name} of the window at "
+                                   rf"1500.0 is {re.escape(x)}, which standardizes "
+                                   rf"to {z}, not finite$"):
+                    b.standardize(FeatureVector(1500.0, tuple(values)))
 
     def test_identical_vectors_collapse_to_one_bar(self):
         vecs = [fv([7.0, 7.0])] * 5
@@ -520,6 +537,148 @@ class TestStep:
             report, b = step(b, v, threshold)
             flags.append(report.anomalous)
         assert flags == [i % 3 == 2 for i in range(10)]
+
+
+# ---------------------------------------------------------------- isolated points
+
+
+def isolated_cases(seed, count):
+    """(b, far, b_exact, near) on seeded baselines of 3-24 points in 1-10
+    coordinates, plain, rounded (tied distances) or with duplicate points,
+    at max_eps 0.5-20 and max_dim 0, 1 and 2.  far is more than b.max_eps
+    from every point of b.  b_exact has b's points, and its max_eps is
+    near's distance to its nearest point.  Both baselines have unit scale,
+    so that a vector standardizes to itself."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n, d = int(rng.integers(3, 25)), int(rng.integers(1, 11))
+        raw = rng.normal(size=(n, d)) * rng.choice([0.5, 1.0, 4.0])
+        if trial % 3 == 1:
+            raw = np.round(raw)
+        elif trial % 3 == 2:
+            raw[rng.integers(n, size=n // 2)] = raw[0]
+        vecs = [fv(row, i) for i, row in enumerate(raw)]
+        names = tuple(f"f{i}" for i in range(d))
+        max_eps, max_dim = float(rng.uniform(0.5, 20.0)), trial % 3
+        unit = dict(mean=(0.0,) * d, std=(1.0,) * d)
+        b = replace(init_baseline(vecs, n, max_eps=max_eps, max_dim=max_dim,
+                                  features=names), **unit)
+        pts = np.array(b.points)
+        center = pts.mean(axis=0)
+        reach = np.sqrt(((pts - center) ** 2).sum(axis=1)).max()
+        u = rng.normal(size=d)
+        u /= np.sqrt((u * u).sum())
+        far = tuple(center + u * (reach + max_eps * rng.uniform(1.001, 3.0)))
+        # a point a few units from a baseline point (a duplicated one, if any)
+        near = tuple(pts[0] + u * rng.uniform(0.5, 5.0))
+        nearest = float(detector._cloud_distances(b.points + (near,))[-1, :-1].min())
+        b_exact = replace(init_baseline(vecs, n, max_eps=nearest, max_dim=max_dim,
+                                        features=names), **unit)
+        yield b, far, b_exact, near
+
+
+def generic_score(b, z):
+    generic = cloud_diagram(b.points + (tuple(z),), b.max_eps, b.max_dim)
+    return math.fsum(wasserstein(generic, b.diagram, k) for k in range(b.max_dim + 1))
+
+
+@pytest.fixture()
+def rips_calls(monkeypatch):
+    """The number of rips_diagram calls the detector has made so far."""
+    calls = []
+
+    def counted(dist, max_eps, max_dim):
+        calls.append(len(dist))
+        return rips_diagram(dist, max_eps, max_dim)
+
+    monkeypatch.setattr(detector, "rips_diagram", counted)
+    return calls
+
+
+class TestIsolatedPoint:
+    def test_added_diagram_equals_cloud_diagram(self, rips_calls):
+        exact = 0
+        for b, far, b_exact, near in isolated_cases(41, 200):
+            for base, z in ((b, far), (b_exact, near)):
+                dist = detector._cloud_distances(base.points + (z,))
+                before = len(rips_calls)
+                got = detector._added_diagram(base, dist)
+                assert got == cloud_diagram(base.points + (z,), base.max_eps, base.max_dim)
+                # only an isolated point skips rips_diagram; one at exactly
+                # max_eps from its nearest point has an edge in the complex
+                assert len(rips_calls) - before == (base is b_exact)
+            exact += dist[-1, :-1].min() == b_exact.max_eps
+        assert exact == 200
+
+    def test_score_and_step_equal_generic_path(self):
+        for k, (b, far, b_exact, near) in enumerate(isolated_cases(43, 45)):
+            for base, z in ((b, far), (b_exact, near)):
+                v = fv(z, 100.0 + k)
+                assert base.standardize(v) == z
+                want = generic_score(base, z)
+                assert score_window(base, v) == want
+                report, rotated = step(base, v, threshold=1e9)
+                assert (report.score, report.anomalous) == (want, False)
+                assert rotated.points == base.points[1:] + (z,)
+                assert rotated.diagram == cloud_diagram(rotated.points, base.max_eps,
+                                                        base.max_dim)
+                report, same = step(base, v, threshold=-1.0)
+                assert same is base
+                assert report == AnomalyReport(v.window_start, want, -1.0, True,
+                                               oracle_attribute(base, v))
+
+    def test_attribute_mixes_isolated_and_generic_probes(self):
+        # a spike in one or two coordinates: the probes that keep a spike
+        # stay isolated, and the one that removes a lone spike may not
+        mixed = 0
+        for b, *_ in isolated_cases(47, 60):
+            pts = np.array(b.points)
+            d = pts.shape[1]
+            reach = np.sqrt(((pts - pts.mean(axis=0)) ** 2).sum(axis=1)).max()
+            for cols in ([d - 1], [d // 2], [0, d - 1]):
+                z = pts.mean(axis=0)
+                z[cols] += reach + b.max_eps * 1.5
+                v = fv(z)
+                probes = np.tile(z, (d, 1))
+                np.fill_diagonal(probes, pts.mean(axis=0))
+                kinds = {detector._isolated(b, dist)
+                         for dist in detector._probe_distances(b, probes)}
+                mixed += kinds == {True, False}
+                assert attribute(b, v) == oracle_attribute(b, v)
+        assert mixed >= 40
+
+    def test_point_at_exactly_max_eps_counts_its_triangles(self, monkeypatch):
+        # two copies of a point at exactly max_eps from the window: the
+        # window and the pair are a triangle, and a limit of the baseline's
+        # own triangles refuses the cloud
+        vecs = [fv(x) for x in ([0, 0], [0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5],
+                                [0.5, 0])]
+        b = init_baseline(vecs, 7, max_eps=5.0, max_dim=1, features=("a", "b"))
+        z = (b.points[0][0], b.points[0][1] - 5.0)
+        cloud = detector._cloud_distances(b.points + (z,))
+        assert cloud[-1, :2].tolist() == [5.0, 5.0] and (cloud[-1, 2:-1] > 5.0).all()
+        triangles = 35  # every triple of the baseline is within max_eps
+        monkeypatch.setattr(persistence, "MAX_LAYER", triangles)
+        with pytest.raises(ValueError, match=f"the Rips complex has {triangles + 1} "):
+            detector._added_diagram(b, cloud)
+
+    def test_isolated_point_counts_its_pairs(self, monkeypatch):
+        b, vecs = jitter_baseline(random.Random(31), capacity=6)
+        far = fv([300.0, -1.0])
+        monkeypatch.setattr(persistence, "MAX_LAYER", 20)
+        with pytest.raises(ValueError, match="7 points have 21 pairs, more than the limit"):
+            score_window(b, far)
+
+    def test_overflowing_distance_refused_by_rips_diagram(self):
+        # a finite window whose squared differences overflow: its distances
+        # are infinite, and rips_diagram refuses them
+        b, _ = jitter_baseline(random.Random(32), capacity=6)
+        v = fv([b.mean[0] + 1e200 * b.std[0], b.mean[1]])
+        assert all(map(math.isfinite, b.standardize(v)))
+        with np.errstate(over="ignore"):
+            for call in (lambda: score_window(b, v), lambda: step(b, v, 1.0)):
+                with pytest.raises(ValueError, match=r"distance \(0, 6\) is inf, not finite"):
+                    call()
 
 
 class TestRunDetector:
