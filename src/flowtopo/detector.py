@@ -198,9 +198,9 @@ class Baseline:
         z = tuple((x - m) / s for x, m, s in zip(v.values, self.mean, self.std))
         for i, x in enumerate(z):
             if not math.isfinite(x):
-                name = self.feature_names[i] if i < len(self.feature_names) else i
-                raise ValueError(f"feature {name} of the window at {v.window_start} is "
-                                 f"{v.values[i]}, which standardizes to {x}, not finite")
+                raise ValueError(f"feature {self.feature_names[i]} of the window at "
+                                 f"{v.window_start} is {v.values[i]}, which "
+                                 f"standardizes to {x}, not finite")
         return z
 
 
@@ -251,11 +251,26 @@ def _added_diagram(b: Baseline, dist: np.ndarray) -> PersistenceDiagram:
                                0: b.diagram.in_dim(0) + ((0.0, b.max_eps),)})
 
 
+@np.errstate(over="ignore")
 def _cloud_distances(points) -> np.ndarray:
     """Distance matrix of a cloud; dropping a point's row and column gives
-    the matrix of the cloud without it, bit for bit."""
+    the matrix of the cloud without it, bit for bit; one that overflows is inf."""
     pts = np.array(points, dtype=float)
     return euclidean_distances(pts, pts)
+
+
+def _scored_cloud(b: Baseline, v: FeatureVector) -> tuple[tuple[float, ...], np.ndarray]:
+    """v on b's scale and the distance matrix of b's points plus it.  An
+    overflowing distance raises ValueError naming the window and its feature
+    farthest from the baseline's mean, which rips_diagram could not name."""
+    z = b.standardize(v)
+    dist = _cloud_distances(b.points + (z,))
+    if not np.isfinite(dist[-1]).all():
+        i = max(range(len(z)), key=lambda i: abs(z[i]))
+        raise ValueError(f"feature {b.feature_names[i]} of the window at {v.window_start} "
+                         f"is {v.values[i]}, {z[i]} on the baseline's scale, too far "
+                         "from the baseline for a finite distance")
+    return z, dist
 
 
 def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,
@@ -274,6 +289,9 @@ def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,
     if len(vectors) != capacity:
         raise ValueError(f"need exactly {capacity} vectors, got {len(vectors)}")
     raw = np.array([v.values for v in vectors], dtype=float)
+    if len(features) != raw.shape[1]:
+        raise ValueError(f"{len(features)} feature names for vectors of "
+                         f"{raw.shape[1]} coordinates")
     mean = raw.mean(axis=0)
     std = raw.std(axis=0)
     std[std == 0.0] = 1.0
@@ -296,8 +314,7 @@ def _distance(diag_a: PersistenceDiagram, diag_b: PersistenceDiagram,
 
 def score_window(b: Baseline, v: FeatureVector) -> float:
     """Wasserstein perturbation of the baseline diagram when v is added."""
-    return _distance(_added_diagram(b, _cloud_distances(b.points + (b.standardize(v),))),
-                     b.diagram, b.max_dim)
+    return _distance(_added_diagram(b, _scored_cloud(b, v)[1]), b.diagram, b.max_dim)
 
 
 def calibrate_threshold(b: Baseline, quantile: float = 0.99) -> float:
@@ -366,8 +383,7 @@ def step(b: Baseline, v: FeatureVector, threshold: float) -> tuple[AnomalyReport
     cached diagram is recomputed from the scored cloud's distance matrix
     without the oldest point's row and column.
     """
-    z = b.standardize(v)
-    scored = _cloud_distances(b.points + (z,))
+    z, scored = _scored_cloud(b, v)
     score = _distance(_added_diagram(b, scored), b.diagram, b.max_dim)
     anomalous = score > threshold
     if anomalous:

@@ -26,7 +26,9 @@ minimum spanning forest, and H1 reduces the coboundaries of the other edges,
 each coface named by a key computed from the matrix, so that apparent pairs
 and earliest cofaces are array reductions.  Both paths refuse to build
 more than MAX_LAYER simplices of one dimension, and the triangle-free one
-refuses as many triangles as the other would build.
+refuses as many triangles as the other would build.  _spanning_forest and
+_reduce_columns are the package's one GF(2) elimination: topology.betti
+takes its boundary ranks from them too.
 Diagram distance is a minimal-cost matching (Hungarian assignment) with
 L-infinity ground metric and diagonal projections.
 """
@@ -394,14 +396,15 @@ def _facet_rows(filtration: Filtration, positions: tuple[np.ndarray, ...]
     return tuple(facets)
 
 
-def _spanning_forest(vertex_births: list[float], edges, edge_births: list[float]
+def _spanning_forest(vertex_births: list[float], edges, edge_births: Iterable[float]
                      ) -> tuple[tuple[tuple[float, float], ...], list[int]]:
     """H0 bars, sorted, and the indices of the edges that kill a component.
 
     Kruskal's algorithm: union-find over edges, (vertex row, vertex row)
     pairs in filtration order, with the elder rule: union returns the
     younger root, the later row, which dies.  After len(vertex_births) - 1
-    merges no edge can kill a component, so the walk stops there.
+    merges no edge can kill a component, so the walk stops there.  There
+    are as many killers as the rank of the edges' boundary matrix.
     """
     root = list(range(len(vertex_births)))
     to_merge = len(root) - 1
@@ -420,7 +423,7 @@ def _spanning_forest(vertex_births: list[float], edges, edge_births: list[float]
     return tuple(sorted(bars)), killers
 
 
-def _reduce_columns(cells: list[int], pivots: list[int], column, lowest, apparent
+def _reduce_columns(cells: Iterable[int], pivots: Iterable[int], column, lowest, apparent
                     ) -> tuple[list[tuple[int, int]], list[int]]:
     """Persistent cohomology's column reduction, one cell at a time.
 
@@ -432,7 +435,9 @@ def _reduce_columns(cells: list[int], pivots: list[int], column, lowest, apparen
     reduction, and their columns are built only when another column
     reaches their pivot.  A column whose pivot is taken adds the owner's
     column until its pivot is new or it is empty.  Returns the (cell, pivot)
-    pairs and the cells whose column reduces to zero.
+    pairs and the cells whose column reduces to zero.  The pairs are as many
+    as the columns' rank for any cell order and any pivot rule, so long as
+    pivots[i] is lowest(column(cells[i])); topology.betti relies on that.
     """
     owner: dict[int, int] = {}  # pivot -> the cell it pairs with
     built: dict = {}  # cell -> its column, reduced, once it is needed

@@ -9,8 +9,9 @@ number of arcs rather than the square of the number of edges.  The arcs are
 every proper-containment pair, hence transitively closed, so the order complex
 (one k-simplex per chain of k+1 edges, the restricted barycentric subdivision
 used as a topological window summary) is built layer by layer, extending each
-chain by the nodes above its top.  Betti numbers are computed over GF(2) by
-boundary-rank elimination, reducing each boundary column as it is generated;
+chain by the nodes above its top.  Betti numbers are computed over GF(2)
+from boundary ranks taken by the barcode's engine, persistence's
+_spanning_forest and _reduce_columns, the package's one GF(2) elimination;
 Hodge Laplacians use the standard signed real boundary matrices.
 
 Edges with one support are twins: incomparable, with the same edges below
@@ -43,14 +44,13 @@ the hypergraph itself, stays the oracle of this rule in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
-from typing import Iterable, Iterator
+from itertools import combinations, product, repeat
 
 import numpy as np
 
 from .flows import find, union
 from .hypergraph import Hypergraph
-from .persistence import MAX_LAYER
+from .persistence import MAX_LAYER, _reduce_columns, _spanning_forest
 
 BettiVector = tuple[int, ...]
 
@@ -280,49 +280,19 @@ def order_complex(ecp: Ecp, max_dim: int | None = None) -> SimplicialComplex:
     return SimplicialComplex(simplices, labels=tuple(nodes))
 
 
-def _gf2_rank(columns: Iterable[int]) -> int:
-    """Rank of a GF(2) matrix given as bit-packed column vectors."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            high = col.bit_length() - 1
-            if high in pivots:
-                col ^= pivots[high]
-            else:
-                pivots[high] = col
-                rank += 1
-                break
-    return rank
-
-
-def _graph_rank(edges, vertices) -> int:
-    """Rank of boundary_1 over GF(2), which is a graph's incidence matrix:
-    vertices minus components, counted as the edges that join two
-    union-find components."""
-    root = list(range(len(vertices)))
-    index = {v: i for i, (v,) in enumerate(vertices)}
-    return sum(union(root, index[a], index[b]) is not None for a, b in edges)
-
-
-def _boundary_columns(k_simplices, faces) -> Iterator[int]:
-    """Bit-packed boundary columns, rows over (k-1)-faces, yielded one per
-    k-simplex so that only the reduced pivots are ever held at once."""
-    face_index = {f: i for i, f in enumerate(faces)}
-    for s in k_simplices:
-        mask = 0
-        for i in range(len(s)):
-            mask |= 1 << face_index[s[:i] + s[i + 1:]]
-        yield mask
-
-
 def betti(k_complex: SimplicialComplex, max_dim: int) -> BettiVector:
     """Betti numbers over GF(2) for dimensions 0..max_dim.
 
     beta_k = n_k - rank(boundary_k) - rank(boundary_{k+1}), where boundary_0
     is zero and boundary_{max_dim+1} comes from stored higher simplices when
-    present.  boundary_1 is ranked by union-find, the others by GF(2)
-    elimination.
+    present.  The ranks come from the barcode's engine: rank(boundary_1) is
+    the number of edges that join two components in
+    persistence._spanning_forest, every birth 0, and a higher rank the
+    number of bit-packed boundary columns, rows over the sorted
+    (k-1)-faces, that persistence._reduce_columns pairs, with no apparent
+    pairs.  The pivot is the highest set bit, the face without the first
+    vertex.  A column is built only when its pivot is taken, or when it
+    owns a pivot that another column reaches.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
@@ -332,10 +302,17 @@ def betti(k_complex: SimplicialComplex, max_dim: int) -> BettiVector:
         faces = k_complex.simplices.get(k - 1, ())
         if not (sk and faces):
             ranks.append(0)
-        elif k == 1:
-            ranks.append(_graph_rank(sk, faces))
+            continue
+        index = {f: i for i, f in enumerate(faces)}
+        if k == 1:
+            edges = ((index[s[:1]], index[s[1:]]) for s in sk)
+            ranks.append(len(_spanning_forest([0.0] * len(faces), edges, repeat(0.0))[1]))
         else:
-            ranks.append(_gf2_rank(_boundary_columns(sk, faces)))
+            pairs, _ = _reduce_columns(
+                range(len(sk)), (index[s[1:]] for s in sk),
+                lambda j: sum([1 << index[f] for f in combinations(sk[j], k)]),
+                lambda col: col.bit_length() - 1, lambda t: None)
+            ranks.append(len(pairs))
     return tuple(k_complex.count(k) - ranks[k] - ranks[k + 1]
                  for k in range(max_dim + 1))
 

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -463,6 +464,18 @@ class TestDetectFeatures:
         assert_one_line_failure(
             ["detect", "--in", feats, "--capacity", 5], "feature a of the window at "
             "1500.0 is 1e+200, which standardizes to inf, not finite", {}, tmp_path, capsys)
+
+    def test_overflowing_distance_refused_with_one_line(self, tmp_path, capsys):
+        # a finite standardized window whose squared distance overflows
+        feats = tmp_path / "features.csv"
+        feats.write_text("window_start,a\n" + "".join(
+            f"{300 * i},{i}\n" for i in range(5)) + "1500,1e200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_one_line_failure(
+                ["detect", "--in", feats, "--capacity", 5], "feature a of the window at "
+                "1500.0 is 1e+200, 7.071067811865474e+199 on the baseline's scale, too far "
+                "from the baseline for a finite distance", {}, tmp_path, capsys)
 
     def test_matching_config_features_same_output(self, stage_inputs, tmp_path):
         cfg = tmp_path / "all.cfg"

@@ -224,6 +224,13 @@ class TestBaseline:
         with pytest.raises(ValueError):
             init_baseline(vecs, 2, max_eps=1.0, max_dim=0, features=("a",))
 
+    def test_feature_names_must_match_width(self):
+        vecs = [fv([float(i), i * i, 1.0]) for i in range(5)]
+        for names in (("a",), ("a", "b", "c", "d")):
+            with pytest.raises(ValueError, match=f"^{len(names)} feature names for "
+                                                 "vectors of 3 coordinates$"):
+                init_baseline(vecs, 5, max_eps=20.0, max_dim=1, features=names)
+
     def test_count_mismatch(self):
         vecs = [fv([0.0])] * 4
         with pytest.raises(ValueError):
@@ -669,16 +676,29 @@ class TestIsolatedPoint:
         with pytest.raises(ValueError, match="7 points have 21 pairs, more than the limit"):
             score_window(b, far)
 
-    def test_overflowing_distance_refused_by_rips_diagram(self):
-        # a finite window whose squared differences overflow: its distances
-        # are infinite, and rips_diagram refuses them
+    def test_overflowing_distance_named(self):
+        # a finite window whose squared differences overflow: refused by the
+        # window and its farthest feature, with no numpy warning on the way
         b, _ = jitter_baseline(random.Random(32), capacity=6)
-        v = fv([b.mean[0] + 1e200 * b.std[0], b.mean[1]])
-        assert all(map(math.isfinite, b.standardize(v)))
-        with np.errstate(over="ignore"):
-            for call in (lambda: score_window(b, v), lambda: step(b, v, 1.0)):
-                with pytest.raises(ValueError, match=r"distance \(0, 6\) is inf, not finite"):
-                    call()
+        for values, name in (([b.mean[0] + 1e200 * b.std[0], b.mean[1]], "a"),
+                             ([b.mean[0] + 1e160 * b.std[0], b.mean[1] - 1e170 * b.std[1]],
+                              "b")):
+            v = fv(values, 1500.0)
+            z = b.standardize(v)
+            assert all(map(math.isfinite, z))
+            i = "ab".index(name)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for call in (lambda: score_window(b, v), lambda: step(b, v, 1.0)):
+                    with pytest.raises(ValueError, match=rf"^feature {name} of the window at "
+                                       rf"1500.0 is {re.escape(str(values[i]))}, "
+                                       rf"{re.escape(str(z[i]))} on the baseline's scale, too "
+                                       rf"far from the baseline for a finite distance$"):
+                        call()
+        # the same matrix still fails rips_diagram's own check
+        dist = detector._cloud_distances(b.points + (z,))
+        with pytest.raises(ValueError, match=r"distance \(0, 6\) is inf, not finite"):
+            detector._matrix_diagram(b, dist)
 
 
 class TestRunDetector:
