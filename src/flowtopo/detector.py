@@ -16,11 +16,13 @@ baseline point is an isolated vertex: it has no edge in the complex, so it
 is its own component at every scale and lies in no other simplex
 (Edelsbrunner & Harer, Computational Topology, 2010).  Every other simplex
 and pair is then the baseline's, and the cloud's diagram is the cached one
-plus one H0 bar [0, inf), truncated to (0, max_eps) (_added_diagram).  Far
-windows, such as scans, and all their attribution probes take this path;
-the probes share one score.  init_baseline computes the first diagram
-through cloud_diagram, the generic vietoris_rips + barcode path, and
-refuses to go on if rips_diagram disagrees.
+plus one H0 bar [0, inf), truncated to (0, max_eps).  Far windows, such as
+scans, and all their attribution probes take this path; the probes share
+one score.  _scored alone applies this rule, computes the distances of a
+scored or probed cloud and refuses one that overflows.  init_baseline
+computes the first diagram through cloud_diagram, the generic
+vietoris_rips + barcode path, and refuses to go on if rips_diagram
+disagrees.
 
 A window's containment features (max_ecp_in_degree, max_ecp_out_degree,
 rbs_beta0, rbs_beta1) are those of its port hyperedges, computed on the
@@ -219,60 +221,6 @@ def _matrix_diagram(b: Baseline, dist: np.ndarray) -> PersistenceDiagram:
     return rips_diagram(dist, b.max_eps, b.max_dim).truncate(b.max_eps)
 
 
-def _isolated(b: Baseline, dist: np.ndarray) -> bool:
-    """Whether the point of dist's last row is farther than b.max_eps from
-    every baseline point, each distance finite."""
-    row = dist[-1, :-1]
-    return bool((row > b.max_eps).all() and np.isfinite(row).all())
-
-
-def _added_diagram(b: Baseline, dist: np.ndarray) -> PersistenceDiagram:
-    """_matrix_diagram of the cloud of b's points plus one point, whose
-    distances to them are dist's last row.
-
-    If that point is isolated (_isolated), this is b.diagram with one more
-    H0 bar (0.0, b.max_eps).  The point has no edge within max_eps, so it
-    lies in no simplex but itself (Edelsbrunner & Harer, Computational
-    Topology, 2010): as the last vertex it leaves the edges within max_eps,
-    their stable order, the triangles and their keys, and so every pair,
-    as they are for the baseline alone.  Kruskal never merges it, so it
-    adds one [0, inf) bar, which truncate caps at max_eps.  Every H0 bar is
-    (0.0, d) with d <= max_eps, so the new bar sorts last.  A row that is
-    not finite, or that reaches a point within max_eps (an edge of length
-    max_eps is in the complex), goes to rips_diagram.  The baseline's own
-    distances passed rips_diagram's checks when b.diagram was computed, and
-    an isolated row is finite and positive; of its refusals only that of
-    too many pairs depends on the added point, and it is made here too.
-    """
-    if not _isolated(b, dist):
-        return _matrix_diagram(b, dist)
-    _check_pairs(len(dist))
-    return PersistenceDiagram({**b.diagram.bars,
-                               0: b.diagram.in_dim(0) + ((0.0, b.max_eps),)})
-
-
-@np.errstate(over="ignore")
-def _cloud_distances(points) -> np.ndarray:
-    """Distance matrix of a cloud; dropping a point's row and column gives
-    the matrix of the cloud without it, bit for bit; one that overflows is inf."""
-    pts = np.array(points, dtype=float)
-    return euclidean_distances(pts, pts)
-
-
-def _scored_cloud(b: Baseline, v: FeatureVector) -> tuple[tuple[float, ...], np.ndarray]:
-    """v on b's scale and the distance matrix of b's points plus it.  An
-    overflowing distance raises ValueError naming the window and its feature
-    farthest from the baseline's mean, which rips_diagram could not name."""
-    z = b.standardize(v)
-    dist = _cloud_distances(b.points + (z,))
-    if not np.isfinite(dist[-1]).all():
-        i = max(range(len(z)), key=lambda i: abs(z[i]))
-        raise ValueError(f"feature {b.feature_names[i]} of the window at {v.window_start} "
-                         f"is {v.values[i]}, {z[i]} on the baseline's scale, too far "
-                         "from the baseline for a finite distance")
-    return z, dist
-
-
 def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,
                   features=FEATURE_NAMES) -> Baseline:
     """Fit standardization on anomaly-free vectors and cache their diagram.
@@ -295,12 +243,13 @@ def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,
     mean = raw.mean(axis=0)
     std = raw.std(axis=0)
     std[std == 0.0] = 1.0
-    points = tuple(tuple(row) for row in (raw - mean) / std)
+    pts = (raw - mean) / std
+    points = tuple(tuple(row) for row in pts)
     diagram = cloud_diagram(points, max_eps, max_dim)
     b = Baseline(points=points, mean=tuple(mean.tolist()), std=tuple(std.tolist()),
                  max_eps=max_eps, max_dim=max_dim,
                  feature_names=tuple(features), diagram=diagram)
-    if _matrix_diagram(b, _cloud_distances(points)) != diagram:
+    if _matrix_diagram(b, euclidean_distances(pts, pts)) != diagram:
         raise RuntimeError("rips_diagram on the baseline's distances differs from "
                            "vietoris_rips + barcode on its points")
     return b
@@ -312,9 +261,61 @@ def _distance(diag_a: PersistenceDiagram, diag_b: PersistenceDiagram,
                      for k in range(max_dim + 1))
 
 
+def _scored(b: Baseline, v: FeatureVector, rows: np.ndarray):
+    """For each row of rows (v, or a probe of it, on b's scale), its score
+    and the distance matrix of b's points plus it: one array, overwritten
+    for each row.  score_window, step and attribute all score through here.
+
+    The baseline's block and every row's distances come from one
+    euclidean_distances call; each entry depends only on its two points, so
+    each matrix is the whole cloud's, bit for bit.  A row whose distances
+    overflow raises ValueError naming the window and its feature farthest
+    from the baseline's mean, which rips_diagram could not name.
+
+    A row farther than max_eps from every baseline point is an isolated
+    vertex.  It has no edge in the complex (an edge of length max_eps is
+    in it), so it lies in no simplex but itself (Edelsbrunner & Harer,
+    Computational Topology, 2010): as the last vertex it leaves the edges
+    within max_eps, their stable order, the triangles and their keys, and
+    so every pair, as they are for the baseline alone.  Kruskal never
+    merges it, so it adds one [0, inf) bar, which truncate caps at max_eps.
+    Every H0 bar is (0.0, d) with d <= max_eps, so the new bar sorts last,
+    and the cloud's diagram is b.diagram plus (0.0, max_eps), scored at
+    most once per call.  The baseline's own distances passed rips_diagram's
+    checks when b.diagram was computed, and an isolated row is finite and
+    positive; of its refusals only that of too many pairs depends on the
+    added point, and it is made here too.  Every other row goes to
+    rips_diagram.
+    """
+    pts = np.array(b.points, dtype=float)
+    n = len(pts)
+    with np.errstate(over="ignore"):
+        block = euclidean_distances(np.concatenate((pts, rows)), pts)
+    if not np.isfinite(block[n:]).all():
+        z = b.standardize(v)
+        i = max(range(len(z)), key=lambda i: abs(z[i]))
+        raise ValueError(f"feature {b.feature_names[i]} of the window at {v.window_start} "
+                         f"is {v.values[i]}, {z[i]} on the baseline's scale, too far "
+                         "from the baseline for a finite distance")
+    dist = np.zeros((n + 1, n + 1))
+    dist[:n, :n] = block[:n]
+    isolated = None
+    for row in block[n:]:
+        dist[n, :n] = dist[:n, n] = row
+        if not (row > b.max_eps).all():
+            yield _distance(_matrix_diagram(b, dist), b.diagram, b.max_dim), dist
+            continue
+        if isolated is None:
+            _check_pairs(n + 1)
+            added = b.diagram.in_dim(0) + ((0.0, b.max_eps),)
+            isolated = _distance(PersistenceDiagram({**b.diagram.bars, 0: added}),
+                                 b.diagram, b.max_dim)
+        yield isolated, dist
+
+
 def score_window(b: Baseline, v: FeatureVector) -> float:
     """Wasserstein perturbation of the baseline diagram when v is added."""
-    return _distance(_added_diagram(b, _scored_cloud(b, v)[1]), b.diagram, b.max_dim)
+    return next(_scored(b, v, np.array([b.standardize(v)])))[0]
 
 
 def calibrate_threshold(b: Baseline, quantile: float = 0.99) -> float:
@@ -325,7 +326,8 @@ def calibrate_threshold(b: Baseline, quantile: float = 0.99) -> float:
     """
     if not 0.0 < quantile <= 1.0:
         raise ValueError("quantile must be in (0, 1]")
-    dist = _cloud_distances(b.points)
+    pts = np.array(b.points, dtype=float)
+    dist = euclidean_distances(pts, pts)
     scores = []
     for i in range(len(b.points)):
         rest = np.arange(len(b.points)) != i
@@ -340,39 +342,13 @@ def attribute(b: Baseline, v: FeatureVector) -> str:
     Each coordinate in turn is replaced by the baseline's mean for that
     coordinate and the vector is re-scored; the biggest drop wins, with ties
     going to the lowest index.  Every isolated probe has the same diagram
-    (_added_diagram), so its score is computed once.
+    (_scored), so its score is computed once.
     """
     z = np.array(b.standardize(v))
     probes = np.tile(z, (len(z), 1))
     np.fill_diagonal(probes, np.array(b.points).mean(axis=0))
-    scores = []
-    isolated_score = None
-    for dist in _probe_distances(b, probes):
-        if not _isolated(b, dist):
-            scores.append(_distance(_matrix_diagram(b, dist), b.diagram, b.max_dim))
-            continue
-        if isolated_score is None:
-            isolated_score = _distance(_added_diagram(b, dist), b.diagram, b.max_dim)
-        scores.append(isolated_score)
+    scores = [score for score, _ in _scored(b, v, probes)]
     return b.feature_names[int(np.argmin(scores))]
-
-
-def _probe_distances(b: Baseline, probes: np.ndarray):
-    """For each probe in turn, the distance matrix of the baseline's points
-    plus that probe: one array, overwritten for each probe.
-
-    The baseline's block is computed once and every probe's row in one
-    euclidean_distances call; each entry depends only on its two points,
-    so each matrix equals _cloud_distances(b.points + (tuple(probe),)) bit
-    for bit.
-    """
-    pts = np.array(b.points, dtype=float)
-    n = len(pts)
-    dist = np.zeros((n + 1, n + 1))
-    dist[:n, :n] = euclidean_distances(pts, pts)
-    for row in euclidean_distances(probes, pts):
-        dist[n, :n] = dist[:n, n] = row
-        yield dist
 
 
 def step(b: Baseline, v: FeatureVector, threshold: float) -> tuple[AnomalyReport, Baseline]:
@@ -383,8 +359,8 @@ def step(b: Baseline, v: FeatureVector, threshold: float) -> tuple[AnomalyReport
     cached diagram is recomputed from the scored cloud's distance matrix
     without the oldest point's row and column.
     """
-    z, scored = _scored_cloud(b, v)
-    score = _distance(_added_diagram(b, scored), b.diagram, b.max_dim)
+    z = b.standardize(v)
+    score, scored = next(_scored(b, v, np.array([z])))
     anomalous = score > threshold
     if anomalous:
         report = AnomalyReport(window_start=v.window_start, score=score,

@@ -28,7 +28,8 @@ and earliest cofaces are array reductions.  Both paths refuse to build
 more than MAX_LAYER simplices of one dimension, and the triangle-free one
 refuses as many triangles as the other would build.  _spanning_forest and
 _reduce_columns are the package's one GF(2) elimination: topology.betti
-takes its boundary ranks from them too.
+counts flows.union's merges, as _spanning_forest does, for its graph rank
+and takes its higher ranks from _reduce_columns.
 Diagram distance is a minimal-cost matching (Hungarian assignment) with
 L-infinity ground metric and diagonal projections.
 """

@@ -10,9 +10,10 @@ every proper-containment pair, hence transitively closed, so the order complex
 (one k-simplex per chain of k+1 edges, the restricted barycentric subdivision
 used as a topological window summary) is built layer by layer, extending each
 chain by the nodes above its top.  Betti numbers are computed over GF(2)
-from boundary ranks taken by the barcode's engine, persistence's
-_spanning_forest and _reduce_columns, the package's one GF(2) elimination;
-Hodge Laplacians use the standard signed real boundary matrices.
+from boundary ranks taken as H0 persistence takes them: the graph boundary's
+by counting flows.union's merges, as persistence._spanning_forest does, and
+every higher one by persistence._reduce_columns, the package's one column
+reduction; Hodge Laplacians use the standard signed real boundary matrices.
 
 Edges with one support are twins: incomparable, with the same edges below
 and above.  A scan window has thousands of them, and the order complex of the
@@ -44,13 +45,13 @@ the hypergraph itself, stays the oracle of this rule in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 
 import numpy as np
 
 from .flows import find, union
 from .hypergraph import Hypergraph
-from .persistence import MAX_LAYER, _reduce_columns, _spanning_forest
+from .persistence import MAX_LAYER, _reduce_columns
 
 BettiVector = tuple[int, ...]
 
@@ -286,13 +287,14 @@ def betti(k_complex: SimplicialComplex, max_dim: int) -> BettiVector:
     beta_k = n_k - rank(boundary_k) - rank(boundary_{k+1}), where boundary_0
     is zero and boundary_{max_dim+1} comes from stored higher simplices when
     present.  The ranks come from the barcode's engine: rank(boundary_1) is
-    the number of edges that join two components in
-    persistence._spanning_forest, every birth 0, and a higher rank the
-    number of bit-packed boundary columns, rows over the sorted
-    (k-1)-faces, that persistence._reduce_columns pairs, with no apparent
-    pairs.  The pivot is the highest set bit, the face without the first
-    vertex.  A column is built only when its pivot is taken, or when it
-    owns a pivot that another column reaches.
+    the number of edges that join two components, counted by flows.union
+    over a root list of the vertices as persistence._spanning_forest counts
+    its killers, and a higher rank the number of bit-packed boundary
+    columns, rows over the sorted (k-1)-faces, that
+    persistence._reduce_columns pairs, with no apparent pairs.  The pivot
+    is the highest set bit, the face without the first vertex.  A column is
+    built only when its pivot is taken, or when it owns a pivot that
+    another column reaches.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
@@ -305,8 +307,9 @@ def betti(k_complex: SimplicialComplex, max_dim: int) -> BettiVector:
             continue
         index = {f: i for i, f in enumerate(faces)}
         if k == 1:
-            edges = ((index[s[:1]], index[s[1:]]) for s in sk)
-            ranks.append(len(_spanning_forest([0.0] * len(faces), edges, repeat(0.0))[1]))
+            root = list(range(len(faces)))
+            ranks.append(sum(union(root, index[s[:1]], index[s[1:]]) is not None
+                             for s in sk))
         else:
             pairs, _ = _reduce_columns(
                 range(len(sk)), (index[s[1:]] for s in sk),

@@ -118,8 +118,16 @@ def oracle_attribute(b, v):
 
 def _score_standardized(b, z):
     return detector._distance(
-        detector._matrix_diagram(b, detector._cloud_distances(b.points + (z,))),
+        detector._matrix_diagram(b, whole_distances(b.points + (z,))),
         b.diagram, b.max_dim)
+
+
+def whole_distances(points):
+    """The distance matrix of a cloud, computed in one piece; an entry that
+    overflows is inf."""
+    pts = np.array(points, dtype=float)
+    with np.errstate(over="ignore"):
+        return persistence.euclidean_distances(pts, pts)
 
 
 def fv(values, start=0.0):
@@ -475,8 +483,8 @@ class TestAttribute:
             probes = np.tile(z, (d, 1))
             np.fill_diagonal(probes, np.array(b.points).mean(axis=0))
             probes[0] = b.points[0]
-            for probe, dist in zip(probes, detector._probe_distances(b, probes)):
-                want = detector._cloud_distances(b.points + (tuple(probe),))
+            for probe, (_, dist) in zip(probes, detector._scored(b, fv(raw[20]), probes)):
+                want = whole_distances(b.points + (tuple(probe),))
                 assert dist.tobytes() == want.tobytes()
 
     def test_tie_goes_to_first_index(self):
@@ -578,7 +586,7 @@ def isolated_cases(seed, count):
         far = tuple(center + u * (reach + max_eps * rng.uniform(1.001, 3.0)))
         # a point a few units from a baseline point (a duplicated one, if any)
         near = tuple(pts[0] + u * rng.uniform(0.5, 5.0))
-        nearest = float(detector._cloud_distances(b.points + (near,))[-1, :-1].min())
+        nearest = float(whole_distances(b.points + (near,))[-1, :-1].min())
         b_exact = replace(init_baseline(vecs, n, max_eps=nearest, max_dim=max_dim,
                                         features=names), **unit)
         yield b, far, b_exact, near
@@ -587,6 +595,25 @@ def isolated_cases(seed, count):
 def generic_score(b, z):
     generic = cloud_diagram(b.points + (tuple(z),), b.max_eps, b.max_dim)
     return math.fsum(wasserstein(generic, b.diagram, k) for k in range(b.max_dim + 1))
+
+
+def is_isolated(b, z):
+    """Whether z is farther than b.max_eps from every point of b."""
+    return bool((whole_distances(b.points + (tuple(z),))[-1, :-1] > b.max_eps).all())
+
+
+@pytest.fixture()
+def scored_diagrams(monkeypatch):
+    """The diagrams the detector has scored against its baseline's so far."""
+    diagrams = []
+    distance = detector._distance
+
+    def recorded(diag_a, diag_b, max_dim):
+        diagrams.append(diag_a)
+        return distance(diag_a, diag_b, max_dim)
+
+    monkeypatch.setattr(detector, "_distance", recorded)
+    return diagrams
 
 
 @pytest.fixture()
@@ -603,18 +630,19 @@ def rips_calls(monkeypatch):
 
 
 class TestIsolatedPoint:
-    def test_added_diagram_equals_cloud_diagram(self, rips_calls):
+    def test_scored_diagram_equals_cloud_diagram(self, rips_calls, scored_diagrams):
         exact = 0
         for b, far, b_exact, near in isolated_cases(41, 200):
             for base, z in ((b, far), (b_exact, near)):
-                dist = detector._cloud_distances(base.points + (z,))
                 before = len(rips_calls)
-                got = detector._added_diagram(base, dist)
-                assert got == cloud_diagram(base.points + (z,), base.max_eps, base.max_dim)
+                score = score_window(base, fv(z))
+                want = cloud_diagram(base.points + (z,), base.max_eps, base.max_dim)
+                assert scored_diagrams[-1] == want
+                assert score == generic_score(base, z)
                 # only an isolated point skips rips_diagram; one at exactly
                 # max_eps from its nearest point has an edge in the complex
                 assert len(rips_calls) - before == (base is b_exact)
-            exact += dist[-1, :-1].min() == b_exact.max_eps
+            exact += whole_distances(b_exact.points + (near,))[-1, :-1].min() == b_exact.max_eps
         assert exact == 200
 
     def test_score_and_step_equal_generic_path(self):
@@ -634,7 +662,7 @@ class TestIsolatedPoint:
                 assert report == AnomalyReport(v.window_start, want, -1.0, True,
                                                oracle_attribute(base, v))
 
-    def test_attribute_mixes_isolated_and_generic_probes(self):
+    def test_attribute_mixes_isolated_and_generic_probes(self, rips_calls):
         # a spike in one or two coordinates: the probes that keep a spike
         # stay isolated, and the one that removes a lone spike may not
         mixed = 0
@@ -648,10 +676,13 @@ class TestIsolatedPoint:
                 v = fv(z)
                 probes = np.tile(z, (d, 1))
                 np.fill_diagonal(probes, pts.mean(axis=0))
-                kinds = {detector._isolated(b, dist)
-                         for dist in detector._probe_distances(b, probes)}
-                mixed += kinds == {True, False}
-                assert attribute(b, v) == oracle_attribute(b, v)
+                kinds = [is_isolated(b, probe) for probe in probes]
+                mixed += set(kinds) == {True, False}
+                before = len(rips_calls)
+                got = attribute(b, v)
+                # every generic probe, and only those, goes to rips_diagram
+                assert len(rips_calls) - before == kinds.count(False)
+                assert got == oracle_attribute(b, v)
         assert mixed >= 40
 
     def test_point_at_exactly_max_eps_counts_its_triangles(self, monkeypatch):
@@ -660,14 +691,15 @@ class TestIsolatedPoint:
         # own triangles refuses the cloud
         vecs = [fv(x) for x in ([0, 0], [0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5],
                                 [0.5, 0])]
-        b = init_baseline(vecs, 7, max_eps=5.0, max_dim=1, features=("a", "b"))
+        b = replace(init_baseline(vecs, 7, max_eps=5.0, max_dim=1, features=("a", "b")),
+                    mean=(0.0, 0.0), std=(1.0, 1.0))
         z = (b.points[0][0], b.points[0][1] - 5.0)
-        cloud = detector._cloud_distances(b.points + (z,))
+        cloud = whole_distances(b.points + (z,))
         assert cloud[-1, :2].tolist() == [5.0, 5.0] and (cloud[-1, 2:-1] > 5.0).all()
         triangles = 35  # every triple of the baseline is within max_eps
         monkeypatch.setattr(persistence, "MAX_LAYER", triangles)
         with pytest.raises(ValueError, match=f"the Rips complex has {triangles + 1} "):
-            detector._added_diagram(b, cloud)
+            score_window(b, fv(z))
 
     def test_isolated_point_counts_its_pairs(self, monkeypatch):
         b, vecs = jitter_baseline(random.Random(31), capacity=6)
@@ -696,9 +728,23 @@ class TestIsolatedPoint:
                                        rf"far from the baseline for a finite distance$"):
                         call()
         # the same matrix still fails rips_diagram's own check
-        dist = detector._cloud_distances(b.points + (z,))
+        dist = whole_distances(b.points + (z,))
         with pytest.raises(ValueError, match=r"distance \(0, 6\) is inf, not finite"):
             detector._matrix_diagram(b, dist)
+
+    def test_attribute_overflow_named(self):
+        # attribute called directly: the probe that keeps the far coordinate
+        # overflows, and is refused by name like the window itself
+        vecs = [fv([i, i % 2], 300.0 * i) for i in range(5)]
+        b = init_baseline(vecs, 5, max_eps=20.0, max_dim=1, features=("a", "b"))
+        v = FeatureVector(1500.0, (1e200, 0.0))
+        z = b.standardize(v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^feature a of the window at 1500.0 is "
+                               rf"1e\+200, {re.escape(str(z[0]))} on the baseline's scale, "
+                               rf"too far from the baseline for a finite distance$"):
+                attribute(b, v)
 
 
 class TestRunDetector:
