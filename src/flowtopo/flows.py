@@ -5,11 +5,17 @@ response show up as two separate records with mirrored endpoints; downstream
 analysis wants one session per communication, so overlapping mirrored records
 are merged and the originating side is designated the client.
 
-Ingest is the first step of every pipeline, so its per-record path is kept
-short: a row converts all its fields in one try and a record passes one
-straight-line validity test.  Only a row or record that fails goes through
-the slower loops that name the offending field, in a fixed order, so the
-errors do not depend on which path ran.
+Ingest is the first step of every pipeline, so both steps work on columns.
+parse_flows reads the lines in blocks of _BLOCK rows: one split per block,
+each column converted with the converters of the row path, and the columns
+checked as a whole (ports by their minimum and maximum, times as one float64
+array, each distinct address and flags string once).  Records share one str
+per distinct address and flags value, and only one block's field strings are
+alive at a time.  On any failure the row path (csv_rows and _record) parses
+the whole input again; it names the first bad line and field, so an error
+does not depend on which path found it.  pair_bidirectional sorts and groups
+the records with numpy and sweeps only the endpoint groups of more than two
+records in Python; every session field is one of its records' own values.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ import ipaddress
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import groupby, islice
 from operator import attrgetter
 from typing import Iterable, Iterator
+
+import numpy as np
 
 FLOW_HEADER = "sTime,eTime,sIP,dIP,sPort,dPort,flags"
 SESSION_HEADER = (
@@ -241,8 +248,94 @@ def parse_flows(lines: Iterable[str]) -> list[FlowRecord]:
     Raises FlowFormatError naming the offending line (and field, if one) on
     malformed input.
     """
+    if not isinstance(lines, list):  # the row path may read them again
+        lines = list(lines)
+    try:
+        return _flow_columns(lines)
+    except (TypeError, ValueError):
+        pass
+    # outside the except clause, so an error raised here carries no context
     return [_record(FlowRecord, _FLOW_FIELDS, fields, lineno)
             for lineno, fields in csv_rows(lines, FLOW_HEADER)]
+
+
+# data lines per block of the column reader: one block's field strings are
+# alive at a time, so a long input's peak memory stays near its records'
+_BLOCK = 2048
+
+
+def _flow_columns(lines: list[str]) -> list[FlowRecord]:
+    """The records of flow CSV lines, read a block of lines at a time as
+    columns and checked as a whole; ValueError or TypeError on anything
+    that is off, and parse_flows then names it by the row path.
+
+    A block converts with the converters of _FLOW_FIELDS, so each field
+    gives the value the row path gives it, and a record is accepted
+    exactly when _check_record and the flags check accept it.  Addresses
+    and flags are interned: records share one str per distinct value,
+    which is also checked once.
+    """
+    start = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if start is None or lines[start].rstrip("\r\n") != FLOW_HEADER:
+        raise ValueError("no header")
+    addresses: dict[str, str] = {}
+    flag_strings: dict[str, str] = {}
+    records = []
+    for lo in range(start + 1, len(lines), _BLOCK):
+        block = lines[lo:lo + _BLOCK]
+        commas = [line.count(",") for line in block]
+        if commas.count(6) != len(block):
+            if any(c != 6 and line.strip() for line, c in zip(block, commas)):
+                raise ValueError("ragged row")
+            block = [line for line, c in zip(block, commas) if c == 6]
+            if not block:
+                continue
+        # a row's line ending stays on its flags field, which str.strip drops
+        fields = ",".join(block).split(",")
+        s_time, e_time, s_ip, d_ip, s_port, d_port, flags = (
+            list(map(kind, fields[k::7])) for k, (_, kind) in enumerate(_FLOW_FIELDS))
+        times = np.array((s_time, e_time))
+        if not (0 <= min(s_port) and max(s_port) <= 65535
+                and 0 <= min(d_port) and max(d_port) <= 65535
+                and np.isfinite(times).all() and (times[0] <= times[1]).all()):
+            raise ValueError("record check")
+        records += map(_flow_record, s_time, e_time, map(addresses.setdefault, s_ip, s_ip),
+                       map(addresses.setdefault, d_ip, d_ip), s_port, d_port,
+                       map(flag_strings.setdefault, flags, flags))
+    if not (all(map(_is_ipv4, addresses)) and all(map(_is_flags, flag_strings))):
+        raise ValueError("record check")
+    return records
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _flow_record(s_time, e_time, s_ip, d_ip, s_port, d_port, flags) -> FlowRecord:
+    # a FlowRecord without __post_init__, for values that are checked already
+    r = _new(FlowRecord)
+    _set(r, "s_time", s_time)
+    _set(r, "e_time", e_time)
+    _set(r, "s_ip", s_ip)
+    _set(r, "d_ip", d_ip)
+    _set(r, "s_port", s_port)
+    _set(r, "d_port", d_port)
+    _set(r, "flags", flags)
+    return r
+
+
+def _session_record(client_ip, server_ip, client_port, server_port, start, end,
+                    constituent_count) -> SessionRecord:
+    # a SessionRecord without __post_init__, for values of checked records
+    r = _new(SessionRecord)
+    _set(r, "client_ip", client_ip)
+    _set(r, "server_ip", server_ip)
+    _set(r, "client_port", client_port)
+    _set(r, "server_port", server_port)
+    _set(r, "start", start)
+    _set(r, "end", end)
+    _set(r, "constituent_count", constituent_count)
+    return r
 
 
 def serialize_flows(records: Iterable[FlowRecord]) -> str:
@@ -254,41 +347,7 @@ def serialize_flows(records: Iterable[FlowRecord]) -> str:
     return "\n".join(out) + "\n"
 
 
-_end_time = attrgetter("e_time")
-_record_order = attrgetter("s_time", "e_time", "s_ip", "d_ip", "s_port", "d_port",
-                           "flags")
-
-
-def _component_session(members: list[FlowRecord]) -> SessionRecord:
-    """The session of one pairing component.
-
-    members must be in record order (by start time first), as
-    pair_bidirectional collects them, and share one unordered endpoint
-    pair: the first member has the earliest start, the members that share
-    it lead, and their sources are the first member's source or its
-    destination.  The client is that source; when both endpoints send at
-    the earliest start, the rule below picks it.  The server is the other
-    endpoint.
-    """
-    first = members[0]
-    t0 = first.s_time
-    client, server = (first.s_ip, first.s_port), (first.d_ip, first.d_port)
-    for r in islice(members, 1, None):
-        if r.s_time != t0:
-            break
-        if (r.s_ip, r.s_port) != client:
-            # both directions start simultaneously: ephemeral-port side is the
-            # client, and as a last resort the lexicographically smaller IP
-            a, b = sorted((client, server))
-            if (a[1] >= 1024) != (b[1] >= 1024):
-                client, server = (a, b) if a[1] >= 1024 else (b, a)
-            elif a[0] != b[0]:
-                client, server = (a, b) if a[0] < b[0] else (b, a)
-            else:
-                client, server = a, b
-            break
-    return SessionRecord(client[0], server[0], client[1], server[1], t0,
-                         max(map(_end_time, members)), len(members))
+_RECORD_FIELDS = ("s_time", "e_time", "s_ip", "d_ip", "s_port", "d_port", "flags")
 
 
 def find(root, a: int) -> int:
@@ -325,49 +384,130 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
     land in one session.  Unmatched records become singleton sessions.
     Never drops a record: constituent counts sum to the input length.
 
-    Records are sorted by start time and grouped by unordered endpoint pair,
-    so within a group an earlier record overlaps a later one exactly when it
-    has not ended before the later one starts.  Each group is swept in that
-    order with one min-heap of end times per direction: a record first pops
-    the opposite direction's entries that ended before it starts (they can
-    overlap no later record either), then joins every entry left, and is
-    pushed onto its own direction's heap.  A record whose two endpoints are
-    equal is its own mirror, so its opposite heap is its own.  The work
-    follows the number of overlapping mirrored pairs, not the square of the
-    group size.
+    The records are put in record order (start time first) by one lexsort
+    and grouped by unordered endpoint pair, so within a group an earlier
+    record overlaps a later one exactly when it has not ended before the
+    later one starts.  A group of two pairs when its records come from
+    opposite ends (or both from one, a record whose endpoints are equal
+    being its own mirror) and overlap, which is decided for all such groups
+    at once.  A larger group is swept in record order with one min-heap of
+    end times per direction: a record first pops the opposite direction's
+    entries that ended before it starts (they can overlap no later record
+    either), then joins every entry left, and is pushed onto its own
+    direction's heap.  The work follows the number of overlapping mirrored
+    pairs, not the square of the group size.
+
+    A session takes its start, client and server from its first record,
+    its end from the first record with the largest end, each the record's
+    own value.  When both ends send at the earliest start, the end with
+    the only ephemeral port (1024 and up) is the client, else the smaller
+    end, by address and then port.
     """
-    recs = sorted(records, key=_record_order)
+    recs = records if isinstance(records, list) else list(records)
     n = len(recs)
-    parent = list(range(n))
-    # one group number per record, not one index list per group: lists that
-    # outlive a garbage collection make the next full collection come sooner
-    groups: dict[tuple, int] = {}
-    group = []
-    for r in recs:
-        a, b = (r.s_ip, r.s_port), (r.d_ip, r.d_port)
-        group.append(groups.setdefault((a, b) if a <= b else (b, a), len(groups)))
-    runs = groupby(sorted(range(n), key=group.__getitem__), group.__getitem__)
-    for (low, high), (_, idxs) in zip(groups, runs):
-        heaps = ([], [])  # (e_time, index) of records sent from low, from high
-        for j in idxs:
-            r = recs[j]
-            d = 0 if (r.s_ip, r.s_port) == low else 1
-            own = heaps[d]
-            opposite = own if low == high else heaps[1 - d]
-            while opposite and opposite[0][0] < r.s_time:
+    if not n:
+        return []
+    # each field as an array of the records' own objects
+    s_time, e_time, s_ip, d_ip, s_port, d_port, flags = (
+        np.fromiter(map(attrgetter(name), recs), object, n) for name in _RECORD_FIELDS)
+    times = _time_keys(s_time, e_time)
+    # a record's source at its index i, its destination at n + i
+    ips, ports = np.concatenate((s_ip, d_ip)), np.concatenate((s_port, d_port))
+    addr, port = _ranks(ips), ports.astype(np.int64)
+    order = np.lexsort((_ranks(flags), port[n:], port[:n], addr[n:], addr[:n],
+                        times[1], times[0]))
+    # from here on a record is named by its position in record order
+    s, e = times[:, order]
+    endpoint = addr * 65536 + port
+    src, dst = endpoint[order], endpoint[n + order]
+    root = _first_records(s, e, src, dst)
+
+    roots = np.flatnonzero(root == np.arange(n))
+    component = np.searchsorted(roots, root)
+    count = np.bincount(component)
+    # each session's first record with the largest end: lexsort keeps ties
+    # in record order
+    latest = np.lexsort((-e, component))[np.cumsum(count) - count]
+
+    swap = np.zeros(len(roots), dtype=bool)  # the client is the first record's destination
+    for c in np.unique(component[(s == s[root]) & (src != src[root])]).tolist():
+        i = order[roots[c]]
+        client, server = (s_ip[i], s_port[i]), (d_ip[i], d_port[i])
+        a, b = sorted((client, server))
+        swap[c] = (b if a[1] < 1024 <= b[1] else a) == server
+
+    first = order[roots]
+    client, server = first + n * swap, first + n * ~swap
+    final = np.lexsort((port[server], port[client], addr[server], addr[client], s[roots]))
+    client, server = client[final], server[final]
+    first, latest = first[final], order[latest[final]]
+    return list(map(_session_record, ips[client], ips[server], ports[client], ports[server],
+                    s_time[first], e_time[latest], count[final].tolist()))
+
+
+def _first_records(s: np.ndarray, e: np.ndarray, src: np.ndarray,
+                   dst: np.ndarray) -> np.ndarray:
+    """For each record, the position of its session's first record.
+
+    The records are in record order, given by their start and end keys
+    and their source and destination endpoint ids; two records are in one
+    endpoint group when their ids are the same two, in either direction.
+    """
+    n = len(s)
+    low, high = np.minimum(src, dst), np.maximum(src, dst)
+    grouped = np.lexsort((high, low))  # each group in record order
+    first = np.flatnonzero(np.diff(low[grouped], prepend=-1)
+                           | np.diff(high[grouped], prepend=-1))
+    size = np.diff(first, append=n)
+    root = np.arange(n)
+    p, q = grouped[first[size == 2]], grouped[first[size == 2] + 1]
+    join = ((src[p] != src[q]) | (src[p] == dst[p])) & (e[p] >= s[q])
+    root[q[join]] = p[join]
+
+    members = grouped[np.repeat(size > 2, size)]
+    if not members.size:
+        return root
+    # the heap sweep over the larger groups, whose records are numbered by
+    # their place in members, so a group's first record has its smallest number
+    s_list, e_list = s[members].tolist(), e[members].tolist()
+    src_list, dst_list = src[members].tolist(), dst[members].tolist()
+    parent = list(range(len(members)))
+    bounds = np.cumsum(size[size > 2]).tolist()
+    for lo, hi in zip([0] + bounds, bounds):
+        side = src_list[lo]
+        loop = side == dst_list[lo]
+        heaps = ([], [])  # (end, number) of records sent from side, from the other end
+        for j in range(lo, hi):
+            own = heaps[src_list[j] != side]
+            opposite = own if loop else heaps[src_list[j] == side]
+            while opposite and opposite[0][0] < s_list[j]:
                 heapq.heappop(opposite)
             for _, i in opposite:
                 union(parent, i, j)
-            heapq.heappush(own, (r.e_time, j))
+            heapq.heappush(own, (e_list[j], j))
+    root[members] = members[[find(parent, j) for j in range(len(members))]]
+    return root
 
-    # a component's root is its first record, so sorting by root keeps the
-    # components in order of first record and each one's members in record order
-    roots = [find(parent, i) for i in range(n)]
-    sessions = [_component_session([recs[i] for i in members])
-                for _, members in groupby(sorted(range(n), key=roots.__getitem__),
-                                          roots.__getitem__)]
-    sessions.sort(key=_session_order)
-    return sessions
+
+def _time_keys(s_time: np.ndarray, e_time: np.ndarray) -> np.ndarray:
+    """The start and end times as a (2, n) array that orders and equates
+    them as the times themselves do: the times as float64 when each is one
+    exactly (a float always is), else the ranks of their values."""
+    times = np.stack((s_time, e_time))
+    try:
+        keys = times.astype(np.float64)
+        if keys.tolist() == times.tolist():
+            return keys
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return _ranks(times.ravel()).reshape(2, -1)
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct values, sorted."""
+    distinct = sorted(set(values))
+    rank = dict(zip(distinct, range(len(distinct))))
+    return np.fromiter(map(rank.__getitem__, values), np.int64, len(values))
 
 
 def window(sessions: Iterable[SessionRecord], width: float,

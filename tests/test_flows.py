@@ -1,12 +1,15 @@
 import ipaddress
 import math
 import random
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowtopo import flows, synth
 from flowtopo.flows import (
     FLOW_HEADER,
     MAX_WINDOWS,
@@ -246,12 +249,52 @@ class TestParse:
         assert serialize_flows(parse_flows(text.splitlines())) == text
 
 
+def flow_row(i):
+    return f"{i}.5,{i + 1}.25,10.0.0.{i % 3 + 1},10.1.0.{i % 2 + 1},{40000 + i},80,S"
+
+
 class TestParseEqualsOracle:
+    # blocks of 2 and 3 rows put a block boundary inside most inputs
     @settings(max_examples=250, deadline=None)
     @given(csv_lines(FLOW_HEADER, (START_TEXT, END_TEXT, IP_TEXT, IP_TEXT, PORT_TEXT,
-                                   PORT_TEXT, st.sampled_from(["S", "FSPA", ""]))))
-    def test_parse_flows(self, lines):
-        assert outcome(parse_flows, lines) == outcome(oracle_parse_flows, lines)
+                                   PORT_TEXT, st.sampled_from(["S", "FSPA", ""]))),
+           st.sampled_from([2, 3, flows._BLOCK]))
+    def test_parse_flows(self, lines, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flows, "_BLOCK", block)
+            assert outcome(parse_flows, lines) == outcome(oracle_parse_flows, lines)
+
+    # lines 2-4 are the first block of 3 and lines 5-7 the second, whose
+    # line 6 is replaced; a blank line or a CRLF ending keeps the input valid,
+    # and so does U+001C-U+001F padding, which only the row path strips
+    @pytest.mark.parametrize("row, error, field", [
+        ("5.5,6.25,10.0.0.3,10.1.0.2,40005,80.5,S",
+         "line 6: field dPort has unparseable value '80.5'", "dPort"),
+        ("5.5,6.25,10.0.0.3,10.1.0.256,40005,80,S",
+         "line 6: dIP '10.1.0.256' is not a dotted-quad IPv4 address", "dIP"),
+        ("5.5,5.25,10.0.0.3,10.1.0.2,40005,80,S", "line 6: eTime 5.25 precedes sTime 5.5",
+         "eTime"),
+        ("nan,6.25,10.0.0.3,10.1.0.2,40005,80,S", "line 6: sTime nan is not finite", "sTime"),
+        ("5.5,6.25,10.0.0.3,10.1.0.2,40005,80",
+         "line 6: expected 7 comma-separated fields, got 6", None),
+        ("5.5,6.25,10.0.0.3,10.1.0.2,40005,80,S,",
+         "line 6: expected 7 comma-separated fields, got 8", None),
+        ("", None, None),
+        (" \t\r\n", None, None),
+        (flow_row(5) + "\r\n", None, None),
+        (",".join("\x1c" + f + "\x1f" for f in flow_row(5).split(",")), None, None),
+    ])
+    def test_bad_row_in_a_later_block(self, monkeypatch, row, error, field):
+        monkeypatch.setattr(flows, "_BLOCK", 3)
+        lines = [FLOW_HEADER + "\r\n"] + [flow_row(i) + "\r\n" for i in range(1, 7)]
+        lines[5] = row
+        got = outcome(parse_flows, lines)
+        assert got == outcome(oracle_parse_flows, lines)
+        if error is None:
+            assert got == oracle_parse_flows([FLOW_HEADER] + [
+                flow_row(i) for i in range(1, 7) if i != 5 or row.strip()])
+        else:
+            assert got == (FlowFormatError, error, 6, field)
 
     @settings(max_examples=250, deadline=None)
     @given(csv_lines(SESSION_HEADER,
@@ -282,6 +325,37 @@ class TestParseEqualsOracle:
             except FlowFormatError as exc:
                 return str(exc), exc.field
         assert check(_check_record) == check(oracle_check_record)
+
+
+def synth_day_lines():
+    """A seeded synthetic day, about 20k flow lines."""
+    profile = synth.TrafficProfile(duration=86400.0, seed=7)
+    return serialize_flows(synth.generate_normal(profile)).splitlines()
+
+
+class TestParseMemory:
+    def test_records_share_one_str_per_value(self, monkeypatch):
+        monkeypatch.setattr(flows, "_BLOCK", 1000)
+        records = parse_flows(synth_day_lines()[:5000])
+        shared = {}
+        for r in records:
+            for value in (r.s_ip, r.d_ip, r.flags):
+                assert shared.setdefault(value, value) is value
+        assert len(shared) < 50
+
+    def test_peak_at_most_the_row_paths(self):
+        # splitting the whole input at once holds every field string together
+        lines = synth_day_lines()
+        assert 19_000 < len(lines) < 23_000
+
+        def peak(parse):
+            tracemalloc.start()
+            try:
+                parse(lines)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(parse_flows) <= peak(oracle_parse_flows)
 
 
 class TestPortType:
@@ -532,6 +606,58 @@ def chain_records(pairs, t0=0.0, timeout=10.0):
     return recs
 
 
+def exact(sessions):
+    """Each session's fields as (type, repr): equal values of another type,
+    or zeros of another sign, differ."""
+    return [[(type(v), repr(v)) for v in (getattr(s, f.name) for f in fields(s))]
+            for s in sessions]
+
+
+BIG = 2 ** 53  # float64 rounds BIG + 1 to BIG
+A, B = ("10.0.0.1", 40000), ("10.0.0.2", 80)
+
+
+def flow(s, e, src, dst, flags="S"):
+    return rec(s, e, src[0], dst[0], src[1], dst[1], flags)
+
+
+UNUSUAL_INPUTS = [
+    # int times above 2**53, where float64 would pair, order or pick the
+    # first record wrongly: end BIG does not meet start BIG + 1, in a group
+    # of two and in a swept group; BIG comes before BIG + 1; the int BIG
+    # record is first because its end is smaller
+    [flow(BIG - 1, BIG, A, B), flow(BIG + 1, BIG + 5, B, A)],
+    [flow(BIG - 1, BIG, A, B), flow(BIG + 1, BIG + 5, B, A), flow(BIG + 1, BIG + 2, B, A)],
+    [flow(BIG + 1, BIG + 1, A, B), flow(BIG, BIG + 3, A, B)],
+    [flow(float(BIG), BIG + 1, A, B), flow(BIG, BIG, B, A), flow(3 * BIG, 3 * BIG, B, A)],
+    # numpy integer ports, alone and mixed with int ports of the same value
+    [rec(1.0, 2.0, A[0], B[0], np.int64(A[1]), np.int64(B[1])),
+     rec(1.5, 2.5, B[0], A[0], np.int64(B[1]), np.int64(A[1])),
+     rec(2.5, 3.0, B[0], A[0], B[1], A[1]), rec(3.0, 4.0, A[0], B[0], A[1], np.int64(B[1])),
+     rec(9.0, 9.0, B[0], A[0], np.int64(B[1]), A[1])],
+    # zeros of both signs, and equal int and float ends: a session takes its
+    # first record's start and the first of its records with the largest end
+    [flow(-0.0, 1.0, A, B), flow(0.0, 1.0, A, B), flow(0.0, 2.0, B, A)],
+    [flow(0.0, 2.0, A, B), flow(-0.0, 1.0, A, B), flow(0.5, 0.5, A, B)],
+    [flow(0.0, 0.0, B, A), flow(-0.0, -0.0, A, B)],
+    [flow(0.0, 0.0, B, A), flow(-0.0, -0.0, A, B), flow(-0.0, 0.0, A, B, "PA")],
+    [flow(1.0, 5, A, B), flow(2.0, 5.0, B, A), flow(3.0, 4.0, A, B)],
+    # self-mirrored records, two and more to a group, from one endpoint to
+    # itself and between two ports of one address
+    [flow(1.0, 3.0, A, A), flow(3.0, 4.0, A, A), flow(5.0, 6.0, B, B), flow(6.0, 6.0, B, B),
+     flow(6.0, 7.0, B, B), flow(8.0, 9.0, B, B), flow(1.0, 2.0, A, ("10.0.0.1", 80)),
+     flow(1.0, 2.0, ("10.0.0.1", 80), A)],
+    # simultaneous starts from both ends: the ephemeral port, then the
+    # smaller address, then the smaller endpoint is the client
+    [flow(0.0, 1.0, B, A), flow(0.0, 2.0, A, B), flow(0.0, 1.0, B, A), flow(0.5, 3.0, B, A)],
+    [flow(0.0, 1.0, ("10.0.0.9", 22), ("10.0.0.2", 80)),
+     flow(0.0, 1.0, ("10.0.0.2", 80), ("10.0.0.9", 22))],
+    [flow(0.0, 1.0, ("10.0.0.3", 50000), ("10.0.0.3", 40000)),
+     flow(0.0, 1.0, ("10.0.0.3", 40000), ("10.0.0.3", 50000)),
+     flow(0.0, 1.0, ("10.0.0.3", 40000), ("10.0.0.3", 50000))],
+]
+
+
 class TestPairing:
     def test_forward_reverse_merge(self):
         a = rec(100.0, 101.0, "10.0.0.1", "10.0.0.2", 51515, 80)
@@ -673,9 +799,11 @@ class TestPairing:
 
     def test_equals_quadratic_oracle(self):
         rng = random.Random(1234)
-        for _ in range(400):
-            recs = random_records(rng, rng.randint(0, 40))
-            assert pair_bidirectional(recs) == oracle_pair_bidirectional(recs)
+        inputs = [random_records(rng, rng.randint(0, 40)) for _ in range(400)]
+        for recs in inputs + UNUSUAL_INPUTS:
+            sessions = pair_bidirectional(recs)
+            assert sessions == oracle_pair_bidirectional(recs)
+            assert exact(sessions) == exact(oracle_pair_bidirectional(recs))
 
     def test_chains_equal_quadratic_oracle(self):
         rng = random.Random(99)
