@@ -31,7 +31,8 @@ _reduce_columns are the package's one GF(2) elimination: topology.betti
 counts flows.union's merges, as _spanning_forest does, for its graph rank
 and takes its higher ranks from _reduce_columns.
 Diagram distance is a minimal-cost matching (Hungarian assignment) with
-L-infinity ground metric and diagonal projections.
+L-infinity ground metric and diagonal projections; scipy's assignment solver
+is imported at the first distance, not with the package.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .flows import fmt, union
 
@@ -732,6 +732,10 @@ def wasserstein(a: PersistenceDiagram, b: PersistenceDiagram, dim: int,
     (n+m) x (n+m) matrix with diagonal surrogates, and the total is taken to
     the 1/p power.  Infinite bars are rejected; truncate them first.
     """
+    # scipy.optimize takes about 0.5 s and 48 MiB to import, and only the
+    # detector's distances need it, so it loads on the first call
+    from scipy.optimize import linear_sum_assignment
+
     if p < 1:
         raise ValueError("p must be >= 1")
     bars_a = a.in_dim(dim)

@@ -4,16 +4,29 @@ Clients contact a small palette of common server ports with Poisson counts per
 window; every flow is emitted as a forward/reverse record pair so the ingest
 pairing sees realistic bidirectional traffic.  A scan adds one unanswered flow
 per port in its range inside the chosen window.
+
+Background records are drawn into columns and built from them without the
+per-record FlowRecord check: TrafficProfile checks what generation relies
+on (client and server counts whose addresses are dotted quads, integer ports
+in 0-65535, a finite positive duration and window width), so every
+generated field is valid by construction.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .flows import FlowRecord
+from .flows import FlowRecord, _flow_record
+
+
+def _is_int_in(value, lo: int, hi: int) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and lo <= value <= hi)
 
 
 @dataclass(frozen=True)
@@ -27,8 +40,16 @@ class TrafficProfile:
     seed: int = 7
 
     def __post_init__(self):
-        if self.n_clients < 1 or self.n_servers < 1 or not self.common_ports:
-            raise ValueError("n_clients, n_servers and common_ports must be nonempty")
+        # client_ip and server_ip number hosts 1-65535 in the last two octets
+        for name in ("n_clients", "n_servers"):
+            value = getattr(self, name)
+            if not _is_int_in(value, 1, 65535):
+                raise ValueError(f"{name} must be an integer in 1-65535, got {value!r}")
+        if not self.common_ports:
+            raise ValueError("common_ports must be nonempty")
+        for port in self.common_ports:
+            if not _is_int_in(port, 0, 65535):
+                raise ValueError(f"common_ports entry {port!r} is not an integer in 0-65535")
         if not 0 <= self.mean_flows < math.inf:
             raise ValueError(f"mean_flows must be finite and >= 0, got {self.mean_flows}")
         for name in ("duration", "window_width"):
@@ -72,25 +93,37 @@ def _sort_records(records):
 def generate_normal(profile: TrafficProfile) -> list[FlowRecord]:
     """Deterministic background traffic for every window of the profile."""
     rng = np.random.default_rng(profile.seed)
+    poisson, integers, uniform = rng.poisson, rng.integers, rng.uniform
     width = profile.window_width
-    records = []
+    span = width * 0.95
+    n_servers = profile.n_servers
+    ports = [int(port) for port in profile.common_ports]
+    n_ports = len(ports)
+    clients = [profile.client_ip(i) for i in range(profile.n_clients)]
+    servers = [profile.server_ip(i) for i in range(n_servers)]
+    starts, durs, client_col, server_col, port_col, sport_col = [], [], [], [], [], []
     for w in range(profile.n_windows):
-        for ci in range(profile.n_clients):
-            count = int(rng.poisson(profile.mean_flows))
-            for _ in range(count):
-                si = int(rng.integers(profile.n_servers))
-                port = int(profile.common_ports[rng.integers(len(profile.common_ports))])
-                t = w * width + float(rng.uniform(0.0, width * 0.95))
-                dur = float(rng.uniform(0.05, 3.0))
-                sport = int(rng.integers(1024, 65536))
-                client = profile.client_ip(ci)
-                server = profile.server_ip(si)
-                records.append(FlowRecord(t, t + dur, client, server,
-                                          sport, port, "FSPA"))
-                # server reply starts inside the request interval so the
-                # two records pair into one session
-                records.append(FlowRecord(t + dur * 0.1, t + dur, server, client,
-                                          port, sport, "FSA"))
+        origin = w * width
+        for client in clients:
+            for _ in range(int(poisson(profile.mean_flows))):
+                # one scalar draw at a time, in this order: the seeded
+                # stream, and so every generated day, depends on it
+                server_col.append(servers[integers(n_servers)])
+                port_col.append(ports[integers(n_ports)])
+                starts.append(origin + float(uniform(0.0, span)))
+                durs.append(float(uniform(0.05, 3.0)))
+                sport_col.append(int(integers(1024, 65536)))
+                client_col.append(client)
+    ends = [t + dur for t, dur in zip(starts, durs)]
+    # server reply starts inside the request interval so the two records
+    # pair into one session
+    reply_starts = [t + dur * 0.1 for t, dur in zip(starts, durs)]
+    # each request before its reply, the order that ties in the sort keep
+    records = [None] * (2 * len(starts))
+    records[0::2] = map(_flow_record, starts, ends, client_col, server_col,
+                        sport_col, port_col, repeat("FSPA"))
+    records[1::2] = map(_flow_record, reply_starts, ends, server_col, client_col,
+                        port_col, sport_col, repeat("FSA"))
     return _sort_records(records)
 
 

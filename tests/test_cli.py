@@ -392,6 +392,7 @@ class TestNonFiniteSettings:
          "learning_rate must be finite and >= 0, got inf"),
         (["train-ae", "--in", "@features", "--momentum", "nan"],
          "momentum must be in [0, 1), got nan"),
+        (["synth", "--n-clients", 65536], "n_clients must be an integer in 1-65535, got 65536"),
     ])
     def test_rejected_with_one_line(self, args, message, stage_inputs, tmp_path, capsys):
         assert_one_line_failure(args, message, stage_inputs, tmp_path, capsys)

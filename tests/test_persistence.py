@@ -731,7 +731,9 @@ class TestRipsMemory:
     def test_complete_cloud_bounded_memory(self, run_bare_child):
         # 161 points all within max_eps: 12,880 edges and 682,640 triangles,
         # none of them built.  Ranking and sorting the triangles took the
-        # process to 299 MiB; about 76 MiB of it is numpy and scipy
+        # process to 299 MiB.  The child peaks near 60 MiB, about 30 MiB of
+        # it numpy and the package; scipy.optimize (46 MiB more) loads only
+        # with the first Wasserstein distance, which this child never takes
         out = run_bare_child(RIPS_161_CHILD)
         assert (out["h0"], out["h1"]) == (161, 130)
         assert out["maxrss_kib"] < 220 * 1024, f"child peak {out['maxrss_kib']} KiB"
@@ -881,6 +883,29 @@ class TestDiagramOps:
 # ---------------------------------------------------------------- wasserstein
 
 
+# runs with `d`, a scratch directory, defined before it
+LAZY_ASSIGNMENT_CHILD = """
+import json, sys
+import flowtopo
+from flowtopo.cli import main
+from flowtopo.persistence import PersistenceDiagram, wasserstein
+rcs = [main(["synth", "--out", d + "/flows.csv", "--n-clients", "3", "--duration", "1500",
+             "--seed", "2", "--scan-window", "2"]),
+       main(["ingest", "--in", d + "/flows.csv", "--out", d + "/sessions.csv"]),
+       main(["features", "--in", d + "/sessions.csv", "--out", d + "/features.csv"]),
+       main(["topo", "--in", d + "/sessions.csv", "--out", d + "/topo.csv"])]
+with open(d + "/cloud.csv", "w") as f:
+    f.write("0,0\\n1,0\\n1,1\\n0,1\\n")
+rcs.append(main(["ph", "--in", d + "/cloud.csv", "--out", d + "/diagram.csv"]))
+before = "scipy.optimize" in sys.modules
+a = PersistenceDiagram({0: ((0.0, 1.0), (0.5, 3.0), (1.0, 1.25))})
+b = PersistenceDiagram({0: ((0.0, 2.0), (2.0, 2.5))})
+distance = wasserstein(a, b, 0)
+print(json.dumps({"rcs": rcs, "before": before, "distance": distance,
+                  "after": "scipy.optimize" in sys.modules}))
+"""
+
+
 class TestWasserstein:
     def test_identical_is_zero(self):
         d = PersistenceDiagram({0: ((0.0, 1.0), (0.5, 2.0))})
@@ -916,6 +941,16 @@ class TestWasserstein:
         d = PersistenceDiagram({0: ((0.0, math.inf),)})
         with pytest.raises(ValueError, match="truncate"):
             wasserstein(d, PersistenceDiagram({}), 0)
+
+    def test_assignment_solver_loads_on_first_distance(self, run_bare_child, tmp_path):
+        # scipy.optimize is most of the package's import time, and only the
+        # detector's distances use it: no other stage may load it
+        out = run_bare_child(f"d = {str(tmp_path)!r}" + LAZY_ASSIGNMENT_CHILD)
+        assert out["rcs"] == [0] * 5
+        assert out["before"] is False
+        assert out["after"] is True
+        assert out["distance"] == oracle_wasserstein(
+            ((0.0, 1.0), (0.5, 3.0), (1.0, 1.25)), ((0.0, 2.0), (2.0, 2.5)), 1.0)
 
     def test_p_below_one_rejected(self):
         d = PersistenceDiagram({})

@@ -1,9 +1,46 @@
 import math
+import re
+from dataclasses import fields
+from operator import attrgetter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flowtopo.flows import pair_bidirectional, serialize_flows, window
+from flowtopo.flows import FlowRecord, pair_bidirectional, serialize_flows, window
 from flowtopo.synth import ScanSpec, TrafficProfile, generate_normal, inject_scan
+
+
+def _oracle_sort_records(records):
+    return sorted(records, key=lambda r: (r.s_time, r.s_ip, r.d_ip,
+                                          r.s_port, r.d_port, r.flags))
+
+
+def oracle_generate_normal(profile: TrafficProfile) -> list[FlowRecord]:
+    """The reference generator: record by record, each record checked by
+    FlowRecord, with the same draws in the same order."""
+    rng = np.random.default_rng(profile.seed)
+    width = profile.window_width
+    records = []
+    for w in range(profile.n_windows):
+        for ci in range(profile.n_clients):
+            count = int(rng.poisson(profile.mean_flows))
+            for _ in range(count):
+                si = int(rng.integers(profile.n_servers))
+                port = int(profile.common_ports[rng.integers(len(profile.common_ports))])
+                t = w * width + float(rng.uniform(0.0, width * 0.95))
+                dur = float(rng.uniform(0.05, 3.0))
+                sport = int(rng.integers(1024, 65536))
+                client = profile.client_ip(ci)
+                server = profile.server_ip(si)
+                records.append(FlowRecord(t, t + dur, client, server,
+                                          sport, port, "FSPA"))
+                # server reply starts inside the request interval so the
+                # two records pair into one session
+                records.append(FlowRecord(t + dur * 0.1, t + dur, server, client,
+                                          port, sport, "FSA"))
+    return _oracle_sort_records(records)
 
 
 SMALL = TrafficProfile(n_clients=4, n_servers=2, duration=1200.0,
@@ -24,6 +61,8 @@ class TestProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrafficProfile(n_clients=0)
+        with pytest.raises(ValueError, match="^common_ports must be nonempty$"):
+            TrafficProfile(common_ports=())
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="mean_flows"):
                 TrafficProfile(mean_flows=bad)
@@ -32,6 +71,28 @@ class TestProfile:
                 TrafficProfile(window_width=bad)
             with pytest.raises(ValueError, match="duration"):
                 TrafficProfile(duration=bad)
+
+    @pytest.mark.parametrize("name", ["n_clients", "n_servers"])
+    @pytest.mark.parametrize("bad", [0, -1, 65536, True, 2.0, "3", None])
+    def test_host_count_checked(self, name, bad):
+        # 65536 clients would number the last one 10.0.256.0
+        with pytest.raises(ValueError, match=f"^{name} must be an integer in 1-65535, "
+                                             f"got {re.escape(repr(bad))}$"):
+            TrafficProfile(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [80.5, "443", True, -1, 65536, None])
+    def test_port_palette_checked(self, bad):
+        # generation's int() would make port 80 of 80.5 and port 443 of "443"
+        with pytest.raises(ValueError, match=f"^common_ports entry {re.escape(repr(bad))} "
+                                             "is not an integer in 0-65535$"):
+            TrafficProfile(common_ports=(22, bad))
+
+    def test_numpy_integers_accepted(self):
+        p = TrafficProfile(n_clients=np.int64(5), n_servers=np.int64(2),
+                           common_ports=(np.int64(0), 65535), duration=600.0)
+        ports = {r.d_port for r in generate_normal(p) if r.flags == "FSPA"}
+        assert ports <= {0, 65535}
+        assert {type(port) for port in ports} == {int}
 
 
 class TestGenerate:
@@ -121,3 +182,56 @@ class TestInjectScan:
         m1 = inject_scan(base, ScanSpec(window_index=0), SMALL)
         m2 = inject_scan(base, ScanSpec(window_index=0), SMALL)
         assert serialize_flows(m1) == serialize_flows(m2)
+
+
+RECORD_FIELDS = [f.name for f in fields(FlowRecord)]
+
+
+def record_fields(records):
+    """Per field, the type and the repr of its value in each record."""
+    columns = {}
+    for name in RECORD_FIELDS:
+        column = list(map(attrgetter(name), records))
+        columns[name] = (list(map(type, column)), list(map(repr, column)))
+    return columns
+
+
+@st.composite
+def profiles(draw):
+    port = st.one_of(st.sampled_from([0, 65535]), st.integers(0, 65535),
+                     st.integers(0, 65535).map(np.int64))
+    width = draw(st.floats(1.0, 1e4))
+    # from less than one window to six, mostly not a whole number of them
+    duration = width * draw(st.floats(0.1, 6.0))
+    return TrafficProfile(n_clients=draw(st.integers(1, 150)),
+                          n_servers=draw(st.integers(1, 5)),
+                          common_ports=tuple(draw(st.lists(port, min_size=1, max_size=6))),
+                          mean_flows=draw(st.floats(0.0, 6.0)), duration=duration,
+                          window_width=width, seed=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+class TestColumnsMatchOracle:
+    """generate_normal builds its records as columns and skips the record
+    check; every field must equal the checked record-by-record oracle's, with
+    the same type and repr, before and after chained scans."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(profiles(), st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 4000)),
+                                max_size=2))
+    @example(TrafficProfile(n_clients=65535, n_servers=5, mean_flows=0.5, duration=300.0,
+                            window_width=300.0, seed=11), [])
+    @example(TrafficProfile(n_clients=7, n_servers=2, duration=3000.0, window_width=300.0,
+                            seed=3), [(0, 1), (-1, 4000)])
+    @example(TrafficProfile(n_clients=7, n_servers=2, duration=3000.0, window_width=300.0,
+                            seed=4), [(0, 4000), (-1, 1)])
+    @example(TrafficProfile(duration=250.0, window_width=300.0), [(0, 5)])
+    @example(TrafficProfile(n_clients=3, common_ports=(0, np.int64(65535)), duration=1000.0,
+                            window_width=300.0, seed=5), [(-1, 10)])
+    def test_equal_to_oracle(self, profile, scans):
+        got, want = generate_normal(profile), oracle_generate_normal(profile)
+        for where, n_ports in scans if profile.n_windows else ():
+            # a negative index counts back from the last window
+            scan = ScanSpec(port_range=(1, n_ports), window_index=where % profile.n_windows)
+            got, want = inject_scan(got, scan, profile), inject_scan(want, scan, profile)
+        assert record_fields(got) == record_fields(want)
+        assert serialize_flows(got) == serialize_flows(want)
