@@ -7,15 +7,18 @@ are merged and the originating side is designated the client.
 
 Ingest is the first step of every pipeline, so both steps work on columns.
 parse_flows reads the lines in blocks of _BLOCK rows: one split per block,
-each column converted with the converters of the row path, and the columns
-checked as a whole (ports by their minimum and maximum, times as one float64
-array, each distinct address and flags string once).  Records share one str
-per distinct address and flags value, and only one block's field strings are
-alive at a time.  On any failure the row path (csv_rows and _record) parses
-the whole input again; it names the first bad line and field, so an error
-does not depend on which path found it.  pair_bidirectional sorts and groups
-the records with numpy and sweeps only the endpoint groups of more than two
-records in Python; every session field is one of its records' own values.
+each column converted with the converters of the row path.  _flow_records,
+the one maker of flow records from columns (synth builds its days and scans
+with it too), checks the columns as a whole (ports by their minimum and
+maximum, times as one float64 array, each distinct address and flags string
+once); when that fails, FlowRecord builds each record and names the first
+bad one.  Records share one str per distinct address and flags value, and
+only one block's field strings are alive at a time.  On any failure the row
+path (csv_rows and _record) parses the whole input again; it names the first
+bad line and field, so an error does not depend on which path found it.
+pair_bidirectional sorts and groups the records with numpy and sweeps only
+the endpoint groups of more than two records in Python; every session field
+is one of its records' own values.
 """
 
 from __future__ import annotations
@@ -266,20 +269,17 @@ _BLOCK = 2048
 
 def _flow_columns(lines: list[str]) -> list[FlowRecord]:
     """The records of flow CSV lines, read a block of lines at a time as
-    columns and checked as a whole; ValueError or TypeError on anything
+    columns and built by _flow_records; ValueError or TypeError on anything
     that is off, and parse_flows then names it by the row path.
 
     A block converts with the converters of _FLOW_FIELDS, so each field
-    gives the value the row path gives it, and a record is accepted
-    exactly when _check_record and the flags check accept it.  Addresses
-    and flags are interned: records share one str per distinct value,
-    which is also checked once.
+    gives the value the row path gives it.  Addresses and flags are
+    interned: records share one str per distinct value.
     """
     start = next((i for i, line in enumerate(lines) if line.strip()), None)
     if start is None or lines[start].rstrip("\r\n") != FLOW_HEADER:
         raise ValueError("no header")
-    addresses: dict[str, str] = {}
-    flag_strings: dict[str, str] = {}
+    shared: dict[str, str] = {}
     records = []
     for lo in range(start + 1, len(lines), _BLOCK):
         block = lines[lo:lo + _BLOCK]
@@ -292,19 +292,33 @@ def _flow_columns(lines: list[str]) -> list[FlowRecord]:
                 continue
         # a row's line ending stays on its flags field, which str.strip drops
         fields = ",".join(block).split(",")
-        s_time, e_time, s_ip, d_ip, s_port, d_port, flags = (
-            list(map(kind, fields[k::7])) for k, (_, kind) in enumerate(_FLOW_FIELDS))
-        times = np.array((s_time, e_time))
-        if not (0 <= min(s_port) and max(s_port) <= 65535
-                and 0 <= min(d_port) and max(d_port) <= 65535
-                and np.isfinite(times).all() and (times[0] <= times[1]).all()):
-            raise ValueError("record check")
-        records += map(_flow_record, s_time, e_time, map(addresses.setdefault, s_ip, s_ip),
-                       map(addresses.setdefault, d_ip, d_ip), s_port, d_port,
-                       map(flag_strings.setdefault, flags, flags))
-    if not (all(map(_is_ipv4, addresses)) and all(map(_is_flags, flag_strings))):
-        raise ValueError("record check")
+        columns = [list(map(kind, fields[k::7])) for k, (_, kind) in enumerate(_FLOW_FIELDS)]
+        for k in (2, 3, 6):  # the addresses and the flags
+            columns[k] = list(map(shared.setdefault, columns[k], columns[k]))
+        records += _flow_records(*columns)
     return records
+
+
+def _flow_records(s_time, e_time, s_ip, d_ip, s_port, d_port, flags) -> list[FlowRecord]:
+    """The records of columns (lists of one length) of float times, int
+    ports and str addresses and flags, checked as a whole: ports by their
+    minimum and maximum, times as one float64 array, each distinct address
+    and flags string once.
+
+    On such columns the check accepts exactly what _check_record and the
+    flags check accept.  When it fails, or a value of another type makes it
+    raise TypeError, FlowRecord builds the records instead, so the first
+    bad record raises FlowRecord's own error.
+    """
+    try:
+        ports, times = s_port + d_port, np.array((s_time, e_time))
+        checked = (0 <= min(ports, default=0) and max(ports, default=0) <= 65535
+                   and np.isfinite(times).all() and (times[0] <= times[1]).all()
+                   and all(map(_is_ipv4, {*s_ip, *d_ip})) and all(map(_is_flags, {*flags})))
+    except TypeError:
+        checked = False
+    return list(map(_flow_record if checked else FlowRecord,
+                    s_time, e_time, s_ip, d_ip, s_port, d_port, flags))
 
 
 _new = object.__new__

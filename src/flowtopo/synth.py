@@ -5,11 +5,10 @@ window; every flow is emitted as a forward/reverse record pair so the ingest
 pairing sees realistic bidirectional traffic.  A scan adds one unanswered flow
 per port in its range inside the chosen window.
 
-Background records are drawn into columns and built from them without the
-per-record FlowRecord check: TrafficProfile checks what generation relies
-on (client and server counts whose addresses are dotted quads, integer ports
-in 0-65535, a finite positive duration and window width), so every
-generated field is valid by construction.
+Both draw their records into columns and build them with flows._flow_records,
+the one maker of flow records from columns, which checks each column as a
+whole and names the first bad record as FlowRecord does.  TrafficProfile and
+ScanSpec check their own fields, and name the one that is bad.
 """
 
 from __future__ import annotations
@@ -17,14 +16,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .flows import FlowRecord, _flow_record
+from .flows import FlowRecord, _flow_records
 
 
-def _is_int_in(value, lo: int, hi: int) -> bool:
+def _is_int_in(value, lo: float = -math.inf, hi: float = math.inf) -> bool:
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and lo <= value <= hi)
 
@@ -45,8 +43,9 @@ class TrafficProfile:
             value = getattr(self, name)
             if not _is_int_in(value, 1, 65535):
                 raise ValueError(f"{name} must be an integer in 1-65535, got {value!r}")
-        if not self.common_ports:
-            raise ValueError("common_ports must be nonempty")
+        if not (isinstance(self.common_ports, (tuple, list)) and self.common_ports):
+            raise ValueError("common_ports must be a nonempty tuple or list, "
+                             f"got {self.common_ports!r}")
         for port in self.common_ports:
             if not _is_int_in(port, 0, 65535):
                 raise ValueError(f"common_ports entry {port!r} is not an integer in 0-65535")
@@ -56,6 +55,8 @@ class TrafficProfile:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not _is_int_in(self.seed, 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def n_windows(self) -> int:
@@ -76,7 +77,11 @@ class ScanSpec:
     window_index: int = 0
 
     def __post_init__(self):
+        if not _is_int_in(self.window_index):
+            raise ValueError(f"window_index must be an integer, got {self.window_index!r}")
         lo, hi = self.port_range
+        if not (_is_int_in(lo) and _is_int_in(hi)):
+            raise ValueError(f"port_range {lo!r}:{hi!r} must be integers")
         if not 0 <= lo <= hi <= 65535:
             raise ValueError(f"port_range {lo}:{hi} must have 0 <= lo <= hi <= 65535")
 
@@ -96,11 +101,9 @@ def generate_normal(profile: TrafficProfile) -> list[FlowRecord]:
     poisson, integers, uniform = rng.poisson, rng.integers, rng.uniform
     width = profile.window_width
     span = width * 0.95
-    n_servers = profile.n_servers
     ports = [int(port) for port in profile.common_ports]
-    n_ports = len(ports)
     clients = [profile.client_ip(i) for i in range(profile.n_clients)]
-    servers = [profile.server_ip(i) for i in range(n_servers)]
+    servers = [profile.server_ip(i) for i in range(profile.n_servers)]
     starts, durs, client_col, server_col, port_col, sport_col = [], [], [], [], [], []
     for w in range(profile.n_windows):
         origin = w * width
@@ -108,23 +111,23 @@ def generate_normal(profile: TrafficProfile) -> list[FlowRecord]:
             for _ in range(int(poisson(profile.mean_flows))):
                 # one scalar draw at a time, in this order: the seeded
                 # stream, and so every generated day, depends on it
-                server_col.append(servers[integers(n_servers)])
-                port_col.append(ports[integers(n_ports)])
+                server_col.append(servers[integers(len(servers))])
+                port_col.append(ports[integers(len(ports))])
                 starts.append(origin + float(uniform(0.0, span)))
                 durs.append(float(uniform(0.05, 3.0)))
                 sport_col.append(int(integers(1024, 65536)))
                 client_col.append(client)
+    n = len(starts)
     ends = [t + dur for t, dur in zip(starts, durs)]
     # server reply starts inside the request interval so the two records
     # pair into one session
     reply_starts = [t + dur * 0.1 for t, dur in zip(starts, durs)]
-    # each request before its reply, the order that ties in the sort keep
-    records = [None] * (2 * len(starts))
-    records[0::2] = map(_flow_record, starts, ends, client_col, server_col,
-                        sport_col, port_col, repeat("FSPA"))
-    records[1::2] = map(_flow_record, reply_starts, ends, server_col, client_col,
-                        port_col, sport_col, repeat("FSA"))
-    return _sort_records(records)
+    # the requests, then their replies: a request never ties with a reply
+    # (their flags differ) and each kind keeps its order, so the stable sort
+    # gives the list that interleaved pairs give
+    return _sort_records(_flow_records(
+        starts + reply_starts, ends + ends, client_col + server_col, server_col + client_col,
+        sport_col + port_col, port_col + sport_col, ["FSPA"] * n + ["FSA"] * n))
 
 
 def inject_scan(records, scan: ScanSpec, profile: TrafficProfile) -> list[FlowRecord]:
@@ -140,9 +143,7 @@ def inject_scan(records, scan: ScanSpec, profile: TrafficProfile) -> list[FlowRe
     start = scan.window_index * width
     lo, hi = scan.port_range
     n = scan.n_ports
-    added = []
-    for j, port in enumerate(range(lo, hi + 1)):
-        t = start + (j + 1) * width / (n + 1)
-        added.append(FlowRecord(t, t + 0.01, scan.scanner_ip, scan.target_ip,
-                                54321, port, "S"))
+    starts = [start + (j + 1) * width / (n + 1) for j in range(n)]
+    added = _flow_records(starts, [t + 0.01 for t in starts], [scan.scanner_ip] * n,
+                          [scan.target_ip] * n, [54321] * n, list(range(lo, hi + 1)), ["S"] * n)
     return _sort_records(list(records) + added)

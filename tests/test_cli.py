@@ -393,6 +393,7 @@ class TestNonFiniteSettings:
         (["train-ae", "--in", "@features", "--momentum", "nan"],
          "momentum must be in [0, 1), got nan"),
         (["synth", "--n-clients", 65536], "n_clients must be an integer in 1-65535, got 65536"),
+        (["synth", "--seed", -1], "seed must be an integer >= 0, got -1"),
     ])
     def test_rejected_with_one_line(self, args, message, stage_inputs, tmp_path, capsys):
         assert_one_line_failure(args, message, stage_inputs, tmp_path, capsys)

@@ -19,6 +19,7 @@ from flowtopo.flows import (
     SessionRecord,
     _check_record,
     _check_width,
+    _flow_records,
     _is_ipv4,
     _session_order,
     _timeline,
@@ -325,6 +326,65 @@ class TestParseEqualsOracle:
             except FlowFormatError as exc:
                 return str(exc), exc.field
         assert check(_check_record) == check(oracle_check_record)
+
+
+# valid fields of one row, and for each field the values that break it
+ROW_FIELDS = (st.floats(-1e6, 1e6), st.floats(0.0, 10.0),
+              st.sampled_from(["10.0.0.1", "10.1.0.1", "192.168.1.1"]),
+              st.sampled_from(["10.0.0.2", "10.1.0.1"]),
+              st.integers(0, 65535), st.integers(0, 65535),
+              st.sampled_from(["S", "FSPA", ""]))
+BAD_IP = st.sampled_from(["999.0.0.1", "10.0.0", "", " 10.0.0.1", "10.0.256.0"])
+BAD_PORT = st.sampled_from([-1, 65536, 10 ** 6, -(10 ** 6)])
+BAD_FIELD = (st.sampled_from([math.nan, math.inf, -math.inf]),
+             # -2e6 precedes every start
+             st.sampled_from([math.nan, math.inf, -math.inf, -2e6]),
+             BAD_IP, BAD_IP, BAD_PORT, BAD_PORT,
+             st.sampled_from([" S", "S ", "a,b", "S\n", "a\u2028b"]))
+
+
+@st.composite
+def column_rows(draw):
+    """A row of valid fields, its end at or after its start; one row in
+    four has one field replaced by a bad value."""
+    start, duration, *rest = (draw(field) for field in ROW_FIELDS)
+    row = [start, start + duration, *rest]
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, 6))
+        row[k] = draw(BAD_FIELD[k])
+    return tuple(row)
+
+
+def built(make, *args):
+    """The type and repr of every field of the records make returns, or
+    the type, message and field of the error it raises."""
+    try:
+        return [(type(v), repr(v)) for r in make(*args) for v in vars(r).values()]
+    except FlowFormatError as exc:
+        return type(exc), str(exc), exc.field
+
+
+class TestFlowRecords:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(column_rows(), max_size=6))
+    def test_checked_as_flow_record_checks(self, rows):
+        # accepted exactly when FlowRecord accepts every row, else the
+        # error FlowRecord raises for the first bad one
+        columns = [list(column) for column in zip(*rows)] or [[]] * 7
+        assert built(_flow_records, *columns) == built(
+            lambda: [FlowRecord(*row) for row in rows])
+
+    @pytest.mark.parametrize("k, value, field", [(2, ["10.0.0.1"], "sIP"),
+                                                  (3, ["10.0.0.2"], "dIP"), (6, 5, "flags"),
+                                                  (6, ["S"], "flags")])
+    def test_unhashable_or_not_a_str_named(self, k, value, field):
+        # such a value makes the whole check raise TypeError; FlowRecord
+        # then checks the records one by one and names it
+        columns = [[1.0], [2.0], ["10.0.0.1"], ["10.0.0.2"], [40000], [80], ["S"]]
+        columns[k] = [value]
+        got = built(_flow_records, *columns)
+        assert got == built(lambda: [FlowRecord(*(column[0] for column in columns))])
+        assert got[2] == field
 
 
 def synth_day_lines():

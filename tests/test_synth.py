@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowtopo.flows import FlowRecord, pair_bidirectional, serialize_flows, window
+from flowtopo.flows import (
+    FlowFormatError,
+    FlowRecord,
+    pair_bidirectional,
+    serialize_flows,
+    window,
+)
 from flowtopo.synth import ScanSpec, TrafficProfile, generate_normal, inject_scan
 
 
@@ -43,6 +49,19 @@ def oracle_generate_normal(profile: TrafficProfile) -> list[FlowRecord]:
     return _oracle_sort_records(records)
 
 
+def oracle_inject_scan(records, scan: ScanSpec, profile: TrafficProfile) -> list[FlowRecord]:
+    """The reference scan: one FlowRecord per port, each checked."""
+    width = profile.window_width
+    start = scan.window_index * width
+    lo, hi = scan.port_range
+    added = []
+    for j, port in enumerate(range(lo, hi + 1)):
+        t = start + (j + 1) * width / (hi - lo + 2)
+        added.append(FlowRecord(t, t + 0.01, scan.scanner_ip, scan.target_ip,
+                                54321, port, "S"))
+    return _oracle_sort_records(list(records) + added)
+
+
 SMALL = TrafficProfile(n_clients=4, n_servers=2, duration=1200.0,
                        window_width=300.0, seed=5)
 
@@ -61,7 +80,8 @@ class TestProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrafficProfile(n_clients=0)
-        with pytest.raises(ValueError, match="^common_ports must be nonempty$"):
+        with pytest.raises(ValueError, match=r"^common_ports must be a nonempty tuple or list, "
+                                             r"got \(\)$"):
             TrafficProfile(common_ports=())
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="mean_flows"):
@@ -86,13 +106,30 @@ class TestProfile:
         with pytest.raises(ValueError, match=f"^common_ports entry {re.escape(repr(bad))} "
                                              "is not an integer in 0-65535$"):
             TrafficProfile(common_ports=(22, bad))
+        # nor is a port (or a str of ports) a palette
+        with pytest.raises(ValueError, match="^common_ports must be a nonempty tuple or list, "
+                                             f"got {re.escape(repr(bad))}$"):
+            TrafficProfile(common_ports=bad)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, "7", None])
+    def test_seed_checked(self, bad):
+        # numpy's own refusal of -1 names neither the field nor the value,
+        # and it comes only when generation starts
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, "
+                                             f"got {re.escape(repr(bad))}$"):
+            TrafficProfile(seed=bad)
 
     def test_numpy_integers_accepted(self):
         p = TrafficProfile(n_clients=np.int64(5), n_servers=np.int64(2),
-                           common_ports=(np.int64(0), 65535), duration=600.0)
+                           common_ports=(np.int64(0), 65535), duration=600.0,
+                           seed=np.int64(7))
         ports = {r.d_port for r in generate_normal(p) if r.flags == "FSPA"}
         assert ports <= {0, 65535}
         assert {type(port) for port in ports} == {int}
+        assert generate_normal(p) == generate_normal(
+            TrafficProfile(n_clients=5, n_servers=2, common_ports=(0, 65535),
+                           duration=600.0, seed=7))
+        assert generate_normal(TrafficProfile(duration=300.0, seed=2 ** 70))
 
 
 class TestGenerate:
@@ -110,6 +147,15 @@ class TestGenerate:
     def test_zero_mean_is_silent(self):
         p = TrafficProfile(mean_flows=0.0, duration=600.0)
         assert generate_normal(p) == []
+
+    def test_records_are_checked(self, monkeypatch):
+        # an address past the profile's host numbering: the records are
+        # checked as FlowRecord checks them, not trusted
+        monkeypatch.setattr(TrafficProfile, "client_ip", lambda self, i: "10.0.256.0")
+        with pytest.raises(FlowFormatError) as err:
+            generate_normal(SMALL)
+        assert str(err.value) == "sIP '10.0.256.0' is not a dotted-quad IPv4 address"
+        assert err.value.field == "sIP"
 
     def test_ports_and_ips_in_palette(self):
         p = SMALL
@@ -173,9 +219,28 @@ class TestInjectScan:
             inject_scan([], ScanSpec(window_index=-1), SMALL)
 
     def test_port_range_validation(self):
-        for bad in ((100, 1), (-1, 5), (1, 65536)):
+        for bad in ((100, 1), (-1, 5), (1, 65536), (True, 3), (1.5, 3), (1, 3.0)):
             with pytest.raises(ValueError, match="port_range"):
                 ScanSpec(port_range=bad)
+        for lo, hi in ((True, 3), (1.5, 3), (1, 3.0)):
+            with pytest.raises(ValueError, match=f"^port_range {lo!r}:{hi!r} must be "
+                                                 "integers$"):
+                ScanSpec(port_range=(lo, hi))
+        assert ScanSpec(port_range=(np.int64(1), np.int64(3))).n_ports == 3
+
+    @pytest.mark.parametrize("bad", [1.5, True, 2.0, "1", None])
+    def test_window_index_must_be_an_integer(self, bad):
+        # 1.5 would start the scan at 450 s, splitting it between two windows
+        with pytest.raises(ValueError, match=f"^window_index must be an integer, "
+                                             f"got {re.escape(repr(bad))}$"):
+            ScanSpec(window_index=bad)
+
+    @pytest.mark.parametrize("address", ["bogus", "10.9.9.256", ["10.9.9.9"]])
+    def test_bad_scanner_address_named(self, address):
+        with pytest.raises(FlowFormatError) as err:
+            inject_scan([], ScanSpec(scanner_ip=address, port_range=(1, 5)), SMALL)
+        assert str(err.value) == f"sIP {address!r} is not a dotted-quad IPv4 address"
+        assert err.value.field == "sIP"
 
     def test_deterministic_merge(self):
         base = generate_normal(SMALL)
@@ -211,9 +276,10 @@ def profiles(draw):
 
 
 class TestColumnsMatchOracle:
-    """generate_normal builds its records as columns and skips the record
-    check; every field must equal the checked record-by-record oracle's, with
-    the same type and repr, before and after chained scans."""
+    """generate_normal and inject_scan build their records from columns,
+    checked as a whole; every field must equal the record-by-record
+    oracle's, each record checked by FlowRecord, with the same type and
+    repr, before and after chained scans."""
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(profiles(), st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 4000)),
@@ -232,6 +298,6 @@ class TestColumnsMatchOracle:
         for where, n_ports in scans if profile.n_windows else ():
             # a negative index counts back from the last window
             scan = ScanSpec(port_range=(1, n_ports), window_index=where % profile.n_windows)
-            got, want = inject_scan(got, scan, profile), inject_scan(want, scan, profile)
+            got, want = inject_scan(got, scan, profile), oracle_inject_scan(want, scan, profile)
         assert record_fields(got) == record_fields(want)
         assert serialize_flows(got) == serialize_flows(want)
