@@ -1,10 +1,10 @@
 """From-scratch feedforward autoencoder for anomaly detection and denoising.
 
-Five layer sizes [d, h, b, h, d] with a strict bottleneck b < d, checked
-where an architecture is chosen (Mlp.random), leaky rectifier hidden units,
-identity output.  Training is mini-batch gradient descent with momentum on
-mean squared reconstruction error, fully deterministic under the
-configured seed.
+Five layer sizes [d, h, b, h, d] of at least one unit each, with a strict
+bottleneck b < d, checked where an architecture is chosen (Mlp.random),
+leaky rectifier hidden units, identity output.  Training is mini-batch
+gradient descent with momentum on mean squared reconstruction error, fully
+deterministic under the configured seed.
 
 A mini-batch makes a few dozen numpy calls on small arrays, so per-call
 overhead, not arithmetic, sets the cost of training.  ``train`` therefore
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flows import fmt
+from .flows import _is_int_in, _is_real, fmt
 
 LEAKY_SLOPE = 0.01
 MODEL_FORMAT = "mlp-v1"
@@ -79,21 +79,25 @@ def _training_rows(m: "Mlp", data) -> np.ndarray:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.02
+    """Training settings; the defaults are `flowtopo train-ae`'s, which passes
+    only the flags given."""
+
+    learning_rate: float = 0.01
     momentum: float = 0.9
     batch_size: int = 32
-    epochs: int = 200
+    epochs: int = 300
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        lr, momentum = self.learning_rate, self.momentum
+        if not (_is_real(lr) and 0 <= lr < np.inf):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {lr!r}")
+        if not (_is_real(momentum) and 0 <= momentum < 1):
+            raise ValueError(f"momentum must be in [0, 1), got {momentum!r}")
+        for name, lo in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_int_in(value, lo):
+                raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 class Mlp:
@@ -127,11 +131,15 @@ class Mlp:
         """Glorot uniform initialization, deterministic under seed.
 
         Each layer draws from [-a, a] with a = sqrt(6 / (fan_in + fan_out)).
-        The bottleneck b must be strictly smaller than the input d.
+        Every layer needs at least one unit, and the bottleneck b must be
+        strictly smaller than the input d.
         """
         sizes = tuple(int(s) for s in layer_sizes)
         if len(sizes) != 5:
             raise ValueError("layer_sizes must be [d, h, b, h, d]")
+        for name, size in zip(("input", "hidden", "bottleneck", "hidden", "output"), sizes):
+            if size < 1:
+                raise ValueError(f"{name} layer size must be >= 1, got {size}")
         if sizes[2] >= sizes[0]:
             raise ValueError(
                 f"bottleneck {sizes[2]} must be strictly smaller than input {sizes[0]}")

@@ -3,6 +3,11 @@
 Every subcommand is deterministic given its inputs, flags and seed.  Each
 returns its whole output as text, and main() alone writes it, in one shot
 after the subcommand succeeds, so failures leave no partial files behind.
+
+Each setting's default lives once, in the library code that checks it:
+detector.DEFAULTS, TrafficProfile, ScanSpec, TrainConfig or flows.window.
+A setting flag has no default of its own, and a subcommand passes on only
+the flags given, so the library's default applies to the rest.
 """
 
 from __future__ import annotations
@@ -27,32 +32,30 @@ def _config_file(args) -> dict:
     return detector.parse_config(Path(path).read_text()) if path else {}
 
 
+def _given(args, *names) -> dict:
+    """The named settings whose flags were given, by name."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
 def _load_config(args) -> dict:
-    cfg = dict(detector.DEFAULTS)
-    cfg.update(_config_file(args))
-    for key in detector.DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+    return {**detector.DEFAULTS, **_config_file(args), **_given(args, *detector.DEFAULTS)}
 
 
 def _cmd_synth(args) -> str:
-    cfg = _load_config(args)
     profile = synth.TrafficProfile(
-        n_clients=args.n_clients, n_servers=args.n_servers,
-        mean_flows=args.mean_flows, duration=args.duration,
-        window_width=cfg["window_width"],
-        seed=args.seed if args.seed is not None else 7)
-    lo, _, hi = args.scan_ports.partition(":")
-    if not (lo.isdecimal() and hi.isdecimal()):
-        raise ValueError(f"--scan-ports must be lo:hi integers, got {args.scan_ports!r}")
+        window_width=_load_config(args)["window_width"],
+        **_given(args, "n_clients", "n_servers", "mean_flows", "duration", "seed"))
+    scan = _given(args, "scanner_ip", "target_ip")
+    if args.scan_ports is not None:
+        lo, _, hi = args.scan_ports.partition(":")
+        if not (lo.isdecimal() and hi.isdecimal()):
+            raise ValueError(f"--scan-ports must be lo:hi integers, got {args.scan_ports!r}")
+        scan["port_range"] = (int(lo), int(hi))
     records = synth.generate_normal(profile)
     for w_idx in args.scan_window or []:
-        scan = synth.ScanSpec(scanner_ip=args.scanner_ip,
-                              target_ip=args.target_ip or profile.server_ip(0),
-                              port_range=(int(lo), int(hi)), window_index=w_idx)
-        records = synth.inject_scan(records, scan, profile)
+        records = synth.inject_scan(records, synth.ScanSpec(window_index=w_idx, **scan),
+                                    profile)
     return flows.serialize_flows(records)
 
 
@@ -60,7 +63,7 @@ def _cmd_ingest(args) -> str:
     cfg = _load_config(args)
     records = flows.parse_flows(_read_lines(args.input))
     sessions = flows.pair_bidirectional(records)
-    windows = flows.window(sessions, width=cfg["window_width"], origin=args.origin)
+    windows = flows.window(sessions, width=cfg["window_width"], **_given(args, "origin"))
     return flows.serialize_windowed_sessions(windows)
 
 
@@ -145,9 +148,8 @@ def _cmd_train_ae(args) -> str:
     d = data.shape[1]
     bottleneck = args.bottleneck if args.bottleneck is not None else max(1, d // 2)
     hidden = args.hidden if args.hidden is not None else max(2 * d, 8)
-    cfg = autoencoder.TrainConfig(learning_rate=args.lr, momentum=args.momentum,
-                                  batch_size=args.batch_size, epochs=args.epochs,
-                                  seed=args.seed if args.seed is not None else 0)
+    cfg = autoencoder.TrainConfig(
+        **_given(args, "learning_rate", "momentum", "batch_size", "epochs", "seed"))
     # train on standardized features (raw count scales blow up the descent),
     # then fold the affine scaling into the outer layers so the saved model
     # maps raw rows to raw rows
@@ -176,6 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Topological anomaly detection pipeline for netflow logs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # one flag per named setting, typed from the library's default for it in
+    # defaults but given no default of its own: a flag left out leaves the
+    # library's default
+    def flags(p, defaults, *names):
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=type(defaults[name]))
+
     # --in/--out, --config where the subcommand loads one, and one override
     # flag per config setting it reads
     def common(p, *settings, needs_input=True, config=True):
@@ -184,27 +193,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file")
         if config:
             p.add_argument("--config", help="key = value config file")
-        for key in settings:
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           type=type(detector.DEFAULTS[key]))
+        flags(p, detector.DEFAULTS, *settings)
 
     p = sub.add_parser("synth", help="generate synthetic flow CSV")
     common(p, "window_width", needs_input=False)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-clients", type=int, default=12)
-    p.add_argument("--n-servers", type=int, default=3)
-    p.add_argument("--mean-flows", type=float, default=3.0)
-    p.add_argument("--duration", type=float, default=18000.0)
+    flags(p, vars(synth.TrafficProfile()), "seed", "n_clients", "n_servers", "mean_flows",
+          "duration")
     p.add_argument("--scan-window", type=int, action="append",
                    help="window index to inject a scan into (repeatable)")
-    p.add_argument("--scan-ports", default="1:100", help="lo:hi scanned port range")
-    p.add_argument("--scanner-ip", default="10.9.9.9")
-    p.add_argument("--target-ip", default=None)
+    p.add_argument("--scan-ports", help="lo:hi scanned port range")
+    flags(p, vars(synth.ScanSpec()), "scanner_ip", "target_ip")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest", help="flow CSV -> windowed sessions CSV")
     common(p, "window_width")
-    p.add_argument("--origin", type=float, default=0.0)
+    p.add_argument("--origin", type=float)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("features", help="sessions CSV -> feature vector CSV")
@@ -225,13 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-ae", help="feature CSV -> trained autoencoder model")
     common(p, config=False)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--bottleneck", type=int, default=None)
+    flags(p, vars(autoencoder.TrainConfig()), "seed", "epochs", "momentum", "batch_size")
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--hidden", type=int)
+    p.add_argument("--bottleneck", type=int)
     p.set_defaults(func=_cmd_train_ae)
 
     p = sub.add_parser("denoise", help="feature CSV -> denoised feature CSV")

@@ -70,7 +70,8 @@ FEATURE_NAMES = (
     "max_support_multiplicity",
 )
 
-# every config setting and its default; a setting's type is its default's type
+# every config setting and its default, which the library's own signatures
+# read too; a setting's type is its default's type
 DEFAULTS = {
     "capacity": 20,
     "window_width": 300.0,
@@ -318,7 +319,7 @@ def score_window(b: Baseline, v: FeatureVector) -> float:
     return next(_scored(b, v, np.array([b.standardize(v)])))[0]
 
 
-def calibrate_threshold(b: Baseline, quantile: float = 0.99) -> float:
+def calibrate_threshold(b: Baseline, quantile: float = DEFAULTS["quantile"]) -> float:
     """Leave-one-out threshold: each point scored against the rest.
 
     The threshold is the requested quantile of those scores times a slack
@@ -375,7 +376,7 @@ def step(b: Baseline, v: FeatureVector, threshold: float) -> tuple[AnomalyReport
 
 
 def run_detector(vectors, capacity: int, max_eps: float, max_dim: int,
-                 quantile: float = 0.99,
+                 quantile: float = DEFAULTS["quantile"],
                  features=FEATURE_NAMES) -> list[AnomalyReport]:
     """Initialize from the first `capacity` vectors, then score the rest."""
     vectors = list(vectors)

@@ -88,6 +88,17 @@ def _is_flags(text: str) -> bool:
     return "," not in text and text == text.strip() and len(text.splitlines()) < 2
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number but not a bool; nan and +-inf are."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int_in(value, lo: float = -math.inf, hi: float = math.inf) -> bool:
+    """Whether value is an integer, not a bool, in [lo, hi]: a port, a count
+    or a seed as every record and settings class checks it."""
+    return isinstance(value, numbers.Integral) and _is_real(value) and lo <= value <= hi
+
+
 def _check_record(names: tuple[str, ...], values: tuple) -> None:
     """Check one record's (address, address, port, port, start, end) values,
     named as its format names them: IPv4, integers 0-65535 but not bools,
@@ -106,7 +117,7 @@ def _check_record(names: tuple[str, ...], values: tuple) -> None:
             and -math.inf < start <= end < math.inf):
         return
     for field, port in zip(names[2:4], values[2:4]):
-        if isinstance(port, bool) or not isinstance(port, numbers.Integral):
+        if not _is_int_in(port):
             raise FlowFormatError(f"{field} {port!r} is not an integer", field=field)
         if not 0 <= port <= 65535:
             raise FlowFormatError(f"{field} {port} out of range 0-65535", field=field)

@@ -14,17 +14,12 @@ ScanSpec check their own fields, and name the one that is bad.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import FlowRecord, _flow_records
-
-
-def _is_int_in(value, lo: float = -math.inf, hi: float = math.inf) -> bool:
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and lo <= value <= hi)
+from .detector import DEFAULTS
+from .flows import FlowRecord, _flow_records, _is_int_in, _is_real
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,7 @@ class TrafficProfile:
     common_ports: tuple[int, ...] = (22, 53, 80, 443)
     mean_flows: float = 3.0  # per client per window, Poisson
     duration: float = 18000.0
-    window_width: float = 300.0
+    window_width: float = DEFAULTS["window_width"]
     seed: int = 7
 
     def __post_init__(self):
@@ -49,12 +44,12 @@ class TrafficProfile:
         for port in self.common_ports:
             if not _is_int_in(port, 0, 65535):
                 raise ValueError(f"common_ports entry {port!r} is not an integer in 0-65535")
-        if not 0 <= self.mean_flows < math.inf:
-            raise ValueError(f"mean_flows must be finite and >= 0, got {self.mean_flows}")
+        if not (_is_real(self.mean_flows) and 0 <= self.mean_flows < math.inf):
+            raise ValueError(f"mean_flows must be finite and >= 0, got {self.mean_flows!r}")
         for name in ("duration", "window_width"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            if not (_is_real(value) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not _is_int_in(self.seed, 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
@@ -79,6 +74,8 @@ class ScanSpec:
     def __post_init__(self):
         if not _is_int_in(self.window_index):
             raise ValueError(f"window_index must be an integer, got {self.window_index!r}")
+        if not (isinstance(self.port_range, (tuple, list)) and len(self.port_range) == 2):
+            raise ValueError(f"port_range must be a (lo, hi) pair, got {self.port_range!r}")
         lo, hi = self.port_range
         if not (_is_int_in(lo) and _is_int_in(hi)):
             raise ValueError(f"port_range {lo!r}:{hi!r} must be integers")

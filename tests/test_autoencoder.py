@@ -186,6 +186,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             Mlp.random([3, 2, 3])
 
+    @pytest.mark.parametrize("sizes, message", [
+        ((10, 0, 5, 0, 10), "hidden layer size must be >= 1, got 0"),
+        ((10, 20, 0, 20, 10), "bottleneck layer size must be >= 1, got 0"),
+        ((10, 20, -1, 20, 10), "bottleneck layer size must be >= 1, got -1"),
+        ((0, 4, 0, 4, 0), "input layer size must be >= 1, got 0"),
+    ])
+    def test_random_refuses_empty_layers(self, sizes, message):
+        # such a model would save, but no model file with it loads back
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Mlp.random(sizes)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)
@@ -195,9 +206,16 @@ class TestValidation:
             TrainConfig(batch_size=0)
         for field, bad in (("learning_rate", math.nan), ("learning_rate", math.inf),
                            ("momentum", math.nan), ("momentum", math.inf),
-                           ("momentum", -0.1), ("momentum", 1.0)):
-            with pytest.raises(ValueError, match=f"{field} must be .*, got {bad}"):
+                           ("momentum", -0.1), ("momentum", 1.0),
+                           ("learning_rate", "0.1"), ("momentum", None),
+                           ("learning_rate", True),
+                           ("epochs", 1.5), ("epochs", True), ("epochs", 0),
+                           ("batch_size", 2.5), ("batch_size", "32"),
+                           ("seed", -1), ("seed", 1.5), ("seed", None)):
+            with pytest.raises(ValueError, match=f"^{field} must be .*, got "
+                                                 f"{re.escape(repr(bad))}$"):
                 TrainConfig(**{field: bad})
+        assert TrainConfig(epochs=np.int64(2), seed=np.int64(1), momentum=np.float32(0.5))
 
 
 class TestGradients:

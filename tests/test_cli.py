@@ -3,11 +3,14 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 
+from flowtopo import autoencoder, flows, synth
+from flowtopo.autoencoder import Mlp, TrainConfig
 from flowtopo.cli import main
-from flowtopo.detector import FEATURE_NAMES
+from flowtopo.detector import DEFAULTS, FEATURE_NAMES
 from flowtopo.flows import (
     FLOW_HEADER,
     MAX_WINDOWS,
@@ -16,6 +19,7 @@ from flowtopo.flows import (
     serialize_windowed_sessions,
 )
 from flowtopo.persistence import MAX_LAYER
+from flowtopo.synth import ScanSpec, TrafficProfile
 
 
 def run(args):
@@ -394,9 +398,90 @@ class TestNonFiniteSettings:
          "momentum must be in [0, 1), got nan"),
         (["synth", "--n-clients", 65536], "n_clients must be an integer in 1-65535, got 65536"),
         (["synth", "--seed", -1], "seed must be an integer >= 0, got -1"),
+        (["train-ae", "--in", "@features", "--seed", -1], "seed must be an integer >= 0, got -1"),
+        (["train-ae", "--in", "@features", "--epochs", 0],
+         "epochs must be an integer >= 1, got 0"),
+        (["train-ae", "--in", "@features", "--batch-size", -2],
+         "batch_size must be an integer >= 1, got -2"),
+        # a model with an empty layer would save, but denoise could not load it
+        (["train-ae", "--in", "@features", "--hidden", 0], "hidden layer size must be >= 1, got 0"),
+        (["train-ae", "--in", "@features", "--bottleneck", 0],
+         "bottleneck layer size must be >= 1, got 0"),
     ])
     def test_rejected_with_one_line(self, args, message, stage_inputs, tmp_path, capsys):
         assert_one_line_failure(args, message, stage_inputs, tmp_path, capsys)
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """What synth, ingest and train-ae hand the library, by what it is."""
+    seen = {"scans": []}
+
+    def generate_normal(profile):
+        seen["profile"] = profile
+        return []
+
+    def inject_scan(records, scan, profile):
+        seen["scans"].append(scan)
+        return records
+
+    def window(sessions, **kwargs):
+        seen["window"] = kwargs
+        return []
+
+    def train_autoencoder(data, layer_sizes, cfg):
+        seen["layer_sizes"], seen["train"] = layer_sizes, cfg
+        return Mlp.random(layer_sizes), []
+
+    monkeypatch.setattr(synth, "generate_normal", generate_normal)
+    monkeypatch.setattr(synth, "inject_scan", inject_scan)
+    monkeypatch.setattr(flows, "window", window)
+    monkeypatch.setattr(autoencoder, "train_autoencoder", train_autoencoder)
+    return seen
+
+
+SYNTH = ["synth", "--scan-window", 3]
+TRAIN = ["train-ae", "--in", "@features"]
+SCAN = ScanSpec(window_index=3)
+D = len(FEATURE_NAMES)
+
+
+class TestDefaultsFromTheLibrary:
+    # a setting flag left out leaves the library's default, and a flag given
+    # sets its own field and no other
+    @pytest.mark.parametrize("args, expected", [
+        (SYNTH, dict(profile=TrafficProfile(window_width=DEFAULTS["window_width"]),
+                     scans=[SCAN])),
+        (SYNTH + ["--n-clients", 5], dict(profile=TrafficProfile(n_clients=5))),
+        (SYNTH + ["--n-servers", 2], dict(profile=TrafficProfile(n_servers=2))),
+        (SYNTH + ["--mean-flows", 1.5], dict(profile=TrafficProfile(mean_flows=1.5))),
+        (SYNTH + ["--duration", 600], dict(profile=TrafficProfile(duration=600.0))),
+        (SYNTH + ["--window-width", 60], dict(profile=TrafficProfile(window_width=60.0))),
+        (SYNTH + ["--seed", 3], dict(profile=TrafficProfile(seed=3), scans=[SCAN])),
+        (SYNTH + ["--scanner-ip", "10.9.9.8"],
+         dict(profile=TrafficProfile(), scans=[replace(SCAN, scanner_ip="10.9.9.8")])),
+        (SYNTH + ["--target-ip", "10.1.0.2"],
+         dict(profile=TrafficProfile(), scans=[replace(SCAN, target_ip="10.1.0.2")])),
+        (SYNTH + ["--scan-ports", "5:9", "--scan-window", 1],
+         dict(scans=[replace(SCAN, port_range=(5, 9)), ScanSpec(port_range=(5, 9),
+                                                                window_index=1)])),
+        (["ingest", "--in", "@flows"], dict(window=dict(width=DEFAULTS["window_width"]))),
+        (["ingest", "--in", "@flows", "--origin", 7.5],
+         dict(window=dict(width=DEFAULTS["window_width"], origin=7.5))),
+        (TRAIN, dict(train=TrainConfig(), layer_sizes=(D, 2 * D, D // 2, 2 * D, D))),
+        (TRAIN + ["--epochs", 5], dict(train=TrainConfig(epochs=5))),
+        (TRAIN + ["--lr", 0.5], dict(train=TrainConfig(learning_rate=0.5))),
+        (TRAIN + ["--momentum", 0.5], dict(train=TrainConfig(momentum=0.5))),
+        (TRAIN + ["--batch-size", 8], dict(train=TrainConfig(batch_size=8))),
+        (TRAIN + ["--seed", 4], dict(train=TrainConfig(seed=4))),
+        (TRAIN + ["--hidden", 12], dict(train=TrainConfig(),
+                                        layer_sizes=(D, 12, D // 2, 12, D))),
+    ])
+    def test_built_from_given_flags_alone(self, args, expected, built, stage_inputs,
+                                          tmp_path):
+        args = [stage_inputs[a[1:]] if str(a).startswith("@") else a for a in args]
+        assert run(args + ["--out", tmp_path / "out"]) == 0
+        assert {key: built[key] for key in expected} == expected
 
 
 class TestMalformedRows:

@@ -83,14 +83,15 @@ class TestProfile:
         with pytest.raises(ValueError, match=r"^common_ports must be a nonempty tuple or list, "
                                              r"got \(\)$"):
             TrafficProfile(common_ports=())
-        for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="mean_flows"):
+        for bad in (-1.0, math.nan, math.inf, "3", None, True):
+            with pytest.raises(ValueError, match="^mean_flows must be finite and >= 0, "
+                                                 f"got {re.escape(repr(bad))}$"):
                 TrafficProfile(mean_flows=bad)
-        for bad in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="window_width"):
-                TrafficProfile(window_width=bad)
-            with pytest.raises(ValueError, match="duration"):
-                TrafficProfile(duration=bad)
+        for bad in (0.0, math.inf, math.nan, "300", None):
+            for name in ("window_width", "duration"):
+                with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, "
+                                                     f"got {re.escape(repr(bad))}$"):
+                    TrafficProfile(**{name: bad})
 
     @pytest.mark.parametrize("name", ["n_clients", "n_servers"])
     @pytest.mark.parametrize("bad", [0, -1, 65536, True, 2.0, "3", None])
@@ -221,6 +222,10 @@ class TestInjectScan:
     def test_port_range_validation(self):
         for bad in ((100, 1), (-1, 5), (1, 65536), (True, 3), (1.5, 3), (1, 3.0)):
             with pytest.raises(ValueError, match="port_range"):
+                ScanSpec(port_range=bad)
+        for bad in (5, (1, 2, 3), (1,), "1:5", None):
+            with pytest.raises(ValueError, match="^port_range must be a \\(lo, hi\\) pair, "
+                                                 f"got {re.escape(repr(bad))}$"):
                 ScanSpec(port_range=bad)
         for lo, hi in ((True, 3), (1.5, 3), (1, 3.0)):
             with pytest.raises(ValueError, match=f"^port_range {lo!r}:{hi!r} must be "
