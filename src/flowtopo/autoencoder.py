@@ -77,7 +77,7 @@ def _training_rows(m: "Mlp", data) -> np.ndarray:
     return x
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Training settings; the defaults are `flowtopo train-ae`'s, which passes
     only the flags given."""

@@ -102,20 +102,26 @@ def _is_int_in(value, lo: float = -math.inf, hi: float = math.inf) -> bool:
 def _check_record(names: tuple[str, ...], values: tuple) -> None:
     """Check one record's (address, address, port, port, start, end) values,
     named as its format names them: IPv4, integers 0-65535 but not bools,
-    finite with end >= start.
+    real numbers but not bools, finite with end >= start.
 
     One chained test accepts a valid record; the chained time comparison is
-    false for NaN, for +-inf and for end < start.  Only a record that fails
-    it runs the named checks, ports then addresses then times, which raise
-    FlowFormatError naming the first bad field.
+    false for NaN, for +-inf and for end < start, and raises TypeError (for
+    an array, ValueError) for most values that are not numbers.  Only a
+    record that fails it or raises runs the named checks, ports then
+    addresses then times, which raise FlowFormatError naming the first bad
+    field.
     """
     ip_a, ip_b, port_a, port_b, start, end = values
-    if (type(port_a) is int and type(port_b) is int
-            and 0 <= port_a <= 65535 and 0 <= port_b <= 65535
-            and type(ip_a) is str and type(ip_b) is str
-            and _is_ipv4(ip_a) and _is_ipv4(ip_b)
-            and -math.inf < start <= end < math.inf):
-        return
+    try:
+        if (type(port_a) is int and type(port_b) is int
+                and 0 <= port_a <= 65535 and 0 <= port_b <= 65535
+                and type(ip_a) is str and type(ip_b) is str
+                and _is_ipv4(ip_a) and _is_ipv4(ip_b)
+                and -math.inf < start <= end < math.inf
+                and type(start) is not bool and type(end) is not bool):
+            return
+    except (TypeError, ValueError):
+        pass
     for field, port in zip(names[2:4], values[2:4]):
         if not _is_int_in(port):
             raise FlowFormatError(f"{field} {port!r} is not an integer", field=field)
@@ -126,6 +132,8 @@ def _check_record(names: tuple[str, ...], values: tuple) -> None:
             raise FlowFormatError(f"{field} {ip!r} is not a dotted-quad IPv4 address",
                                   field=field)
     for field, t in zip(names[4:], values[4:]):
+        if not _is_real(t):
+            raise FlowFormatError(f"{field} {t!r} is not a number", field=field)
         if not math.isfinite(t):
             raise FlowFormatError(f"{field} {t} is not finite", field=field)
     if values[5] < values[4]:

@@ -9,12 +9,24 @@ Both draw their records into columns and build them with flows._flow_records,
 the one maker of flow records from columns, which checks each column as a
 whole and names the first bad record as FlowRecord does.  TrafficProfile and
 ScanSpec check their own fields, and name the one that is bad.
+
+Two invariants keep every generated day byte-identical to the plain
+construction (tests/test_synth.py holds both against oracles):
+
+- generate_normal draws each uniform as lo + (hi - lo) * rng.random(),
+  which is numpy's scalar rng.uniform(lo, hi): the same double of the
+  seeded stream, scaled and shifted by the same two operations.
+- inject_scan splices the scan into an already sorted day: only the records
+  whose start times fall in the scan's span are sorted with the scan's, and
+  the result is the list that the stable sort of records + scan gives.
+  Records not in _sort_records order take that full sort.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -87,15 +99,41 @@ class ScanSpec:
         return self.port_range[1] - self.port_range[0] + 1
 
 
+_record_key = attrgetter("s_time", "s_ip", "d_ip", "s_port", "d_port", "flags")
+_s_time = attrgetter("s_time")
+
+
 def _sort_records(records):
-    return sorted(records, key=lambda r: (r.s_time, r.s_ip, r.d_ip,
-                                          r.s_port, r.d_port, r.flags))
+    return sorted(records, key=_record_key)
+
+
+def _sorted_start_times(records):
+    """The start times of records as one float64 array when records are in
+    _sort_records order, else None; None too for times that float64 does
+    not hold.
+
+    Rounding to float64 is monotone, so a falling pair of rounded times is
+    a falling pair of times, and a rising one a rising one; only at equal
+    rounded times are the whole keys compared.
+    """
+    try:
+        times = np.fromiter(map(_s_time, records), float, len(records))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    steps = np.diff(times)
+    # false for a NaN step too
+    if not (steps >= 0).all():
+        return None
+    for i in np.flatnonzero(steps == 0).tolist():
+        if _record_key(records[i + 1]) < _record_key(records[i]):
+            return None
+    return times
 
 
 def generate_normal(profile: TrafficProfile) -> list[FlowRecord]:
     """Deterministic background traffic for every window of the profile."""
     rng = np.random.default_rng(profile.seed)
-    poisson, integers, uniform = rng.poisson, rng.integers, rng.uniform
+    poisson, integers, random = rng.poisson, rng.integers, rng.random
     width = profile.window_width
     span = width * 0.95
     ports = [int(port) for port in profile.common_ports]
@@ -107,11 +145,13 @@ def generate_normal(profile: TrafficProfile) -> list[FlowRecord]:
         for client in clients:
             for _ in range(int(poisson(profile.mean_flows))):
                 # one scalar draw at a time, in this order: the seeded
-                # stream, and so every generated day, depends on it
+                # stream, and so every generated day, depends on it.  The
+                # scaled random() is uniform(0.0, span) and uniform(0.05,
+                # 3.0) at a third of the call's cost
                 server_col.append(servers[integers(len(servers))])
                 port_col.append(ports[integers(len(ports))])
-                starts.append(origin + float(uniform(0.0, span)))
-                durs.append(float(uniform(0.05, 3.0)))
+                starts.append(origin + span * random())
+                durs.append(0.05 + (3.0 - 0.05) * random())
                 sport_col.append(int(integers(1024, 65536)))
                 client_col.append(client)
     n = len(starts)
@@ -131,7 +171,9 @@ def inject_scan(records, scan: ScanSpec, profile: TrafficProfile) -> list[FlowRe
     """Merge one short unanswered flow per scanned port into the chosen window.
 
     Adds exactly (hi - lo + 1) records, touches nothing existing, and returns
-    a freshly sorted list.
+    a new list: the stable sort of records + scan, so an existing record
+    comes before a probe with an equal key.  Sorted records keep their
+    order outside the scan's span and only the span is sorted.
     """
     if not 0 <= scan.window_index < profile.n_windows:
         raise ValueError(
@@ -143,4 +185,13 @@ def inject_scan(records, scan: ScanSpec, profile: TrafficProfile) -> list[FlowRe
     starts = [start + (j + 1) * width / (n + 1) for j in range(n)]
     added = _flow_records(starts, [t + 0.01 for t in starts], [scan.scanner_ip] * n,
                           [scan.target_ip] * n, [54321] * n, list(range(lo, hi + 1)), ["S"] * n)
-    return _sort_records(list(records) + added)
+    records = list(records)
+    times = _sorted_start_times(records) if added else None
+    if times is None:
+        return _sort_records(records + added)
+    # the scan's starts rise with j; records before `left` start strictly
+    # before the first probe and records from `right` on strictly after
+    # the last, so neither can tie with a probe
+    left = int(np.searchsorted(times, float(starts[0]), "left"))
+    right = int(np.searchsorted(times, float(starts[-1]), "right"))
+    return records[:left] + _sort_records(records[left:right] + added) + records[right:]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -216,6 +217,15 @@ class TestValidation:
                                                  f"{re.escape(repr(bad))}$"):
                 TrainConfig(**{field: bad})
         assert TrainConfig(epochs=np.int64(2), seed=np.int64(1), momentum=np.float32(0.5))
+
+    @pytest.mark.parametrize("field, value", [("epochs", 1.5), ("learning_rate", 0.5),
+                                              ("seed", 3)])
+    def test_config_is_frozen(self, field, value):
+        # its checks run at construction only, so a config cannot change after
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert cfg == TrainConfig()
 
 
 class TestGradients:

@@ -458,6 +458,43 @@ class TestPortType:
         assert parse_flows(serialize_flows(records).splitlines()) == records
 
 
+class TestTimeType:
+    # each of these makes the chained time comparison raise or, for a bool,
+    # pass; the named check refuses them as it refuses a bool port
+    BAD = ["1", None, True, False, b"1", np.array([1.0, 2.0])]
+
+    @pytest.mark.parametrize("t", BAD, ids=repr)
+    @pytest.mark.parametrize("field, position", [("sTime", 0), ("eTime", 1)])
+    def test_flow_time_must_be_a_number(self, t, field, position):
+        values = [1.0, 2.0, "10.0.0.1", "10.0.0.2", 80, 443, "S"]
+        values[position] = t
+        with pytest.raises(FlowFormatError) as err:
+            FlowRecord(*values)
+        assert str(err.value) == f"{field} {t!r} is not a number"
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("t", BAD, ids=repr)
+    @pytest.mark.parametrize("field, position", [("start", 4), ("end", 5)])
+    def test_session_time_must_be_a_number(self, t, field, position):
+        values = ["10.0.0.1", "10.0.0.2", 40000, 80, 1.0, 2.0, 1]
+        values[position] = t
+        with pytest.raises(FlowFormatError) as err:
+            SessionRecord(*values)
+        assert str(err.value) == f"{field} {t!r} is not a number"
+        assert err.value.field == field
+
+    def test_bad_port_is_named_before_bad_time(self):
+        # ports, then addresses, then times, as for every other record
+        with pytest.raises(FlowFormatError) as err:
+            FlowRecord("1", 2.0, "10.0.0.1", "10.0.0.2", 80.5, 443, "S")
+        assert err.value.field == "sPort"
+
+    @pytest.mark.parametrize("t", [1, np.float64(1.5), np.int64(1), 0.0])
+    def test_real_times_accepted(self, t):
+        assert FlowRecord(t, 2.0, "10.0.0.1", "10.0.0.2", 80, 443, "S").s_time == t
+        assert SessionRecord("10.0.0.1", "10.0.0.2", 40000, 80, t, 2.0, 1).start == t
+
+
 class TestAddressType:
     # IPv4Address takes the first three too, but they serialize as rows no
     # reader takes; a list cannot even be hashed by the memoized check

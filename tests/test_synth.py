@@ -15,7 +15,13 @@ from flowtopo.flows import (
     serialize_flows,
     window,
 )
-from flowtopo.synth import ScanSpec, TrafficProfile, generate_normal, inject_scan
+from flowtopo.synth import (
+    ScanSpec,
+    TrafficProfile,
+    _sorted_start_times,
+    generate_normal,
+    inject_scan,
+)
 
 
 def _oracle_sort_records(records):
@@ -306,3 +312,126 @@ class TestColumnsMatchOracle:
             got, want = inject_scan(got, scan, profile), oracle_inject_scan(want, scan, profile)
         assert record_fields(got) == record_fields(want)
         assert serialize_flows(got) == serialize_flows(want)
+
+
+def assert_inject_as_oracle(records, scan, profile, serialize=True):
+    records = list(records)
+    got, want = inject_scan(records, scan, profile), oracle_inject_scan(records, scan, profile)
+    assert record_fields(got) == record_fields(want)
+    if serialize:
+        assert serialize_flows(got) == serialize_flows(want)
+    return got
+
+
+def probe(t, s_ip="10.9.9.9", d_port=3):
+    """A record starting at t that ties with SMALL's scan of ports 1-5 in
+    window 1 on start time; with the defaults it ties on the whole key
+    with the probe of port 3."""
+    return FlowRecord(t, t + 1, s_ip, "10.1.0.1", 54321, d_port, "S")
+
+
+# ports 1-5 in window 1 of SMALL: probes at 350, 400, 450, 500 and 550 s
+SPAN_SCAN = ScanSpec(port_range=(1, 5), window_index=1)
+
+
+class TestSpliceMatchesOracle:
+    """inject_scan sorts only the scan's span of a sorted day; every result
+    must equal the oracle's stable sort of records + scan, field for field
+    and byte for byte."""
+
+    def test_shuffled_input_takes_the_full_sort(self):
+        base = generate_normal(SMALL)
+        shuffled = list(base)
+        np.random.default_rng(1).shuffle(shuffled)
+        assert _sorted_start_times(base) is not None
+        assert _sorted_start_times(shuffled) is None
+        assert inject_scan(shuffled, SPAN_SCAN, SMALL) == inject_scan(base, SPAN_SCAN, SMALL)
+        assert_inject_as_oracle(shuffled, SPAN_SCAN, SMALL)
+
+    def test_ties_inside_and_at_the_edges_of_the_span(self):
+        edges = [349.99999999999994, 350.0, 450.0, 550.0, 550.0000000000001]
+        ties = [probe(t, s_ip, port) for t in edges
+                for s_ip in ("10.0.0.1", "10.9.9.9", "10.9.9.99") for port in (1, 3, 5)]
+        records = _oracle_sort_records(generate_normal(SMALL) + ties)
+        assert _sorted_start_times(records) is not None
+        merged = assert_inject_as_oracle(records, SPAN_SCAN, SMALL)
+        # an existing record comes before the probe whose key it equals
+        at_450 = [r for r in merged if r.s_time == 450.0 and r.s_ip == "10.9.9.9"
+                  and r.d_port == 3]
+        assert [r.e_time for r in at_450] == [451.0, 450.01]
+
+    @pytest.mark.parametrize("first, second", [
+        # equal start times, keys out of order: only the whole keys show it
+        (probe(450.0, "10.9.9.99"), probe(450.0, "10.0.0.1")),
+        # start times one ulp out of order
+        (probe(450.00000000000006), probe(450.0))])
+    def test_one_pair_out_of_order_takes_the_full_sort(self, first, second):
+        records = [probe(300.0), first, second, probe(600.0)]
+        assert _sorted_start_times(records) is None
+        assert_inject_as_oracle(records, SPAN_SCAN, SMALL)
+
+    def test_same_scan_twice(self):
+        once = inject_scan(generate_normal(SMALL), SPAN_SCAN, SMALL)
+        twice = assert_inject_as_oracle(once, SPAN_SCAN, SMALL)
+        assert len(twice) == len(once) + 5
+        assert_inject_as_oracle(twice, SPAN_SCAN, SMALL)
+
+    @pytest.mark.parametrize("kind", [int, np.float64, np.int64])
+    def test_other_real_start_times(self, kind):
+        records = [probe(kind(t)) for t in (0, 349, 350, 450, 550, 551, 1100)]
+        assert _sorted_start_times(records) is not None
+        assert_inject_as_oracle(records, SPAN_SCAN, SMALL)
+        # and probes of those kinds, from a window width of that kind
+        profile = TrafficProfile(n_clients=3, duration=1200, window_width=kind(300), seed=2)
+        assert_inject_as_oracle(generate_normal(profile) + records, SPAN_SCAN, profile)
+
+    def test_times_float64_does_not_tell_apart(self):
+        # 2**53 and 2**53 + 1 round to one float64, and 10**400 to none
+        big = 2 ** 53
+        records = [probe(big), probe(big + 1)]
+        assert _sorted_start_times(records) is not None
+        assert_inject_as_oracle(records, SPAN_SCAN, SMALL)
+        assert _sorted_start_times(records[::-1]) is None
+        assert_inject_as_oracle(records[::-1], SPAN_SCAN, SMALL)
+        huge = [FlowRecord(10 ** 400, 10 ** 400, "10.0.0.1", "10.1.0.1", 1, 2, "S")]
+        assert _sorted_start_times(huge) is None
+        # which FlowRecord takes but serialize_flows cannot write
+        assert_inject_as_oracle(huge, SPAN_SCAN, SMALL, serialize=False)
+
+    def test_no_records(self):
+        assert_inject_as_oracle([], SPAN_SCAN, SMALL)
+        assert inject_scan(iter([]), SPAN_SCAN, SMALL) == inject_scan([], SPAN_SCAN, SMALL)
+
+    @pytest.mark.parametrize("window_index", [0, SMALL.n_windows - 1])
+    @pytest.mark.parametrize("port_range", [(1, 1), (1, 100), (7, 4000)])
+    def test_first_and_last_window(self, window_index, port_range):
+        scan = ScanSpec(port_range=port_range, window_index=window_index)
+        base = generate_normal(SMALL)
+        merged = assert_inject_as_oracle(base, scan, SMALL)
+        assert inject_scan(iter(base), scan, SMALL) == merged
+
+
+class TestUniformIdentity:
+    """generate_normal draws lo + (hi - lo) * rng.random() for
+    rng.uniform(lo, hi); the generated days, and every sha256 pin of them,
+    rest on the two being one double of one stream."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.integers(0, 2 ** 64 - 1), st.floats(1.0, 1e4))
+    @example(7, 300.0)
+    @example(0, 1.0)
+    @example(2 ** 64 - 1, 1e4)
+    def test_scaled_random_is_uniform(self, seed, width):
+        scaled, uniform = np.random.default_rng(seed), np.random.default_rng(seed)
+        bounds = [(0.0, width * 0.95), (0.05, 3.0), (0.0, 285.0), (-1.0, 1e300)]
+        for i in range(200):
+            # interleaved with the generator's other draws, as generate_normal does
+            assert scaled.poisson(3.0) == uniform.poisson(3.0)
+            assert scaled.integers(1024, 65536) == uniform.integers(1024, 65536)
+            lo, hi = bounds[i % len(bounds)]
+            got, want = lo + (hi - lo) * scaled.random(), uniform.uniform(lo, hi)
+            assert type(got) is type(want) is float
+            assert got.hex() == want.hex(), (
+                f"numpy {np.__version__}: lo + (hi - lo) * random() is {got!r} but "
+                f"uniform({lo!r}, {hi!r}) is {want!r} (seed {seed}, draw {i}); "
+                "generate_normal no longer draws the days that uniform drew")
