@@ -18,12 +18,9 @@ from flowtopo.flows import (
     FlowRecord,
     SessionRecord,
     _check_record,
-    _check_width,
     _flow_records,
     _is_ipv4,
     _session_order,
-    _timeline,
-    csv_rows,
     pair_bidirectional,
     parse_flows,
     parse_windowed_sessions,
@@ -31,104 +28,18 @@ from flowtopo.flows import (
     serialize_windowed_sessions,
     window,
 )
+from oracles import (
+    FLOW_NAMES,
+    oracle_check_record,
+    oracle_components,
+    oracle_pair_bidirectional,
+    oracle_parse_flows,
+    oracle_parse_windowed_sessions,
+)
 
 
 def rec(s, e, sip, dip, sp, dp, flags="S"):
     return FlowRecord(s, e, sip, dip, sp, dp, flags)
-
-
-# ------------------------------------------------------------------ oracle
-# The row conversion and record check that the one-try conversion and the
-# one-test record check replaced, kept verbatim: parsing must return the
-# same records and raise the same errors (message, line and field).
-
-def oracle_check_record(names: tuple[str, ...], values: tuple) -> None:
-    """Check one record's (address, address, port, port, start, end) values,
-    named as its format names them: IPv4, 0-65535, finite with end >= start."""
-    for field, port in zip(names[2:4], values[2:4]):
-        if not 0 <= port <= 65535:
-            raise FlowFormatError(f"{field} {port} out of range 0-65535", field=field)
-    for field, ip in zip(names[:2], values[:2]):
-        if not _is_ipv4(ip):
-            raise FlowFormatError(f"{field} {ip!r} is not a dotted-quad IPv4 address",
-                                  field=field)
-    for field, t in zip(names[4:], values[4:]):
-        if not math.isfinite(t):
-            raise FlowFormatError(f"{field} {t} is not finite", field=field)
-    if values[5] < values[4]:
-        raise FlowFormatError(f"{names[5]} {values[5]} precedes {names[4]} {values[4]}",
-                              field=names[5])
-
-
-def oracle_record(cls, table, fields: list[str], lineno: int):
-    """Convert fields by the (name, type) table and build cls from them."""
-    values = []
-    for (name, kind), raw in zip(table, fields):
-        try:
-            values.append(kind(raw.strip()))
-        except ValueError:
-            raise FlowFormatError(
-                f"line {lineno}: field {name} has unparseable value {raw.strip()!r}",
-                lineno, name) from None
-    try:
-        return cls(*values)
-    except FlowFormatError as exc:
-        raise FlowFormatError(f"line {lineno}: {exc}", lineno, exc.field) from None
-
-
-_FLOW_FIELDS = (("sTime", float), ("eTime", float), ("sIP", str), ("dIP", str),
-                ("sPort", int), ("dPort", int), ("flags", str))
-_SESSION_FIELDS = (("window_start", float), ("client_ip", str), ("server_ip", str),
-                   ("client_port", int), ("server_port", int), ("start", float),
-                   ("end", float), ("constituent_count", int))
-FLOW_NAMES = ("sIP", "dIP", "sPort", "dPort", "sTime", "eTime")
-SESSION_NAMES = ("client_ip", "server_ip", "client_port", "server_port", "start", "end")
-
-
-def oracle_flow_record(s_time, e_time, s_ip, d_ip, s_port, d_port, flags):
-    oracle_check_record(FLOW_NAMES, (s_ip, d_ip, s_port, d_port, s_time, e_time))
-    return FlowRecord(s_time, e_time, s_ip, d_ip, s_port, d_port, flags)
-
-
-def oracle_windowed_session(window_start, client_ip, server_ip, client_port,
-                            server_port, start, end, constituent_count):
-    if not math.isfinite(window_start):
-        raise FlowFormatError(f"window_start '{window_start}' is not finite",
-                              field="window_start")
-    oracle_check_record(SESSION_NAMES, (client_ip, server_ip, client_port,
-                                        server_port, start, end))
-    if constituent_count < 1:
-        raise FlowFormatError("constituent_count must be >= 1", field="constituent_count")
-    return window_start, SessionRecord(client_ip, server_ip, client_port, server_port,
-                                       start, end, constituent_count)
-
-
-def oracle_parse_flows(lines):
-    return [oracle_record(oracle_flow_record, _FLOW_FIELDS, fields, lineno)
-            for lineno, fields in csv_rows(lines, FLOW_HEADER)]
-
-
-def oracle_parse_windowed_sessions(lines, width):
-    _check_width(width)
-    rows = {}
-    first_line = {}
-    for lineno, fields in csv_rows(lines, SESSION_HEADER):
-        ws, session = oracle_record(oracle_windowed_session, _SESSION_FIELDS, fields,
-                                    lineno)
-        rows.setdefault(ws, []).append(session)
-        first_line.setdefault(ws, lineno)
-    if not rows:
-        return []
-    first = min(rows)
-    by_index = {}
-    for ws, sessions in rows.items():
-        idx = round((ws - first) / width)
-        if abs(first + idx * width - ws) > width * 1e-9:
-            raise FlowFormatError(
-                f"line {first_line[ws]}: window_start {ws} is not on the "
-                f"{width}-second grid from {first}", first_line[ws], "window_start")
-        by_index.setdefault(idx, []).extend(sessions)
-    return _timeline(by_index, first, width)
 
 
 def outcome(parse, *args):
@@ -598,80 +509,6 @@ class TestRecordCheck:
         assert _is_ipv4(text) is want
 
 
-def _reverse_match(a, b):
-    return (a.s_ip, a.s_port, a.d_ip, a.d_port) == (b.d_ip, b.d_port, b.s_ip, b.s_port)
-
-
-def _overlaps(a, b):
-    # intervals [s, e] overlap if max(starts) <= min(ends)
-    return max(a.s_time, b.s_time) <= min(a.e_time, b.e_time)
-
-
-def oracle_component_session(members: list[FlowRecord]) -> SessionRecord:
-    # the session rule before it relied on members arriving in record order,
-    # kept verbatim so the oracle does not check the code with itself
-    t0 = min(r.s_time for r in members)
-    earliest_sources = {(r.s_ip, r.s_port) for r in members if r.s_time == t0}
-    if len(earliest_sources) == 1:
-        client = earliest_sources.pop()
-    else:
-        # both directions start simultaneously: ephemeral-port side is the
-        # client, and as a last resort the lexicographically smaller IP
-        a, b = sorted(earliest_sources)
-        if (a[1] >= 1024) != (b[1] >= 1024):
-            client = a if a[1] >= 1024 else b
-        elif a[0] != b[0]:
-            client = a if a[0] < b[0] else b
-        else:
-            client = a
-    probe = members[0]
-    if (probe.s_ip, probe.s_port) == client:
-        server = (probe.d_ip, probe.d_port)
-    else:
-        server = (probe.s_ip, probe.s_port)
-    return SessionRecord(
-        client_ip=client[0], server_ip=server[0],
-        client_port=client[1], server_port=server[1],
-        start=t0, end=max(r.e_time for r in members),
-        constituent_count=len(members))
-
-
-def oracle_pair_bidirectional(records):
-    """Quadratic pairing: test every record pair inside an endpoint group."""
-    recs = sorted(records, key=lambda r: (r.s_time, r.e_time, r.s_ip, r.d_ip,
-                                          r.s_port, r.d_port, r.flags))
-    n = len(recs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    groups = {}
-    for i, r in enumerate(recs):
-        key = tuple(sorted([(r.s_ip, r.s_port), (r.d_ip, r.d_port)]))
-        groups.setdefault(key, []).append(i)
-    for idxs in groups.values():
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                i, j = idxs[a], idxs[b]
-                if _reverse_match(recs[i], recs[j]) and _overlaps(recs[i], recs[j]):
-                    union(i, j)
-
-    components = {}
-    for i in range(n):
-        components.setdefault(find(i), []).append(recs[i])
-    sessions = [oracle_component_session(members) for members in components.values()]
-    sessions.sort(key=lambda s: (s.start, s.client_ip, s.server_ip,
-                                 s.client_port, s.server_port))
-    return sessions
 
 
 ENDPOINTS = [("10.0.0.1", 51515), ("10.0.0.2", 80), ("10.0.0.2", 51515),
@@ -785,34 +622,6 @@ class TestPairing:
         assert sessions[0].client_ip == "10.0.0.1"
 
     def test_three_records_match_exhaustive_grouping(self):
-        # oracle: connected components of the pairwise compatibility graph,
-        # computed by explicit closure over all record pairs
-        def oracle_components(records):
-            n = len(records)
-            adj = [[False] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    ri, rj = records[i], records[j]
-                    mirrored = (ri.s_ip, ri.s_port, ri.d_ip, ri.d_port) == \
-                               (rj.d_ip, rj.d_port, rj.s_ip, rj.s_port)
-                    overlap = max(ri.s_time, rj.s_time) <= min(ri.e_time, rj.e_time)
-                    if i != j and mirrored and overlap:
-                        adj[i][j] = True
-            seen, comps = set(), []
-            for i in range(n):
-                if i in seen:
-                    continue
-                stack, comp = [i], set()
-                while stack:
-                    u = stack.pop()
-                    if u in comp:
-                        continue
-                    comp.add(u)
-                    stack.extend(v for v in range(n) if adj[u][v])
-                seen |= comp
-                comps.append(comp)
-            return sorted(len(c) for c in comps)
-
         rng = random.Random(7)
         for _ in range(200):
             recs = []
