@@ -90,31 +90,26 @@ def _cmd_topo(args) -> str:
 
 def _cmd_ph(args) -> str:
     cfg = _load_config(args)
-    points = []
-    for lineno, fields in flows.csv_rows(_read_lines(args.input)):
-        try:
-            points.append([float(v) for v in fields])
-        except ValueError:
-            raise ValueError(f"point cloud line {lineno}: not numeric: "
-                             f"{','.join(fields)!r}") from None
-    filtration = persistence.vietoris_rips(points, max_eps=cfg["max_eps"],
-                                           max_dim=cfg["max_dim"])
+    filtration = persistence.vietoris_rips(_parse_points(_read_lines(args.input)),
+                                           max_eps=cfg["max_eps"], max_dim=cfg["max_dim"])
     diagram = persistence.barcode(filtration, cfg["max_dim"])
     return persistence.diagram_to_csv(diagram)
 
 
-def _parse_feature_csv(path: str):
-    rows = flows.csv_rows(_read_lines(path))
-    _, header = next(rows, (None, None))
-    if header is None or header[0] != "window_start":
+def _parse_points(lines) -> list[tuple[float, ...]]:
+    """The points of a point-cloud CSV, one row of coordinates each."""
+    return flows.read_csv(lines, None, float, lambda *columns: list(zip(*columns)))[1]
+
+
+def _feature_header(fields) -> None:
+    if not fields or fields[0] != "window_start":
         raise ValueError("feature CSV must start with a window_start column")
-    vectors = []
-    for lineno, (start, *values) in rows:
-        try:
-            vectors.append(detector.FeatureVector(
-                window_start=float(start), values=tuple(float(v) for v in values)))
-        except ValueError as exc:
-            raise ValueError(f"feature CSV line {lineno}: {exc}") from None
+
+
+def _parse_feature_csv(lines):
+    header, vectors, _ = flows.read_csv(
+        lines, _feature_header, float,
+        lambda *columns: [detector.FeatureVector(row[0], row[1:]) for row in zip(*columns)])
     return tuple(header[1:]), vectors
 
 
@@ -127,7 +122,7 @@ def _feature_csv(names, rows) -> str:
 
 def _cmd_detect(args) -> str:
     cfg = _load_config(args)
-    names, vectors = _parse_feature_csv(args.input)
+    names, vectors = _parse_feature_csv(_read_lines(args.input))
     wanted = _config_file(args).get("features")
     if wanted is not None and tuple(wanted) != names:
         raise ValueError(f"config features {','.join(wanted)} differ from the "
@@ -141,7 +136,7 @@ def _cmd_detect(args) -> str:
 def _cmd_train_ae(args) -> str:
     import numpy as np
 
-    _, vectors = _parse_feature_csv(args.input)
+    _, vectors = _parse_feature_csv(_read_lines(args.input))
     if not vectors:
         raise ValueError("no feature vectors to train on")
     data = np.array([v.values for v in vectors], dtype=float)
@@ -167,7 +162,7 @@ def _cmd_train_ae(args) -> str:
 
 def _cmd_denoise(args) -> str:
     model = autoencoder.Mlp.load(args.model)
-    names, vectors = _parse_feature_csv(args.input)
+    names, vectors = _parse_feature_csv(_read_lines(args.input))
     return _feature_csv(names,
                         ((v.window_start, model.denoise(list(v.values))) for v in vectors))
 

@@ -5,20 +5,8 @@ response show up as two separate records with mirrored endpoints; downstream
 analysis wants one session per communication, so overlapping mirrored records
 are merged and the originating side is designated the client.
 
-Ingest is the first step of every pipeline, so both steps work on columns.
-parse_flows reads the lines in blocks of _BLOCK rows: one split per block,
-each column converted with the converters of the row path.  _flow_records,
-the one maker of flow records from columns (synth builds its days and scans
-with it too), checks the columns as a whole (ports by their minimum and
-maximum, times as one float64 array, each distinct address and flags string
-once); when that fails, FlowRecord builds each record and names the first
-bad one.  Records share one str per distinct address and flags value, and
-only one block's field strings are alive at a time.  On any failure the row
-path (csv_rows and _record) parses the whole input again; it names the first
-bad line and field, so an error does not depend on which path found it.
-pair_bidirectional sorts and groups the records with numpy and sweeps only
-the endpoint groups of more than two records in Python; every session field
-is one of its records' own values.
+read_csv reads every CSV input a block of lines at a time as columns.  The
+record rules are written once, in _check_record and the record classes.
 """
 
 from __future__ import annotations
@@ -28,8 +16,10 @@ import heapq
 import ipaddress
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain, filterfalse, groupby, islice, repeat
+from operator import attrgetter, itemgetter, le
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -64,12 +54,8 @@ class FlowFormatError(ValueError):
 
 @functools.lru_cache(maxsize=4096)
 def _is_ipv4(text: str) -> bool:
-    # memoized: a day's records repeat a few hundred addresses, and the
-    # address parser is the most expensive part of a record check.  The
-    # cache hashes its argument, so a record tests `type(x) is str` first
-    # and an unhashable field never gets here.  Only a str is an address:
-    # IPv4Address also takes an int or 4 packed bytes, which serialize as
-    # something no reader takes back
+    # memoized, so hashable arguments only.  Only a str is an address:
+    # IPv4Address also takes an int or 4 packed bytes, which no reader takes
     if type(text) is not str:
         return False
     try:
@@ -81,11 +67,10 @@ def _is_ipv4(text: str) -> bool:
 
 @functools.lru_cache(maxsize=256)
 def _is_flags(text: str) -> bool:
-    # memoized like _is_ipv4, and called on a str only: records repeat a
-    # handful of flag strings.  A CSV field survives a write and a read
-    # only without a comma, a line break (what str.splitlines splits on) or
-    # padding, which reading strips
-    return "," not in text and text == text.strip() and len(text.splitlines()) < 2
+    # memoized like _is_ipv4.  A CSV field survives a write and a read
+    # without a comma, a line break (for str.splitlines) or padding
+    return (type(text) is str and "," not in text and text == text.strip()
+            and len(text.splitlines()) < 2)
 
 
 def _is_real(value) -> bool:
@@ -100,28 +85,10 @@ def _is_int_in(value, lo: float = -math.inf, hi: float = math.inf) -> bool:
 
 
 def _check_record(names: tuple[str, ...], values: tuple) -> None:
-    """Check one record's (address, address, port, port, start, end) values,
-    named as its format names them: IPv4, integers 0-65535 but not bools,
-    real numbers but not bools, finite with end >= start.
-
-    One chained test accepts a valid record; the chained time comparison is
-    false for NaN, for +-inf and for end < start, and raises TypeError (for
-    an array, ValueError) for most values that are not numbers.  Only a
-    record that fails it or raises runs the named checks, ports then
-    addresses then times, which raise FlowFormatError naming the first bad
-    field.
-    """
-    ip_a, ip_b, port_a, port_b, start, end = values
-    try:
-        if (type(port_a) is int and type(port_b) is int
-                and 0 <= port_a <= 65535 and 0 <= port_b <= 65535
-                and type(ip_a) is str and type(ip_b) is str
-                and _is_ipv4(ip_a) and _is_ipv4(ip_b)
-                and -math.inf < start <= end < math.inf
-                and type(start) is not bool and type(end) is not bool):
-            return
-    except (TypeError, ValueError):
-        pass
+    """Raise FlowFormatError for the first bad one of a record's (address,
+    address, port, port, start, end), named as in its format: integer ports
+    0-65535, dotted-quad IPv4 str addresses, real times finite as floats
+    with end >= start, no bools.  Each type is checked before comparing."""
     for field, port in zip(names[2:4], values[2:4]):
         if not _is_int_in(port):
             raise FlowFormatError(f"{field} {port!r} is not an integer", field=field)
@@ -134,11 +101,42 @@ def _check_record(names: tuple[str, ...], values: tuple) -> None:
     for field, t in zip(names[4:], values[4:]):
         if not _is_real(t):
             raise FlowFormatError(f"{field} {t!r} is not a number", field=field)
-        if not math.isfinite(t):
+        try:
+            finite = math.isfinite(t)
+        except OverflowError:  # an int too large for a float
+            raise FlowFormatError(f"{field} is an integer too large for a float",
+                                  field=field) from None
+        if not finite:
             raise FlowFormatError(f"{field} {t} is not finite", field=field)
     if values[5] < values[4]:
         raise FlowFormatError(f"{names[5]} {values[5]} precedes {names[4]} {values[4]}",
                               field=names[5])
+
+
+def _endpoints_fit(ip_a, ip_b, port_a, port_b, start, end) -> bool:
+    """Whether every row of these columns passes _check_record, told from
+    whole columns: int ports by their extremes, each distinct address once,
+    float times pairwise ordered and bounded by their extremes.  A value of
+    another type makes it false or raise TypeError."""
+    ports, times = port_a + port_b, start + end
+    return ({*map(type, ports)} <= {int} and {*map(type, times)} <= {float}
+            and 0 <= min(ports, default=0) and max(ports, default=0) <= 65535
+            and all(map(_is_ipv4, {*ip_a, *ip_b})) and all(map(le, start, end))
+            and -math.inf < min(start, default=0.0) and max(end, default=0.0) < math.inf)
+
+
+_new = object.__new__
+_set = object.__setattr__
+_consume = deque(maxlen=0).extend
+
+
+def _unchecked(cls, columns) -> list:
+    """The cls records of columns, one field per column, without
+    __post_init__: for values that are checked already."""
+    records = list(map(_new, repeat(cls, len(columns[0]))))
+    for name, column in zip(cls.__match_args__, columns):
+        _consume(map(_set, records, repeat(name), column))
+    return records
 
 
 @dataclass(frozen=True)
@@ -180,6 +178,9 @@ class SessionRecord:
                        "start", "end"),
                       (self.client_ip, self.server_ip, self.client_port,
                        self.server_port, self.start, self.end))
+        if not _is_int_in(self.constituent_count):
+            raise FlowFormatError(f"constituent_count {self.constituent_count!r} is not "
+                                  "an integer", field="constituent_count")
         if self.constituent_count < 1:
             raise FlowFormatError("constituent_count must be >= 1", field="constituent_count")
 
@@ -202,185 +203,124 @@ def _check_width(width: float) -> None:
         raise ValueError(f"window width must be finite and > 0, got {width}")
 
 
-def csv_rows(lines: Iterable[str], header: str | None = None
-             ) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each line that is not empty or whitespace.
+# lines per block of read_csv: one block's field strings are alive at a
+# time, so a long input's peak memory stays near its records'
+_BLOCK = 2048
 
-    Every row must have as many fields as the first, which must equal the
-    header if one is given and is then not yielded; FlowFormatError otherwise.
+
+def read_csv(lines: Iterable[str], header, table, make
+             ) -> tuple[list[str] | None, list, Iterator[int]]:
+    """The header's fields, the records and their line numbers of CSV lines.
+
+    header is the line the input starts with, a function of the first
+    line's fields (None for none) that raises ValueError unless they are a
+    header, or None: no header.  table is each field's (name, converter),
+    or one converter for all, naming fields by the header or by number.
+    Blank lines are skipped, and rows have as many fields as the first.
+
+    A block of _BLOCK lines is split once and converted by columns, text
+    (str.strip) columns _Interned, and make(*columns) returns its records.
+    If that raises ValueError or TypeError, the block is read row by row:
+    fields convert stripped (float and int refuse U+001C-U+001F), make gets
+    one-row columns, and the first bad row raises FlowFormatError.
     """
-    width = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+    lines = iter(lines)
+    lineno, first = next(((n, line) for n, line in enumerate(lines, 1) if line.strip()),
+                         (1, ""))
+    fields = first.rstrip("\r\n").split(",") if first else None
+    if isinstance(header, str):
+        if first.rstrip("\r\n") != header:
+            raise FlowFormatError(f"line {lineno}: bad header {first.rstrip()!r}, expected "
+                                  f"{header!r}" if first else "empty input: missing header line",
+                                  lineno)
+    elif header:
+        header(fields)
+    if not first:
+        return None, [], iter(())
+    if header is None:
+        lines, lineno, fields = chain([first], lines), lineno - 1, None
+    if not isinstance(table, tuple):
+        table = tuple((name, table) for name in fields or map(str, range(1, first.count(",") + 2)))
+    width, interned = len(table), _Interned()
+    converters = [interned.__getitem__ if kind is str.strip else kind for _, kind in table]
+    records, numbers = [], []
+    while block := list(islice(lines, _BLOCK)):
+        start, lineno = lineno + 1, lineno + len(block)
+        try:
+            rows, numbered = block, range(start, lineno + 1)
+            if [line.count(",") for line in block].count(width - 1) != len(block):
+                # blank lines, which are left out, or a ragged row
+                numbered = [n for n, line in zip(numbered, block) if line.strip()]
+                rows = [block[n - start] for n in numbered]
+                if not rows or any(line.count(",") != width - 1 for line in rows):
+                    raise ValueError("no rows, or a ragged one")
+            # a row's line ending stays on its last field, which every converter strips
+            values = ",".join(rows).split(",")
+            columns = [list(map(kind, values[k::width])) for k, kind in enumerate(converters)]
+            records += make(*columns)
+            numbers.append(numbered)
             continue
-        line = line.rstrip("\r\n")
-        fields = line.split(",")
-        if width is None:
-            width = len(fields)
-            if header is not None:
-                if line != header:
-                    raise FlowFormatError(f"line {lineno}: bad header "
-                                          f"{line.rstrip()!r}, expected {header!r}",
-                                          lineno)
+        except (TypeError, ValueError):
+            numbers.append([])
+        for n, line in enumerate(block, start):
+            row = line.rstrip("\r\n").split(",")
+            if not line.strip():
                 continue
-        elif len(fields) != width:
-            raise FlowFormatError(f"line {lineno}: expected {width} comma-separated "
-                                  f"fields, got {len(fields)}", lineno)
-        yield lineno, fields
-    if width is None and header is not None:
-        raise FlowFormatError("empty input: missing header line", 1)
-
-
-def _record(cls, table, fields: list[str], lineno: int):
-    """Convert fields by the (name, converter) table and build cls from them.
-
-    All fields convert in one try, without stripping the numeric ones:
-    float and int skip the same padding as str.strip, except U+001C-U+001F,
-    which they refuse.  Only after a ValueError does the named loop run,
-    stripping each field first; it accepts such padding and otherwise
-    names the first field that does not convert.
-    """
-    try:
-        values = [kind(raw) for (_, kind), raw in zip(table, fields)]
-    except ValueError:
-        values = []
-        for (name, kind), raw in zip(table, fields):
+            if len(row) != width:
+                raise FlowFormatError(f"line {n}: expected {width} comma-separated fields, "
+                                      f"got {len(row)}", n)
+            values = []
+            for (name, kind), raw in zip(table, row):
+                try:
+                    values.append([kind(raw.strip())])
+                except ValueError:
+                    raise FlowFormatError(f"line {n}: field {name} has unparseable value "
+                                          f"{raw.strip()!r}", n, name) from None
             try:
-                values.append(kind(raw.strip()))
-            except ValueError:
-                raise FlowFormatError(
-                    f"line {lineno}: field {name} has unparseable value {raw.strip()!r}",
-                    lineno, name) from None
-    try:
-        return cls(*values)
-    except FlowFormatError as exc:
-        raise FlowFormatError(f"line {lineno}: {exc}", lineno, exc.field) from None
+                records += make(*values)
+            except ValueError as exc:
+                raise FlowFormatError(f"line {n}: {exc}", n, getattr(exc, "field", None)) from None
+            numbers[-1].append(n)
+    return fields, records, chain.from_iterable(numbers)
 
 
-# text fields convert with str.strip; numeric ones strip only on the slow path
+class _Interned(dict):
+    """A text field's stripped value by the field, one str per value."""
+
+    def __missing__(self, raw: str) -> str:
+        text = raw.strip()
+        self[raw] = text = self.setdefault(text, text)
+        return text
+
+
+# float and int skip the padding that str.strip removes, U+001C-U+001F aside
 _FLOW_FIELDS = (("sTime", float), ("eTime", float), ("sIP", str.strip),
                 ("dIP", str.strip), ("sPort", int), ("dPort", int),
                 ("flags", str.strip))
 
 
 def parse_flows(lines: Iterable[str]) -> list[FlowRecord]:
-    """Parse flow CSV lines into records.
+    """Parse flow CSV lines, under the FLOW_HEADER line, into records;
+    FlowFormatError names the first bad line (and field, if one)."""
+    return read_csv(lines, FLOW_HEADER, _FLOW_FIELDS, _flow_records)[1]
 
-    The first non-blank line must be exactly ``sTime,eTime,sIP,dIP,sPort,dPort,flags``.
-    Raises FlowFormatError naming the offending line (and field, if one) on
-    malformed input.
-    """
-    if not isinstance(lines, list):  # the row path may read them again
-        lines = list(lines)
+
+def _flow_records(*columns) -> list[FlowRecord]:
+    """The records of columns (lists in field order), tested as a whole;
+    failing that, FlowRecord checks each, and the first bad one raises."""
+    s_time, e_time, s_ip, d_ip, s_port, d_port, flags = columns
     try:
-        return _flow_columns(lines)
-    except (TypeError, ValueError):
-        pass
-    # outside the except clause, so an error raised here carries no context
-    return [_record(FlowRecord, _FLOW_FIELDS, fields, lineno)
-            for lineno, fields in csv_rows(lines, FLOW_HEADER)]
-
-
-# data lines per block of the column reader: one block's field strings are
-# alive at a time, so a long input's peak memory stays near its records'
-_BLOCK = 2048
-
-
-def _flow_columns(lines: list[str]) -> list[FlowRecord]:
-    """The records of flow CSV lines, read a block of lines at a time as
-    columns and built by _flow_records; ValueError or TypeError on anything
-    that is off, and parse_flows then names it by the row path.
-
-    A block converts with the converters of _FLOW_FIELDS, so each field
-    gives the value the row path gives it.  Addresses and flags are
-    interned: records share one str per distinct value.
-    """
-    start = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if start is None or lines[start].rstrip("\r\n") != FLOW_HEADER:
-        raise ValueError("no header")
-    shared: dict[str, str] = {}
-    records = []
-    for lo in range(start + 1, len(lines), _BLOCK):
-        block = lines[lo:lo + _BLOCK]
-        commas = [line.count(",") for line in block]
-        if commas.count(6) != len(block):
-            if any(c != 6 and line.strip() for line, c in zip(block, commas)):
-                raise ValueError("ragged row")
-            block = [line for line, c in zip(block, commas) if c == 6]
-            if not block:
-                continue
-        # a row's line ending stays on its flags field, which str.strip drops
-        fields = ",".join(block).split(",")
-        columns = [list(map(kind, fields[k::7])) for k, (_, kind) in enumerate(_FLOW_FIELDS)]
-        for k in (2, 3, 6):  # the addresses and the flags
-            columns[k] = list(map(shared.setdefault, columns[k], columns[k]))
-        records += _flow_records(*columns)
-    return records
-
-
-def _flow_records(s_time, e_time, s_ip, d_ip, s_port, d_port, flags) -> list[FlowRecord]:
-    """The records of columns (lists of one length) of float times, int
-    ports and str addresses and flags, checked as a whole: ports by their
-    minimum and maximum, times as one float64 array, each distinct address
-    and flags string once.
-
-    On such columns the check accepts exactly what _check_record and the
-    flags check accept.  When it fails, or a value of another type makes it
-    raise TypeError, FlowRecord builds the records instead, so the first
-    bad record raises FlowRecord's own error.
-    """
-    try:
-        ports, times = s_port + d_port, np.array((s_time, e_time))
-        checked = (0 <= min(ports, default=0) and max(ports, default=0) <= 65535
-                   and np.isfinite(times).all() and (times[0] <= times[1]).all()
-                   and all(map(_is_ipv4, {*s_ip, *d_ip})) and all(map(_is_flags, {*flags})))
-    except TypeError:
-        checked = False
-    return list(map(_flow_record if checked else FlowRecord,
-                    s_time, e_time, s_ip, d_ip, s_port, d_port, flags))
-
-
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _flow_record(s_time, e_time, s_ip, d_ip, s_port, d_port, flags) -> FlowRecord:
-    # a FlowRecord without __post_init__, for values that are checked already
-    r = _new(FlowRecord)
-    _set(r, "s_time", s_time)
-    _set(r, "e_time", e_time)
-    _set(r, "s_ip", s_ip)
-    _set(r, "d_ip", d_ip)
-    _set(r, "s_port", s_port)
-    _set(r, "d_port", d_port)
-    _set(r, "flags", flags)
-    return r
-
-
-def _session_record(client_ip, server_ip, client_port, server_port, start, end,
-                    constituent_count) -> SessionRecord:
-    # a SessionRecord without __post_init__, for values of checked records
-    r = _new(SessionRecord)
-    _set(r, "client_ip", client_ip)
-    _set(r, "server_ip", server_ip)
-    _set(r, "client_port", client_port)
-    _set(r, "server_port", server_port)
-    _set(r, "start", start)
-    _set(r, "end", end)
-    _set(r, "constituent_count", constituent_count)
-    return r
+        fit = (_endpoints_fit(s_ip, d_ip, s_port, d_port, s_time, e_time)
+               and all(map(_is_flags, {*flags})))
+    except TypeError:  # an unhashable value, or one of another type
+        fit = False
+    return _unchecked(FlowRecord, columns) if fit else list(map(FlowRecord, *columns))
 
 
 def serialize_flows(records: Iterable[FlowRecord]) -> str:
     """Render records in the flow CSV format (inverse of parse_flows)."""
-    out = [FLOW_HEADER]
-    for r in records:
-        out.append(f"{fmt(r.s_time)},{fmt(r.e_time)},{r.s_ip},{r.d_ip},"
-                   f"{r.s_port},{r.d_port},{r.flags}")
-    return "\n".join(out) + "\n"
-
-
-_RECORD_FIELDS = ("s_time", "e_time", "s_ip", "d_ip", "s_port", "d_port", "flags")
+    return "\n".join([FLOW_HEADER, *(f"{fmt(r.s_time)},{fmt(r.e_time)},{r.s_ip},{r.d_ip},"
+                                      f"{r.s_port},{r.d_port},{r.flags}" for r in records)]) + "\n"
 
 
 def find(root, a: int) -> int:
@@ -393,9 +333,7 @@ def find(root, a: int) -> int:
 def union(root, a: int, b: int) -> int | None:
     """Hang the larger root of a and b under the smaller and return it, or
     None when they share a root.  Path halving, as in find (Tarjan & van
-    Leeuwen, "Worst-case analysis of set union algorithms", JACM 1984)."""
-    # the walks are inline: barcode calls union once per edge, and two find
-    # calls per union cost its H0 loop about 30%
+    Leeuwen, JACM 1984), inline: two find calls cost barcode's H0 loop 30%."""
     while root[a] != a:
         root[a] = a = root[root[a]]
     while root[b] != b:
@@ -412,29 +350,12 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
     """Merge mirrored, time-overlapping flow records into sessions.
 
     Two records pair when one's (sIP, sPort, dIP, dPort) equals the other's
-    reversed tuple and their [sTime, eTime] intervals overlap; pairing is
-    closed transitively, so a request, its response, and a retransmit all
-    land in one session.  Unmatched records become singleton sessions.
-    Never drops a record: constituent counts sum to the input length.
-
-    The records are put in record order (start time first) by one lexsort
-    and grouped by unordered endpoint pair, so within a group an earlier
-    record overlaps a later one exactly when it has not ended before the
-    later one starts.  A group of two pairs when its records come from
-    opposite ends (or both from one, a record whose endpoints are equal
-    being its own mirror) and overlap, which is decided for all such groups
-    at once.  A larger group is swept in record order with one min-heap of
-    end times per direction: a record first pops the opposite direction's
-    entries that ended before it starts (they can overlap no later record
-    either), then joins every entry left, and is pushed onto its own
-    direction's heap.  The work follows the number of overlapping mirrored
-    pairs, not the square of the group size.
-
-    A session takes its start, client and server from its first record,
-    its end from the first record with the largest end, each the record's
-    own value.  When both ends send at the earliest start, the end with
-    the only ephemeral port (1024 and up) is the client, else the smaller
-    end, by address and then port.
+    reversed tuple and their [sTime, eTime] intervals overlap, transitively;
+    an unmatched record is a session of its own.  A session takes its start,
+    client and server from its first record in record order (start first),
+    its end from the first with the largest end, each the record's own
+    value.  When both ends send at the earliest start, the end with the only
+    ephemeral port (1024 and up) is the client, else the smaller endpoint.
     """
     recs = records if isinstance(records, list) else list(records)
     n = len(recs)
@@ -442,7 +363,8 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
         return []
     # each field as an array of the records' own objects
     s_time, e_time, s_ip, d_ip, s_port, d_port, flags = (
-        np.fromiter(map(attrgetter(name), recs), object, n) for name in _RECORD_FIELDS)
+        np.fromiter(map(attrgetter(name), recs), object, n)
+        for name in FlowRecord.__match_args__)
     times = _time_keys(s_time, e_time)
     # a record's source at its index i, its destination at n + i
     ips, ports = np.concatenate((s_ip, d_ip)), np.concatenate((s_port, d_port))
@@ -474,17 +396,21 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
     final = np.lexsort((port[server], port[client], addr[server], addr[client], s[roots]))
     client, server = client[final], server[final]
     first, latest = first[final], order[latest[final]]
-    return list(map(_session_record, ips[client], ips[server], ports[client], ports[server],
-                    s_time[first], e_time[latest], count[final].tolist()))
+    return _unchecked(SessionRecord, (ips[client], ips[server], ports[client], ports[server],
+                                      s_time[first], e_time[latest], count[final].tolist()))
 
 
 def _first_records(s: np.ndarray, e: np.ndarray, src: np.ndarray,
                    dst: np.ndarray) -> np.ndarray:
-    """For each record, the position of its session's first record.
+    """For each record, in record order with start and end keys and source
+    and destination endpoint ids, the position of its session's first record.
 
-    The records are in record order, given by their start and end keys
-    and their source and destination endpoint ids; two records are in one
-    endpoint group when their ids are the same two, in either direction.
+    In a group of one unordered endpoint pair an earlier record overlaps a
+    later one when it has not ended before the later one starts.  Groups of
+    two are decided at once: they pair from opposite ends (or a record that
+    is its own mirror) when they overlap.  A larger group is swept with one
+    min-heap of ends per direction: a record pops the opposite direction's
+    entries that ended before it starts, joins those left and is pushed.
     """
     n = len(s)
     low, high = np.minimum(src, dst), np.maximum(src, dst)
@@ -527,12 +453,9 @@ def _time_keys(s_time: np.ndarray, e_time: np.ndarray) -> np.ndarray:
     them as the times themselves do: the times as float64 when each is one
     exactly (a float always is), else the ranks of their values."""
     times = np.stack((s_time, e_time))
-    try:
-        keys = times.astype(np.float64)
-        if keys.tolist() == times.tolist():
-            return keys
-    except (TypeError, ValueError, OverflowError):
-        pass
+    keys = times.astype(np.float64)  # a record's times are finite as floats
+    if keys.tolist() == times.tolist():
+        return keys
     return _ranks(times.ravel()).reshape(2, -1)
 
 
@@ -545,12 +468,8 @@ def _ranks(values: np.ndarray) -> np.ndarray:
 
 def window(sessions: Iterable[SessionRecord], width: float,
            origin: float = 0.0) -> list[TimeWindow]:
-    """Partition sessions into fixed-width half-open windows by start time.
-
-    A session starting at t goes into window floor((t - origin) / width).
-    Empty windows between the first and last occupied one are emitted
-    explicitly so the downstream detector sees an unbroken timeline.
-    """
+    """Partition sessions into windows [origin + i * width, ...) by start
+    time, with the empty ones between, so the timeline has no gaps."""
     _check_width(width)
     if not math.isfinite(origin):
         raise ValueError(f"window origin must be finite, got {origin}")
@@ -576,13 +495,10 @@ def _timeline(by_index: dict[int, list[SessionRecord]], origin: float,
 
 def serialize_windowed_sessions(windows: Iterable[TimeWindow]) -> str:
     """Render windowed sessions as CSV with a leading window_start column."""
-    out = [SESSION_HEADER]
-    for w in windows:
-        for s in w.sessions:
-            out.append(f"{fmt(w.start)},{s.client_ip},{s.server_ip},"
-                       f"{s.client_port},{s.server_port},{fmt(s.start)},"
-                       f"{fmt(s.end)},{s.constituent_count}")
-    return "\n".join(out) + "\n"
+    return "\n".join([SESSION_HEADER, *(
+        f"{fmt(w.start)},{s.client_ip},{s.server_ip},{s.client_port},{s.server_port},"
+        f"{fmt(s.start)},{fmt(s.end)},{s.constituent_count}"
+        for w in windows for s in w.sessions)]) + "\n"
 
 
 _SESSION_FIELDS = (("window_start", float), ("client_ip", str.strip),
@@ -590,26 +506,28 @@ _SESSION_FIELDS = (("window_start", float), ("client_ip", str.strip),
                    ("start", float), ("end", float), ("constituent_count", int))
 
 
-def _windowed_session(window_start: float, *fields) -> tuple[float, SessionRecord]:
-    if not math.isfinite(window_start):
-        raise FlowFormatError(f"window_start '{window_start}' is not finite",
-                              field="window_start")
-    return window_start, SessionRecord(*fields)
+def _session_pairs(window_start, *columns) -> list[tuple[float, SessionRecord]]:
+    """The (window start, session) pairs of session CSV columns, the
+    sessions made from columns as _flow_records makes flows."""
+    for ws in filterfalse(math.isfinite, window_start):
+        raise FlowFormatError(f"window_start '{ws}' is not finite", field="window_start")
+    try:
+        fit = (_endpoints_fit(*columns[:6]) and {*map(type, columns[6])} <= {int}
+               and min(columns[6], default=1) >= 1)
+    except TypeError:  # an unhashable value, or one of another type
+        fit = False
+    return list(zip(window_start, _unchecked(SessionRecord, columns) if fit
+                    else map(SessionRecord, *columns)))
 
 
 def parse_windowed_sessions(lines: Iterable[str], width: float) -> list[TimeWindow]:
-    """Rebuild TimeWindows from the windowed-session CSV.
-
-    Empty windows carry no rows, so the gap-filled timeline is reconstructed
-    from the window_start values and the given width.
-    """
+    """Rebuild TimeWindows from the windowed-session CSV; the empty windows,
+    which have no rows, come from the window starts and the width."""
     _check_width(width)
+    _, records, numbers = read_csv(lines, SESSION_HEADER, _SESSION_FIELDS, _session_pairs)
     rows: dict[float, list[SessionRecord]] = {}
-    first_line: dict[float, int] = {}
-    for lineno, fields in csv_rows(lines, SESSION_HEADER):
-        ws, session = _record(_windowed_session, _SESSION_FIELDS, fields, lineno)
-        rows.setdefault(ws, []).append(session)
-        first_line.setdefault(ws, lineno)
+    for ws, pairs in groupby(records, itemgetter(0)):
+        rows.setdefault(ws, []).extend(map(itemgetter(1), pairs))
     if not rows:
         return []
     first = min(rows)
@@ -617,8 +535,8 @@ def parse_windowed_sessions(lines: Iterable[str], width: float) -> list[TimeWind
     for ws, sessions in rows.items():
         idx = round((ws - first) / width)
         if abs(first + idx * width - ws) > width * 1e-9:
-            raise FlowFormatError(
-                f"line {first_line[ws]}: window_start {ws} is not on the "
-                f"{width}-second grid from {first}", first_line[ws], "window_start")
+            lineno = next(n for n, (w, _) in zip(numbers, records) if w == ws)
+            raise FlowFormatError(f"line {lineno}: window_start {ws} is not on the "
+                                  f"{width}-second grid from {first}", lineno, "window_start")
         by_index.setdefault(idx, []).extend(sessions)
     return _timeline(by_index, first, width)

@@ -109,17 +109,13 @@ def _sort_records(records):
 
 def _sorted_start_times(records):
     """The start times of records as one float64 array when records are in
-    _sort_records order, else None; None too for times that float64 does
-    not hold.
+    _sort_records order, else None.
 
     Rounding to float64 is monotone, so a falling pair of rounded times is
     a falling pair of times, and a rising one a rising one; only at equal
     rounded times are the whole keys compared.
     """
-    try:
-        times = np.fromiter(map(_s_time, records), float, len(records))
-    except (TypeError, ValueError, OverflowError):
-        return None
+    times = np.fromiter(map(_s_time, records), float, len(records))
     steps = np.diff(times)
     # false for a NaN step too
     if not (steps >= 0).all():

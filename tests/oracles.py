@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
+from flowtopo.detector import FeatureVector
 from flowtopo.flows import (
     FLOW_HEADER,
     SESSION_HEADER,
@@ -143,6 +144,33 @@ def oracle_csv_rows(lines: Iterable[str], header: str | None = None
         yield lineno, fields
     if width is None and header is not None:
         raise FlowFormatError("empty input: missing header line", 1)
+
+
+def _oracle_feature_vector(window_start, *values):
+    try:
+        return FeatureVector(window_start, values)
+    except ValueError as exc:
+        raise FlowFormatError(str(exc)) from None
+
+
+def oracle_parse_feature_csv(lines):
+    """A feature CSV's column names and vectors, row by row: a header whose
+    first field is window_start, then rows of floats named by it."""
+    rows = oracle_csv_rows(lines)
+    _, header = next(rows, (None, None))
+    if header is None or header[0] != "window_start":
+        raise ValueError("feature CSV must start with a window_start column")
+    table = [(name, float) for name in header]
+    return tuple(header[1:]), [oracle_record(_oracle_feature_vector, table, fields, lineno)
+                               for lineno, fields in rows]
+
+
+def oracle_parse_points(lines):
+    """A point-cloud CSV's points, row by row: rows of floats named by their
+    column numbers, without a header."""
+    return [oracle_record(lambda *values: values,
+                          [(str(k), float) for k in range(1, len(fields) + 1)], fields, lineno)
+            for lineno, fields in oracle_csv_rows(lines)]
 
 
 # ------------------------------------------------------------------ pairing

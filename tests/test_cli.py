@@ -94,7 +94,8 @@ class TestPipeline:
         feats.write_text("\n".join(lines) + "\n")
         out = tmp_path / "r.jsonl"
         assert run(["detect", "--in", feats, "--out", out, "--capacity", 8]) == 1
-        assert "feature CSV line 4" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("flowtopo detect: line 4: coordinate 1 of the "
+                                           "window at 600.0 is nan, not finite\n")
         assert not out.exists()
 
     def test_topo_columns(self, tmp_path, small_flow_csv):
@@ -507,6 +508,20 @@ class TestMalformedRows:
     ])
     def test_ragged_row_rejected(self, args, message, stage_inputs, tmp_path, capsys):
         assert_one_line_failure(args, message, stage_inputs, tmp_path, capsys)
+
+
+class TestUnparseableValues:
+    # feature and point CSVs name the column, as flow and session CSVs do
+    @pytest.mark.parametrize("cmd, text, message", [
+        ("detect", "window_start,a\n0,1\n300,\n", "line 3: field a has unparseable value ''"),
+        ("train-ae", "window_start,a\n0,1\n3_,1\n",
+         "line 3: field window_start has unparseable value '3_'"),
+        ("ph", "0,0\n3,x\n", "line 2: field 2 has unparseable value 'x'"),
+    ])
+    def test_refused_with_one_line(self, cmd, text, message, tmp_path, capsys):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        assert_one_line_failure([cmd, "--in", path], message, {}, tmp_path, capsys)
 
 
 class TestLongTimeline:

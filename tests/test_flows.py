@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtopo import flows, synth
+from flowtopo import cli, flows, synth
 from flowtopo.flows import (
     FLOW_HEADER,
     MAX_WINDOWS,
@@ -33,7 +33,9 @@ from oracles import (
     oracle_check_record,
     oracle_components,
     oracle_pair_bidirectional,
+    oracle_parse_feature_csv,
     oracle_parse_flows,
+    oracle_parse_points,
     oracle_parse_windowed_sessions,
 )
 
@@ -239,6 +241,129 @@ class TestParseEqualsOracle:
         assert check(_check_record) == check(oracle_check_record)
 
 
+def session_row(i):
+    start = 300 * (i // 2)
+    return f"{start},10.0.0.{i % 3 + 1},10.1.0.1,{40000 + i},80,{start + i}.5,{start + i + 1},1"
+
+
+# header (None: the first line is a row), a valid row, the reader and its oracle
+FORMATS = {
+    "sessions": (SESSION_HEADER, session_row,
+                 lambda lines: parse_windowed_sessions(lines, 300.0),
+                 lambda lines: oracle_parse_windowed_sessions(lines, 300.0)),
+    "features": ("window_start,a,b", lambda i: f"{300 * i},{i}.5,{i + 1}",
+                 cli._parse_feature_csv, oracle_parse_feature_csv),
+    "points": (None, lambda i: f"{i}.5,{i % 3}", cli._parse_points, oracle_parse_points),
+}
+
+
+def format_lines(fmt, k=None, value=None):
+    """Lines 1-7 of a format: the header (if it has one) and rows; with k,
+    field k of line 6 is replaced by value."""
+    header, row, _, _ = FORMATS[fmt]
+    rows = [row(i) for i in range(1, 8)]
+    lines = ([header] if header else []) + rows
+    lines = [line + "\r\n" for line in lines[:7]]
+    if k is not None:
+        fields = lines[5].rstrip("\r\n").split(",")
+        fields[k] = value
+        lines[5] = ",".join(fields)
+    return lines
+
+
+class Touched(list):
+    """Lines that record the index of each line read from them."""
+
+    def __init__(self, lines):
+        super().__init__(lines)
+        self.touched = []
+
+    def __iter__(self):
+        for i, line in enumerate(super().__iter__()):
+            self.touched.append(i)
+            yield line
+
+    def __getitem__(self, k):
+        self.touched += range(len(self))[k] if isinstance(k, slice) else [k]
+        return super().__getitem__(k)
+
+
+class TestReadCsv:
+    # lines 2-4 (1-3 without a header) are the first block of 3, and line 6
+    # is in the second
+    @pytest.mark.parametrize("fmt, k, value, error, field", [
+        ("sessions", 3, "80.5", "line 6: field client_port has unparseable value '80.5'",
+         "client_port"),
+        ("sessions", 1, "10.0.0.256",
+         "line 6: client_ip '10.0.0.256' is not a dotted-quad IPv4 address", "client_ip"),
+        ("sessions", 0, "inf", "line 6: window_start 'inf' is not finite", "window_start"),
+        ("sessions", 7, "0", "line 6: constituent_count must be >= 1", "constituent_count"),
+        ("sessions", 7, "1,2", "line 6: expected 8 comma-separated fields, got 9", None),
+        ("features", 1, "x", "line 6: field a has unparseable value 'x'", "a"),
+        ("features", 2, " ", "line 6: field b has unparseable value ''", "b"),
+        ("features", 2, "nan", "line 6: coordinate 1 of the window at 1500.0 is nan, "
+         "not finite", None),
+        ("features", 1, "1,2", "line 6: expected 3 comma-separated fields, got 4", None),
+        ("points", 0, "x", "line 6: field 1 has unparseable value 'x'", "1"),
+        ("points", 1, "1,2", "line 6: expected 2 comma-separated fields, got 3", None),
+    ])
+    def test_bad_row_in_a_later_block(self, monkeypatch, fmt, k, value, error, field):
+        monkeypatch.setattr(flows, "_BLOCK", 3)
+        _, _, parse, oracle = FORMATS[fmt]
+        lines = format_lines(fmt, k, value)
+        got = outcome(parse, lines)
+        assert got == outcome(oracle, lines) == (FlowFormatError, error, 6, field)
+
+    # a blank line, and U+001C-U+001F padding, which only the row path strips
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("change", [lambda line: " \t\r\n",
+                                        lambda line: ",".join(f"\x1c{f}\x1f"
+                                                              for f in line.split(","))])
+    def test_valid_row_in_a_later_block(self, monkeypatch, fmt, change):
+        monkeypatch.setattr(flows, "_BLOCK", 3)
+        _, _, parse, oracle = FORMATS[fmt]
+        lines = format_lines(fmt)
+        clean = [line for i, line in enumerate(lines) if i != 5 or change(lines[5]).strip()]
+        lines[5] = change(lines[5])
+        assert repr(outcome(parse, lines)) == repr(outcome(oracle, lines)) \
+            == repr(outcome(parse, clean))
+
+    @pytest.mark.parametrize("parse, header, row, bad, error", [
+        (parse_flows, FLOW_HEADER, flow_row, "1,2,10.0.0.1,10.0.0.2,80.5,80,S",
+         "line 1001: field sPort has unparseable value '80.5'"),
+        (lambda lines: parse_windowed_sessions(lines, 300.0), SESSION_HEADER, session_row,
+         "0,10.0.0.1,10.1.0.1,80.5,80,1,2,1",
+         "line 1001: field client_port has unparseable value '80.5'"),
+    ])
+    def test_bad_last_row_reads_each_line_once(self, monkeypatch, parse, header, row, bad,
+                                               error):
+        # no block before the bad row's is read again
+        monkeypatch.setattr(flows, "_BLOCK", 100)
+        lines = Touched([header] + [row(i) for i in range(1, 1000)] + [bad])
+        with pytest.raises(FlowFormatError, match=f"^{error}$"):
+            parse(lines)
+        assert lines.touched == list(range(1001))
+
+    @settings(max_examples=250, deadline=None)
+    @given(csv_lines("window_start,a,b", (START_TEXT, END_TEXT, PORT_TEXT)),
+           st.sampled_from([2, 3, flows._BLOCK]))
+    def test_feature_csv_equals_oracle(self, lines, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flows, "_BLOCK", block)
+            assert outcome(cli._parse_feature_csv, lines) \
+                == outcome(oracle_parse_feature_csv, lines)
+
+    @settings(max_examples=250, deadline=None)
+    @given(csv_lines("", (START_TEXT, END_TEXT, PORT_TEXT)).map(lambda lines: lines[1:]),
+           st.sampled_from([2, 3, flows._BLOCK]))
+    def test_point_csv_equals_oracle(self, lines, block):
+        # repr, as nan is a coordinate the reader takes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flows, "_BLOCK", block)
+            assert repr(outcome(cli._parse_points, lines)) \
+                == repr(outcome(oracle_parse_points, lines))
+
+
 # valid fields of one row, and for each field the values that break it
 ROW_FIELDS = (st.floats(-1e6, 1e6), st.floats(0.0, 10.0),
               st.sampled_from(["10.0.0.1", "10.1.0.1", "192.168.1.1"]),
@@ -295,6 +420,19 @@ class TestFlowRecords:
         columns[k] = [value]
         got = built(_flow_records, *columns)
         assert got == built(lambda: [FlowRecord(*(column[0] for column in columns))])
+        assert got[2] == field
+
+    @pytest.mark.parametrize("k, value, field", [(0, True, "sTime"), (1, 10 ** 400, "eTime"),
+                                                  (0, "1", "sTime"), (4, True, "sPort"),
+                                                  (5, 80.0, "dPort"), (5, 80.5, "dPort")],
+                             ids=["bool", "huge", "str", "bool", "float", "fraction"])
+    def test_values_of_another_type_named(self, k, value, field):
+        # the test of whole columns checks types before it compares values
+        columns = [[1.0, 1.0], [2.0, 2.0], ["10.0.0.1"] * 2, ["10.0.0.2"] * 2, [40000] * 2,
+                   [80] * 2, ["S"] * 2]
+        columns[k][1] = value
+        got = built(_flow_records, *columns)
+        assert got == built(lambda: [FlowRecord(*row) for row in zip(*columns)])
         assert got[2] == field
 
 
@@ -393,6 +531,22 @@ class TestTimeType:
             SessionRecord(*values)
         assert str(err.value) == f"{field} {t!r} is not a number"
         assert err.value.field == field
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_flow_time_float_cannot_hold_refused(self, position):
+        values = [1.0, 2.0, "10.0.0.1", "10.0.0.2", 80, 443, "S"]
+        values[position] = 10 ** 400
+        values[1 - position] = 10 ** 400
+        with pytest.raises(FlowFormatError) as err:
+            FlowRecord(*values)
+        assert (str(err.value), err.value.field) \
+            == ("sTime is an integer too large for a float", "sTime")
+
+    def test_session_time_float_cannot_hold_refused(self):
+        with pytest.raises(FlowFormatError) as err:
+            SessionRecord("10.0.0.1", "10.0.0.2", 40000, 80, 10 ** 400, 10 ** 400, 1)
+        assert (str(err.value), err.value.field) \
+            == ("start is an integer too large for a float", "start")
 
     def test_bad_port_is_named_before_bad_time(self):
         # ports, then addresses, then times, as for every other record
@@ -493,6 +647,13 @@ class TestRecordCheck:
                 cls(**{**kwargs, **changes})
             assert err.value.field == field
             assert str(err.value).startswith(field + " ")
+
+    @pytest.mark.parametrize("count", [1.0, True, "2"])
+    def test_constituent_count_must_be_an_integer(self, count):
+        with pytest.raises(FlowFormatError) as err:
+            SessionRecord(**{**SESSION_KWARGS, "constituent_count": count})
+        assert (str(err.value), err.value.field) \
+            == (f"constituent_count {count!r} is not an integer", "constituent_count")
 
     def test_constituent_count(self):
         with pytest.raises(FlowFormatError, match="constituent_count"):
