@@ -16,9 +16,8 @@ import heapq
 import ipaddress
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain, filterfalse, groupby, islice, repeat
+from itertools import chain, filterfalse, groupby, islice
 from operator import attrgetter, itemgetter, le
 from typing import Iterable, Iterator
 
@@ -75,13 +74,16 @@ def _is_flags(text: str) -> bool:
 
 def _is_real(value) -> bool:
     """Whether value is a real number but not a bool; nan and +-inf are."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # an exact float or int first: testing against the abstract classes is slow
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, bool))
 
 
 def _is_int_in(value, lo: float = -math.inf, hi: float = math.inf) -> bool:
     """Whether value is an integer, not a bool, in [lo, hi]: a port, a count
     or a seed as every record and settings class checks it."""
-    return isinstance(value, numbers.Integral) and _is_real(value) and lo <= value <= hi
+    return (type(value) is int or isinstance(value, numbers.Integral) and _is_real(value)
+            ) and lo <= value <= hi
 
 
 def _check_record(names: tuple[str, ...], values: tuple) -> None:
@@ -123,20 +125,6 @@ def _endpoints_fit(ip_a, ip_b, port_a, port_b, start, end) -> bool:
             and 0 <= min(ports, default=0) and max(ports, default=0) <= 65535
             and all(map(_is_ipv4, {*ip_a, *ip_b})) and all(map(le, start, end))
             and -math.inf < min(start, default=0.0) and max(end, default=0.0) < math.inf)
-
-
-_new = object.__new__
-_set = object.__setattr__
-_consume = deque(maxlen=0).extend
-
-
-def _unchecked(cls, columns) -> list:
-    """The cls records of columns, one field per column, without
-    __post_init__: for values that are checked already."""
-    records = list(map(_new, repeat(cls, len(columns[0]))))
-    for name, column in zip(cls.__match_args__, columns):
-        _consume(map(_set, records, repeat(name), column))
-    return records
 
 
 @dataclass(frozen=True)
@@ -314,7 +302,38 @@ def _flow_records(*columns) -> list[FlowRecord]:
                and all(map(_is_flags, {*flags})))
     except TypeError:  # an unhashable value, or one of another type
         fit = False
-    return _unchecked(FlowRecord, columns) if fit else list(map(FlowRecord, *columns))
+    return list(map(_flow_record if fit else FlowRecord, *columns))
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _flow_record(s_time, e_time, s_ip, d_ip, s_port, d_port, flags) -> FlowRecord:
+    # a FlowRecord without __post_init__, for values that are checked already
+    r = _new(FlowRecord)
+    _set(r, "s_time", s_time)
+    _set(r, "e_time", e_time)
+    _set(r, "s_ip", s_ip)
+    _set(r, "d_ip", d_ip)
+    _set(r, "s_port", s_port)
+    _set(r, "d_port", d_port)
+    _set(r, "flags", flags)
+    return r
+
+
+def _session_record(client_ip, server_ip, client_port, server_port, start, end,
+                    constituent_count) -> SessionRecord:
+    # a SessionRecord without __post_init__, for values that are checked already
+    r = _new(SessionRecord)
+    _set(r, "client_ip", client_ip)
+    _set(r, "server_ip", server_ip)
+    _set(r, "client_port", client_port)
+    _set(r, "server_port", server_port)
+    _set(r, "start", start)
+    _set(r, "end", end)
+    _set(r, "constituent_count", constituent_count)
+    return r
 
 
 def serialize_flows(records: Iterable[FlowRecord]) -> str:
@@ -396,8 +415,8 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
     final = np.lexsort((port[server], port[client], addr[server], addr[client], s[roots]))
     client, server = client[final], server[final]
     first, latest = first[final], order[latest[final]]
-    return _unchecked(SessionRecord, (ips[client], ips[server], ports[client], ports[server],
-                                      s_time[first], e_time[latest], count[final].tolist()))
+    return list(map(_session_record, ips[client], ips[server], ports[client], ports[server],
+                    s_time[first], e_time[latest], count[final].tolist()))
 
 
 def _first_records(s: np.ndarray, e: np.ndarray, src: np.ndarray,
@@ -516,8 +535,7 @@ def _session_pairs(window_start, *columns) -> list[tuple[float, SessionRecord]]:
                and min(columns[6], default=1) >= 1)
     except TypeError:  # an unhashable value, or one of another type
         fit = False
-    return list(zip(window_start, _unchecked(SessionRecord, columns) if fit
-                    else map(SessionRecord, *columns)))
+    return list(zip(window_start, map(_session_record if fit else SessionRecord, *columns)))
 
 
 def parse_windowed_sessions(lines: Iterable[str], width: float) -> list[TimeWindow]:
