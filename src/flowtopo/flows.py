@@ -53,8 +53,10 @@ class FlowFormatError(ValueError):
 
 @functools.lru_cache(maxsize=4096)
 def _is_ipv4(text: str) -> bool:
-    # memoized, so hashable arguments only.  Only a str is an address:
-    # IPv4Address also takes an int or 4 packed bytes, which no reader takes
+    # memoized: a day's records repeat a few hundred addresses, and parsing
+    # one is the dearest part of a record check; so hashable arguments only.
+    # Only a str is an address: IPv4Address also takes an int or 4 packed
+    # bytes, which serialize as something no reader takes back
     if type(text) is not str:
         return False
     try:
@@ -207,7 +209,7 @@ def read_csv(lines: Iterable[str], header, table, make
     Blank lines are skipped, and rows have as many fields as the first.
 
     A block of _BLOCK lines is split once and converted by columns, text
-    (str.strip) columns _Interned, and make(*columns) returns its records.
+    (str.strip) columns interned, and make(*columns) returns its records.
     If that raises ValueError or TypeError, the block is read row by row:
     fields convert stripped (float and int refuse U+001C-U+001F), make gets
     one-row columns, and the first bad row raises FlowFormatError.
@@ -249,11 +251,12 @@ def read_csv(lines: Iterable[str], header, table, make
             numbers.append(numbered)
             continue
         except (TypeError, ValueError):
-            numbers.append([])
+            pass
+        numbered = []
         for n, line in enumerate(block, start):
-            row = line.rstrip("\r\n").split(",")
             if not line.strip():
                 continue
+            row = line.rstrip("\r\n").split(",")
             if len(row) != width:
                 raise FlowFormatError(f"line {n}: expected {width} comma-separated fields, "
                                       f"got {len(row)}", n)
@@ -268,7 +271,8 @@ def read_csv(lines: Iterable[str], header, table, make
                 records += make(*values)
             except ValueError as exc:
                 raise FlowFormatError(f"line {n}: {exc}", n, getattr(exc, "field", None)) from None
-            numbers[-1].append(n)
+            numbered.append(n)
+        numbers.append(numbered)
     return fields, records, chain.from_iterable(numbers)
 
 
@@ -370,7 +374,8 @@ def pair_bidirectional(records: Iterable[FlowRecord]) -> list[SessionRecord]:
 
     Two records pair when one's (sIP, sPort, dIP, dPort) equals the other's
     reversed tuple and their [sTime, eTime] intervals overlap, transitively;
-    an unmatched record is a session of its own.  A session takes its start,
+    an unmatched record is a session of its own, so constituent counts sum
+    to the input length.  A session takes its start,
     client and server from its first record in record order (start first),
     its end from the first with the largest end, each the record's own
     value.  When both ends send at the earliest start, the end with the only
@@ -429,7 +434,9 @@ def _first_records(s: np.ndarray, e: np.ndarray, src: np.ndarray,
     two are decided at once: they pair from opposite ends (or a record that
     is its own mirror) when they overlap.  A larger group is swept with one
     min-heap of ends per direction: a record pops the opposite direction's
-    entries that ended before it starts, joins those left and is pushed.
+    entries that ended before it starts (they overlap no later record
+    either), joins those left and is pushed, so the work follows the number
+    of overlapping mirrored pairs, not the square of the group size.
     """
     n = len(s)
     low, high = np.minimum(src, dst), np.maximum(src, dst)
@@ -487,8 +494,10 @@ def _ranks(values: np.ndarray) -> np.ndarray:
 
 def window(sessions: Iterable[SessionRecord], width: float,
            origin: float = 0.0) -> list[TimeWindow]:
-    """Partition sessions into windows [origin + i * width, ...) by start
-    time, with the empty ones between, so the timeline has no gaps."""
+    """Partition sessions into fixed-width half-open windows by start time:
+    a session starting at t goes into window floor((t - origin) / width),
+    and the empty windows between occupied ones are emitted too, so the
+    detector sees an unbroken timeline."""
     _check_width(width)
     if not math.isfinite(origin):
         raise ValueError(f"window origin must be finite, got {origin}")

@@ -318,7 +318,8 @@ class TestReadCsv:
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("change", [lambda line: " \t\r\n",
                                         lambda line: ",".join(f"\x1c{f}\x1f"
-                                                              for f in line.split(","))])
+                                                              for f in line.split(","))],
+                             ids=["blank", "padding"])
     def test_valid_row_in_a_later_block(self, monkeypatch, fmt, change):
         monkeypatch.setattr(flows, "_BLOCK", 3)
         _, _, parse, oracle = FORMATS[fmt]
