@@ -5,8 +5,10 @@ response show up as two separate records with mirrored endpoints; downstream
 analysis wants one session per communication, so overlapping mirrored records
 are merged and the originating side is designated the client.
 
-read_csv reads every CSV input a block of lines at a time as columns.  The
-record rules are written once, in _check_record and the record classes.
+read_csv reads every CSV input a block of lines at a time as columns, and
+reads a block again, row by row, only when it fails, to name its first bad
+row.  The record rules are written once, in _check_record and the record
+classes.
 """
 
 from __future__ import annotations
