@@ -1,8 +1,9 @@
 """Independent oracles: plain, slow implementations that the library's
 faster paths must agree with, record for record and error for error.
 
-They share no code path with what they check beyond the record classes
-they build, the memoized address test and the window timeline.
+They share no code path with what they check beyond the record and
+feature-vector classes they build, the memoized address test and the
+window timeline.
 """
 
 from __future__ import annotations
