@@ -12,7 +12,6 @@ from flowtopo.flows import SessionRecord, TimeWindow
 from flowtopo.hypergraph import Hypergraph, build_hypergraph
 from flowtopo.persistence import MAX_LAYER
 from flowtopo.topology import (
-    Ecp,
     SimplicialComplex,
     _boundary_matrix,
     betti,
@@ -23,6 +22,13 @@ from flowtopo.topology import (
     spectrum,
     twin_betti,
     twin_degrees,
+)
+from oracles import (
+    edge_level_oracle,
+    oracle_betti,
+    oracle_build_ecp,
+    oracle_order_complex,
+    transitive_closure,
 )
 
 # ---------------------------------------------------------------- helpers
@@ -40,17 +46,6 @@ def random_supports(rng, universe=4, n_edges=None):
     for p in ports:
         out[p] = frozenset(rng.sample(ips, rng.randint(1, universe)))
     return out
-
-
-def oracle_build_ecp(h):
-    """All-pairs containment arcs: every ordered pair of distinct edges."""
-    labels = sorted(h.edges)
-    arcs = set()
-    for e in labels:
-        for f in labels:
-            if e != f and h.edges[e] < h.edges[f]:
-                arcs.add((e, f))
-    return Ecp(supports=dict(h.edges), arcs=frozenset(arcs))
 
 
 def random_layered_supports(rng, universe=8, max_ports=40):
@@ -101,47 +96,6 @@ GENERATORS = (random_supports, random_layered_supports, scan_supports,
               nested_twin_supports)
 
 
-def edge_level_oracle(h):
-    """(max in-degree, max out-degree), (beta0, beta1) from the order on h's
-    edges themselves: the path the twin rule replaces."""
-    ecp = build_ecp(h)
-    degrees = (max(ecp.in_degrees().values(), default=0),
-               max(ecp.out_degrees().values(), default=0))
-    return degrees, betti(order_complex(ecp, max_dim=2), 1)
-
-
-def oracle_order_complex(ecp, max_dim=None):
-    """Order complex from the memoized transitive closure of the arcs, with
-    chains grown on a stack; assumes nothing about the arcs being closed."""
-    nodes = ecp.nodes()
-    index = {lab: i for i, lab in enumerate(nodes)}
-    direct = {n: set() for n in nodes}
-    for e, f in ecp.arcs:
-        direct[e].add(f)
-    reach = {}
-
-    def successors(n):
-        if n not in reach:
-            acc = set(direct[n])
-            for m in direct[n]:
-                acc |= successors(m)
-            reach[n] = acc
-        return reach[n]
-
-    max_len = None if max_dim is None else max_dim + 1
-    by_dim = {}
-    stack = [(lab,) for lab in nodes]
-    while stack:
-        chain = stack.pop()
-        k = len(chain) - 1
-        by_dim.setdefault(k, []).append(tuple(sorted(index[l] for l in chain)))
-        if max_len is None or len(chain) < max_len:
-            for nxt in successors(chain[-1]):
-                stack.append(chain + (nxt,))
-    return SimplicialComplex({k: tuple(sorted(v)) for k, v in sorted(by_dim.items())},
-                             labels=tuple(nodes))
-
-
 def assert_same_complex(got, expect):
     # labels are excluded from SimplicialComplex equality, so compare both
     assert got.simplices == expect.simplices
@@ -154,62 +108,6 @@ def random_complex(rng, n_vertices=6):
         size = rng.randint(1, 4)
         top.append(tuple(rng.sample(range(n_vertices), size)))
     return SimplicialComplex.from_simplices(top)
-
-
-def transitive_closure(arcs, nodes):
-    reach = {n: {f for (e, f) in arcs if e == n} for n in nodes}
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            grown = set(reach[n])
-            for m in reach[n]:
-                grown |= reach[m]
-            if grown != reach[n]:
-                reach[n] = grown
-                changed = True
-    return {(n, m) for n in nodes for m in reach[n]}
-
-
-def naive_gf2_rank(mat):
-    """Textbook row reduction over GF(2) on a dense 0/1 list-of-rows."""
-    m = [row[:] for row in mat]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    rank = 0
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                m[i] = [x ^ y for x, y in zip(m[i], m[r])]
-        r += 1
-        rank += 1
-    return rank
-
-
-def dense_boundary_gf2(K, k):
-    sk = K.simplices.get(k, ())
-    faces = K.simplices.get(k - 1, ())
-    if k <= 0 or not sk or not faces:
-        return None
-    fi = {f: i for i, f in enumerate(faces)}
-    mat = [[0] * len(sk) for _ in faces]
-    for j, s in enumerate(sk):
-        for drop in range(len(s)):
-            mat[fi[s[:drop] + s[drop + 1:]]][j] = 1
-    return mat
-
-
-def oracle_betti(K, max_dim):
-    def rk(k):
-        mat = dense_boundary_gf2(K, k)
-        return naive_gf2_rank(mat) if mat is not None else 0
-
-    return tuple(K.count(k) - rk(k) - rk(k + 1) for k in range(max_dim + 1))
 
 
 def real_rank_betti(K, max_dim):
