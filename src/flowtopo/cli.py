@@ -23,7 +23,9 @@ from .hypergraph import HypergraphStats
 
 
 def _read_lines(path: str) -> list[str]:
-    return Path(path).read_text().splitlines()
+    # read_text turns \r\n and \r into \n; str.splitlines would also break
+    # at U+001C-U+001E, U+0085 and U+2028/U+2029, which a field may hold
+    return Path(path).read_text().split("\n")
 
 
 def _config_file(args) -> dict:
@@ -38,8 +40,10 @@ def _given(args, *names) -> dict:
             if getattr(args, name, None) is not None}
 
 
-def _load_config(args) -> dict:
-    return {**detector.DEFAULTS, **_config_file(args), **_given(args, *detector.DEFAULTS)}
+def _load_config(args, file: dict | None = None) -> dict:
+    """DEFAULTS, then the --config file's settings (file, if read), then the flags given."""
+    file = _config_file(args) if file is None else file
+    return {**detector.DEFAULTS, **file, **_given(args, *detector.DEFAULTS)}
 
 
 def _cmd_synth(args) -> str:
@@ -78,14 +82,11 @@ def _cmd_features(args) -> str:
 def _cmd_topo(args) -> str:
     cfg = _load_config(args)
     windows = flows.parse_windowed_sessions(_read_lines(args.input), cfg["window_width"])
-    stat_names = [f.name for f in fields(HypergraphStats)]
-    lines = [",".join(["window_start", *stat_names, "max_ecp_in_degree",
-                       "max_ecp_out_degree", "rbs_beta0", "rbs_beta1"])]
-    for w in windows:
-        st, degrees, betti = detector._window_topology(w)
-        values = (w.start, *astuple(st), *degrees, *betti)
-        lines.append(",".join(map(fmt, values)))
-    return "\n".join(lines) + "\n"
+    names = [f.name for f in fields(HypergraphStats)] + [
+        "max_ecp_in_degree", "max_ecp_out_degree", "rbs_beta0", "rbs_beta1"]
+    topology = ((w.start, detector._window_topology(w)) for w in windows)
+    return _feature_csv(names, ((start, (*astuple(st), *degrees, *betti))
+                                for start, (st, degrees, betti) in topology))
 
 
 def _cmd_ph(args) -> str:
@@ -121,9 +122,10 @@ def _feature_csv(names, rows) -> str:
 
 
 def _cmd_detect(args) -> str:
-    cfg = _load_config(args)
+    file = _config_file(args)
+    cfg = _load_config(args, file)
     names, vectors = _parse_feature_csv(_read_lines(args.input))
-    wanted = _config_file(args).get("features")
+    wanted = file.get("features")
     if wanted is not None and tuple(wanted) != names:
         raise ValueError(f"config features {','.join(wanted)} differ from the "
                          f"feature CSV columns {','.join(names)}")
@@ -148,9 +150,7 @@ def _cmd_train_ae(args) -> str:
     # train on standardized features (raw count scales blow up the descent),
     # then fold the affine scaling into the outer layers so the saved model
     # maps raw rows to raw rows
-    mean = data.mean(axis=0)
-    std = data.std(axis=0)
-    std[std == 0.0] = 1.0
+    mean, std = detector._feature_scale(data)
     model, _ = autoencoder.train_autoencoder((data - mean) / std,
                                              (d, hidden, bottleneck, hidden, d), cfg)
     model.weights[0] = model.weights[0] / std[None, :]

@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .flows import TimeWindow
+from .flows import TimeWindow, _is_real
 from .hypergraph import Hypergraph, HypergraphStats, build_hypergraph, stats
 from .persistence import (
     PersistenceDiagram,
@@ -89,16 +89,22 @@ class FeatureVector:
     """Statistic vector of one time window; coordinate order is run-wide.
 
     Non-finite coordinates are rejected: one NaN would silently blind the
-    detector to every later window.
+    detector to every later window.  So are a window_start or coordinate
+    that is not a real number, or is a bool.
     """
 
     window_start: float
     values: tuple[float, ...]
 
     def __post_init__(self):
+        if not _is_real(self.window_start):
+            raise ValueError(f"window_start {self.window_start!r} is not a real number")
         if not math.isfinite(self.window_start):
             raise ValueError(f"window_start {self.window_start} is not finite")
         for i, x in enumerate(self.values):
+            if not _is_real(x):
+                raise ValueError(f"coordinate {i} of the window at {self.window_start} is "
+                                 f"{x!r}, not a real number")
             if not math.isfinite(x):
                 raise ValueError(
                     f"coordinate {i} of the window at {self.window_start} is {x}, "
@@ -222,6 +228,12 @@ def _matrix_diagram(b: Baseline, dist: np.ndarray) -> PersistenceDiagram:
     return rips_diagram(dist, b.max_eps, b.max_dim).truncate(b.max_eps)
 
 
+def _feature_scale(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's mean and population std, a zero std taken as 1."""
+    std = data.std(axis=0)
+    return data.mean(axis=0), np.where(std == 0.0, 1.0, std)
+
+
 def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,
                   features=FEATURE_NAMES) -> Baseline:
     """Fit standardization on anomaly-free vectors and cache their diagram.
@@ -241,9 +253,7 @@ def init_baseline(vectors, capacity: int, max_eps: float, max_dim: int,
     if len(features) != raw.shape[1]:
         raise ValueError(f"{len(features)} feature names for vectors of "
                          f"{raw.shape[1]} coordinates")
-    mean = raw.mean(axis=0)
-    std = raw.std(axis=0)
-    std[std == 0.0] = 1.0
+    mean, std = _feature_scale(raw)
     pts = (raw - mean) / std
     points = tuple(tuple(row) for row in pts)
     diagram = cloud_diagram(points, max_eps, max_dim)

@@ -6,14 +6,16 @@ found as a set-containment self-join: edges are grouped by support, a vertex
 -> supports inverted index is built, and the candidate supersets of a support
 come only from the postings of its rarest vertex, so the cost follows the
 number of arcs rather than the square of the number of edges.  The arcs are
-every proper-containment pair, hence transitively closed, so the order complex
-(one k-simplex per chain of k+1 edges, the restricted barycentric subdivision
-used as a topological window summary) is built layer by layer, extending each
-chain by the nodes above its top.  Betti numbers are computed over GF(2)
-from boundary ranks taken as H0 persistence takes them: the graph boundary's
-by counting flows.union's merges, as persistence._spanning_forest does, and
-every higher one by persistence._reduce_columns, the package's one column
-reduction; Hodge Laplacians use the standard signed real boundary matrices.
+every proper-containment pair, hence transitively closed.  Each node's sets of
+nodes above and below are built from the arcs once per Ecp, and every walk of
+the order reads them.  The order complex (one k-simplex per chain of k+1 edges,
+the restricted barycentric subdivision used as a topological window summary)
+is built layer by layer, extending each chain by the nodes above its top.
+Betti numbers are computed over GF(2) from boundary ranks taken as H0
+persistence takes them: the graph boundary's by counting flows.union's merges,
+as persistence._spanning_forest does, and every higher one by
+persistence._reduce_columns, the package's one column reduction; Hodge
+Laplacians use the standard signed real boundary matrices.
 
 Edges with one support are twins: incomparable, with the same edges below
 and above.  A scan window has thousands of them, and the order complex of the
@@ -45,6 +47,7 @@ the hypergraph itself, stays the oracle of this rule in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -71,20 +74,25 @@ class Ecp:
     supports: dict[int, frozenset[str]]
     arcs: frozenset[tuple[int, int]]
 
+    @cached_property
+    def _adjacency(self) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+        """(above, below): the nodes above and below each node, in supports
+        order, built from the arcs once for every walk of the order."""
+        above = {x: set() for x in self.supports}
+        below = {x: set() for x in self.supports}
+        for e, f in self.arcs:
+            above[e].add(f)
+            below[f].add(e)
+        return above, below
+
     def nodes(self) -> list[int]:
         return sorted(self.supports)
 
     def in_degrees(self) -> dict[int, int]:
-        deg = dict.fromkeys(self.supports, 0)
-        for _, f in self.arcs:
-            deg[f] += 1
-        return deg
+        return {x: len(b) for x, b in self._adjacency[1].items()}
 
     def out_degrees(self) -> dict[int, int]:
-        deg = dict.fromkeys(self.supports, 0)
-        for e, _ in self.arcs:
-            deg[e] += 1
-        return deg
+        return {x: len(a) for x, a in self._adjacency[0].items()}
 
     def max_in_degree(self) -> int:
         return max(self.in_degrees().values(), default=0)
@@ -132,12 +140,9 @@ def twin_degrees(q: Ecp, multiplicity: dict[int, int]) -> tuple[int, int]:
     above.  Equal to max_in_degree and max_out_degree of build_ecp on the
     edges themselves.
     """
-    in_deg = dict.fromkeys(q.supports, 0)
-    out_deg = dict.fromkeys(q.supports, 0)
-    for t, s in q.arcs:
-        in_deg[s] += multiplicity[t]
-        out_deg[t] += multiplicity[s]
-    return max(in_deg.values(), default=0), max(out_deg.values(), default=0)
+    above, below = q._adjacency
+    return tuple(max((sum(multiplicity[t] for t in ts) for ts in nbrs.values()), default=0)
+                 for nbrs in (below, above))
 
 
 def twin_betti(q: Ecp, multiplicity: dict[int, int],
@@ -155,11 +160,7 @@ def twin_betti(q: Ecp, multiplicity: dict[int, int],
     it already has; one comparable to some other is in that one's
     component with all its twins.
     """
-    above: dict[int, list[int]] = {x: [] for x in q.supports}
-    below: dict[int, list[int]] = {x: [] for x in q.supports}
-    for e, f in q.arcs:
-        above[e].append(f)
-        below[f].append(e)
+    above, below = q._adjacency
     b0, b1 = b
     copies = dict.fromkeys(q.supports, 1)
     for x in sorted(q.supports):
@@ -175,7 +176,7 @@ def twin_betti(q: Ecp, multiplicity: dict[int, int],
     return b0, b1
 
 
-def _components(members: list[int], nbrs: dict[int, list[int]],
+def _components(members: set[int], nbrs: dict[int, set[int]],
                 copies: dict[int, int]) -> int:
     """Components of the sub-order on members, an up-set (nbrs = above) or a
     down-set (nbrs = below) of a transitively closed order, so every
@@ -194,17 +195,13 @@ def _components(members: list[int], nbrs: dict[int, list[int]],
 def hasse(ecp: Ecp) -> Ecp:
     """Transitive reduction: drop every arc that a 2-step path already implies.
 
+    An arc e -> f is kept exactly when no node lies both above e and below f.
     The result is the cover relation, which is not transitively closed and so
     is not an ``order_complex`` input.
     """
-    succ: dict[int, set[int]] = {n: set() for n in ecp.supports}
-    for e, f in ecp.arcs:
-        succ[e].add(f)
-    kept = set()
-    for e, f in ecp.arcs:
-        if not any(f in succ[g] for g in succ[e] if g != f):
-            kept.add((e, f))
-    return Ecp(supports=dict(ecp.supports), arcs=frozenset(kept))
+    above, below = ecp._adjacency
+    kept = frozenset((e, f) for e, f in ecp.arcs if not above[e] & below[f])
+    return Ecp(supports=dict(ecp.supports), arcs=kept)
 
 
 @dataclass(frozen=True)
@@ -253,7 +250,8 @@ def order_complex(ecp: Ecp, max_dim: int | None = None) -> SimplicialComplex:
     Each chain e0 < e1 < ... < ek of the order becomes a k-simplex.  The arcs
     must be transitively closed, as ``build_ecp`` returns them, so every chain
     is a path along arcs: the k-chains are the (k-1)-chains extended by each
-    node above their top element, built one layer at a time.  ``max_dim`` caps
+    node above their top element, read from the order's above-sets, built
+    one layer at a time.  ``max_dim`` caps
     the simplex dimension.  Vertex indices follow sorted edge-label order; the
     labels ride along.  Each layer is counted before it is built, and one of
     more than MAX_LAYER simplices raises ValueError: a chain of L nested
@@ -261,9 +259,7 @@ def order_complex(ecp: Ecp, max_dim: int | None = None) -> SimplicialComplex:
     """
     nodes = ecp.nodes()
     index = {lab: i for i, lab in enumerate(nodes)}
-    above: list[list[int]] = [[] for _ in nodes]
-    for e, f in ecp.arcs:
-        above[index[e]].append(index[f])
+    above = [[index[f] for f in ecp._adjacency[0][lab]] for lab in nodes]
     by_dim: dict[int, list[tuple[int, ...]]] = {}
     layer = [(i,) for i in range(len(nodes))]
     while layer:

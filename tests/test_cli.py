@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from flowtopo import autoencoder, flows, synth
+from flowtopo import autoencoder, detector, flows, synth
 from flowtopo.autoencoder import Mlp, TrainConfig
 from flowtopo.cli import main
 from flowtopo.detector import DEFAULTS, FEATURE_NAMES
@@ -113,6 +113,16 @@ class TestPipeline:
         in_deg = [int(r[7]) for r in rows]
         assert in_deg[12] == max(in_deg)
         assert in_deg[12] > 3 * max(d for i, d in enumerate(in_deg) if i != 12)
+
+    def test_topo_of_no_sessions_is_its_header(self, tmp_path):
+        sessions = tmp_path / "s.csv"
+        topo = tmp_path / "t.csv"
+        sessions.write_text(serialize_windowed_sessions([]))
+        assert run(["topo", "--in", sessions, "--out", topo]) == 0
+        assert topo.read_bytes() == (
+            b"window_start,n_vertices,n_edges,max_vertex_degree,max_edge_size,"
+            b"mean_edge_size,max_support_multiplicity,max_ecp_in_degree,"
+            b"max_ecp_out_degree,rbs_beta0,rbs_beta1\n")
 
 
 class TestPh:
@@ -524,6 +534,30 @@ class TestUnparseableValues:
         assert_one_line_failure([cmd, "--in", path], message, {}, tmp_path, capsys)
 
 
+class TestLineBreaks:
+    # only "\n" ends a line: str.splitlines would also break inside a field
+    # padded with U+001C-U+001E, U+0085 or U+2028/U+2029, which the readers
+    # strip
+    @pytest.mark.parametrize("pad", ["\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_padded_field_ingested_as_the_library_reads_it(self, pad, tmp_path):
+        text = (f"{FLOW_HEADER}\n1,2,10.0.0.1,10.0.0.2,{pad}80,443,S\n"
+                "3,4,10.0.0.2,10.0.0.1,443,80,S\n")
+        flow_csv, out = tmp_path / "flows.csv", tmp_path / "sessions.csv"
+        flow_csv.write_text(text)
+        assert run(["ingest", "--in", flow_csv, "--out", out]) == 0
+        sessions = flows.pair_bidirectional(flows.parse_flows(text.split("\n")))
+        assert out.read_text() == serialize_windowed_sessions(
+            flows.window(sessions, width=DEFAULTS["window_width"]))
+
+    def test_later_bad_field_named_by_its_own_line(self, tmp_path, capsys):
+        flow_csv = tmp_path / "flows.csv"
+        flow_csv.write_text(f"{FLOW_HEADER}\n1,2,10.0.0.1,10.0.0.2,\x1c80,80,S\n"
+                            "3,4,10.0.0.1,10.0.0.2,80.5,80,S\n")
+        assert_one_line_failure(["ingest", "--in", flow_csv],
+                                "line 3: field sPort has unparseable value '80.5'",
+                                {}, tmp_path, capsys)
+
+
 class TestLongTimeline:
     @pytest.mark.parametrize("cmd, name", [("ingest", "flows_far"),
                                            ("features", "sessions_far"),
@@ -578,6 +612,16 @@ class TestDetectFeatures:
                 ["detect", "--in", feats, "--capacity", 5], "feature a of the window at "
                 "1500.0 is 1e+200, 7.071067811865474e+199 on the baseline's scale, too far "
                 "from the baseline for a finite distance", {}, tmp_path, capsys)
+
+    def test_config_parsed_once(self, stage_inputs, tmp_path, monkeypatch):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("features = " + ",".join(FEATURE_NAMES) + "\nmax_dim = 0\n")
+        texts, parse = [], detector.parse_config
+        monkeypatch.setattr(detector, "parse_config",
+                            lambda text: texts.append(text) or parse(text))
+        assert run(["detect", "--in", stage_inputs["features"], "--capacity", 8,
+                    "--config", cfg, "--out", tmp_path / "r.jsonl"]) == 0
+        assert texts == [cfg.read_text()]
 
     def test_matching_config_features_same_output(self, stage_inputs, tmp_path):
         cfg = tmp_path / "all.cfg"

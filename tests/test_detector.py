@@ -164,6 +164,19 @@ class TestSummarize:
         with pytest.raises(ValueError, match="window_start"):
             FeatureVector(window_start=bad, values=(1.0,))
 
+    @pytest.mark.parametrize("start, values, message", [
+        ("0", (1.0,), "window_start '0' is not a real number"),
+        (True, (True,), "window_start True is not a real number"),
+        (None, (1.0,), "window_start None is not a real number"),
+        (0.0, ("1",), "coordinate 0 of the window at 0.0 is '1', not a real number"),
+        (300.0, (1.0, True), "coordinate 1 of the window at 300.0 is True, not a real number"),
+        (0, (1, 2.0, 3j), "coordinate 2 of the window at 0 is 3j, not a real number"),
+    ])
+    def test_vector_of_another_type_rejected(self, start, values, message):
+        with pytest.raises(ValueError) as err:
+            FeatureVector(window_start=start, values=values)
+        assert str(err.value) == message
+
     def test_unknown_feature(self):
         with pytest.raises(ValueError, match="unknown feature"):
             summarize_window(three_session_window(), features=("bogus",))
