@@ -251,11 +251,11 @@ def order_complex(ecp: Ecp, max_dim: int | None = None) -> SimplicialComplex:
     must be transitively closed, as ``build_ecp`` returns them, so every chain
     is a path along arcs: the k-chains are the (k-1)-chains extended by each
     node above their top element, read from the order's above-sets, built
-    one layer at a time.  ``max_dim`` caps
-    the simplex dimension.  Vertex indices follow sorted edge-label order; the
-    labels ride along.  Each layer is counted before it is built, and one of
-    more than MAX_LAYER simplices raises ValueError: a chain of L nested
-    supports alone has C(L, 3) triangles.
+    one layer at a time.  ``max_dim`` caps the simplex dimension.  Vertex
+    indices follow sorted edge-label order; the labels ride along.  Each layer
+    is counted before it is built, and one of more than MAX_LAYER simplices
+    raises ValueError: a chain of L nested supports alone has C(L, 3)
+    triangles.
     """
     nodes = ecp.nodes()
     index = {lab: i for i, lab in enumerate(nodes)}
